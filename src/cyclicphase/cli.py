@@ -39,6 +39,14 @@ def _positive(value, flag):
     return value
 
 
+def _build_params(build, *values) -> model.ModelParams:
+    """Call derive_params or params_from_k; a rejected value is a configuration error."""
+    try:
+        return build(*values)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
+
+
 def resolve_params(args) -> tuple[model.ModelParams, int]:
     """Validate the g/k/preset choice and return (params, default grid size)."""
     sources = [name for name, val in
@@ -55,11 +63,11 @@ def resolve_params(args) -> tuple[model.ModelParams, int]:
         return params, preset["grid_size"]
     if args.g is not None:
         _positive(args.g, "--g")
-        params = model.derive_params(args.g, args.omega)
+        params = _build_params(model.derive_params, args.g, args.omega)
     else:
         if args.k <= 0.5:
             raise ConfigError(f"--k must exceed 1/2, got {args.k}")
-        params = model.params_from_k(args.k, args.omega)
+        params = _build_params(model.params_from_k, args.k, args.omega)
     return params, 16384 if params.k >= 10 else 32768
 
 
@@ -100,6 +108,8 @@ def cmd_reciprocity(args) -> int:
 def cmd_coeffs(args) -> int:
     params, _ = resolve_params(args)
     grid = _resolve_grid(args, 16384)
+    if args.n_max < 1:
+        raise ConfigError(f"--n-max must be at least 1, got {args.n_max}")
     if not params.cyclic:
         raise ConfigError("coeffs requires a cyclic drive (integer K/omega)")
     _print_config("coeffs", params,
@@ -120,6 +130,8 @@ def cmd_coeffs(args) -> int:
 def cmd_verify(args) -> int:
     params, default_grid = resolve_params(args)
     grid = _resolve_grid(args, min(default_grid, 16384))
+    if args.rk4_steps < 1:
+        raise ConfigError(f"--rk4-steps must be at least 1, got {args.rk4_steps}")
     _print_config("verify", params, {"grid_size": grid, "rk4_steps": args.rk4_steps})
     checks = []
 
@@ -177,6 +189,8 @@ def cmd_sweep(args) -> int:
         raise ConfigError(f"--k-values must be a comma-separated list: {exc}")
     if not k_values or any(k <= 0.5 for k in k_values):
         raise ConfigError("--k-values entries must all exceed 1/2")
+    _positive(args.omega, "--omega")
+    params_list = [_build_params(model.params_from_k, k, args.omega) for k in k_values]
     grid = _resolve_grid(args, 16384)
     print("resolved configuration: " + json.dumps(
         {"command": "sweep", "k_values": k_values, "grid_size": grid,
@@ -184,8 +198,7 @@ def cmd_sweep(args) -> int:
     rows = {"k": [], "g": [], "cyclic": [], "rms_phase_error": [],
             "rms_logmod_error": [], "berry_predicted": [], "berry_measured": [],
             "root_check_pass": []}
-    for k in k_values:
-        params = model.params_from_k(k, args.omega)
+    for params in params_list:
         report, _ = experiments.run_reciprocity_case(params, grid)
         rows["k"].append(params.k)
         rows["g"].append(params.g)
@@ -203,12 +216,7 @@ def cmd_sweep(args) -> int:
                  if params.cyclic else "berry: n/a (non-cyclic)"))
     if args.out:
         table = experiments.Table(tuple(rows), {c: np.asarray(v) for c, v in rows.items()})
-        lines = [",".join(table.columns)]
-        for i in range(table.n_rows):
-            lines.append(",".join(f"{float(table.data[c][i]):.17g}"
-                                  for c in table.columns))
-        with open(args.out, "w", encoding="ascii") as fh:
-            fh.write("\n".join(lines) + "\n")
+        experiments.write_csv(table, args.out)
         print(f"wrote {args.out}")
     return 0
 

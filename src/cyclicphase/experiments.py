@@ -336,8 +336,12 @@ def report_to_dict(report) -> dict:
     return out
 
 
-def _format_cell(x) -> str:
-    return f"{float(x):.17g}"
+def write_csv(table: Table, path) -> None:
+    """Write a header line, then one row per line with every cell as %.17g."""
+    cols = [np.asarray(table.data[c], dtype=float).tolist() for c in table.columns]
+    lines = [",".join(table.columns)]
+    lines.extend(",".join(f"{x:.17g}" for x in row) for row in zip(*cols))
+    Path(path).write_text("\n".join(lines) + "\n", encoding="ascii")
 
 
 def emit_outputs(report, dataset: Table, path_prefix, fmt: str = "csv") -> list[Path]:
@@ -355,11 +359,7 @@ def emit_outputs(report, dataset: Table, path_prefix, fmt: str = "csv") -> list[
             prefix.parent.mkdir(parents=True, exist_ok=True)
         if fmt == "csv":
             target = prefix.with_name(prefix.name + ".csv")
-            lines = [",".join(dataset.columns)]
-            cols = [np.asarray(dataset.data[c], dtype=float) for c in dataset.columns]
-            for i in range(dataset.n_rows):
-                lines.append(",".join(_format_cell(col[i]) for col in cols))
-            target.write_text("\n".join(lines) + "\n", encoding="ascii")
+            write_csv(dataset, target)
         else:
             target = prefix.with_name(prefix.name + ".json")
             payload = {"columns": list(dataset.columns),

@@ -36,7 +36,6 @@ from .trigpoly import (
     HelicitySeries,
     from_spectrum,
     offset_grid,
-    polynomial_roots,
     spectrum,
 )
 
@@ -293,7 +292,7 @@ def log_coefficients(chi, n_max: int, grid_size: int,
         c0 = chi.c[0]
         if c0 <= 0.0:
             raise ValueError(f"c_0 = {c0:.3e} must be positive for the log expansion")
-        roots = polynomial_roots(chi.c)
+        roots = chi.roots
         on_circle = roots[np.abs(np.abs(roots) - 1.0) <= unit_tol]
         off_circle = roots[np.abs(np.abs(roots) - 1.0) > unit_tol]
         z = np.exp(1j * grid)

@@ -56,6 +56,8 @@ def derive_params(g: float, omega: float = 1.0) -> ModelParams:
     if not (omega > 0.0):
         raise ValueError(f"omega must be positive, got {omega}")
     k = float(0.5 * np.sqrt(g * g + 1.0))
+    if not np.isfinite(k):
+        raise ValueError(f"g = {g} is too large: k = sqrt(g^2 + 1)/2 is not finite")
     cyclic = bool(abs(k - round(k)) < CYCLIC_TOL)
     n_harmonic = 2 * int(round(k)) + 1 if cyclic else None
     return ModelParams(float(g), float(omega), k, n_harmonic, cyclic)

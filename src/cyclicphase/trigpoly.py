@@ -20,6 +20,7 @@ zeros are never sampled exactly.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -133,6 +134,13 @@ class HelicitySeries:
     def n_max(self) -> int:
         return (len(self.c) - 1) // 2
 
+    @cached_property
+    def roots(self) -> np.ndarray:
+        """Roots of sum_m c_m z^m, found once per series and shared read-only."""
+        roots = polynomial_roots(self.c)
+        roots.flags.writeable = False
+        return roots
+
     def values(self, grid: np.ndarray) -> np.ndarray:
         """Evaluate sum_m c_m e^{i m s} on the given grid."""
         return np.polyval(self.c[::-1], np.exp(1j * np.asarray(grid)))
@@ -165,11 +173,11 @@ def analyze(signal, n_max: int) -> TrigSeries:
             f"m_samples = {signal.m_samples} too small for n_max = {n_max}: "
             f"need at least {_min_samples(n_max)} (aliasing)"
         )
-    fhat, n = spectrum(signal.values)
-    pos = np.array([fhat[n == m][0] for m in range(n_max + 1)])
-    neg = np.array([fhat[n == -m][0] for m in range(n_max + 1)])
+    fhat, _ = spectrum(signal.values)
+    pos = fhat[:n_max + 1]                    # frequencies 0..n_max
+    neg = fhat[-np.arange(n_max + 1)]         # frequencies 0, -1, ..., -n_max
     a = pos + neg
-    a[0] = fhat[n == 0][0]
+    a[0] = fhat[0]
     b = pos - neg
     b[0] = 0.0
     residue = max(np.max(np.abs(a.imag)), np.max(np.abs(b.imag)))
@@ -214,14 +222,8 @@ def to_helicity(series: TrigSeries) -> HelicitySeries:
     chi(s) = e^{iNs} phi(s).
     """
     nmax = series.n_max
-    c = np.zeros(2 * nmax + 1)
-    for m in range(2 * nmax + 1):
-        if m < nmax:
-            c[m] = 0.5 * (series.a[nmax - m] - series.b[nmax - m])
-        elif m == nmax:
-            c[m] = series.a[0]
-        else:
-            c[m] = 0.5 * (series.a[m - nmax] + series.b[m - nmax])
+    a, b = series.a, series.b
+    c = np.concatenate((0.5 * (a[:0:-1] - b[:0:-1]), a[:1], 0.5 * (a[1:] + b[1:])))
     if c[0] < 0.0:
         c = -c  # chi/c_0 is unchanged under a global sign flip
         series = TrigSeries(nmax, -series.a, -series.b)
@@ -236,13 +238,30 @@ def to_helicity(series: TrigSeries) -> HelicitySeries:
 
 
 def _companion_eigenvalues(coeffs: np.ndarray) -> np.ndarray:
-    """Eigenvalues of the companion matrix of sum_m coeffs[m] z^m (monic-scaled)."""
+    """Eigenvalues of the real companion matrix of sum_m coeffs[m] z^m (monic-scaled)."""
     d = len(coeffs) - 1
-    monic = coeffs / coeffs[-1]
-    comp = np.zeros((d, d), dtype=complex)
+    comp = np.zeros((d, d))
     comp[1:, :-1] = np.eye(d - 1)
-    comp[:, -1] = -monic[:-1]
-    return np.linalg.eigvals(comp)
+    comp[:, -1] = -coeffs[:-1] / coeffs[-1]
+    return np.linalg.eigvals(comp).astype(complex)
+
+
+def _newton(p: np.ndarray, dp: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Newton on p from every start in x at once; each start stops on its own."""
+    polyval = np.polynomial.polynomial.polyval
+    x = x.copy()
+    active = np.arange(len(x))
+    for _ in range(60):
+        xa = x[active]
+        fx, dfx = polyval(xa, p), polyval(xa, dp)
+        moving = dfx != 0
+        step = np.zeros_like(xa)
+        step[moving] = fx[moving] / dfx[moving]
+        x[active] = xa = xa - step
+        active = active[moving & (np.abs(step) > 1e-15 * (1.0 + np.abs(xa)))]
+        if len(active) == 0:
+            break
+    return x
 
 
 def _refine_root_clusters(coeffs: np.ndarray, roots: np.ndarray,
@@ -252,37 +271,30 @@ def _refine_root_clusters(coeffs: np.ndarray, roots: np.ndarray,
     A cluster of m eigenvalues within cluster_tol is treated as one root of
     multiplicity m and refined by Newton iteration on the (m-1)-th derivative,
     where it is simple.  Raw companion eigenvalues of a double root carry
-    O(sqrt(eps)) ~ 1e-8 errors, too coarse for the unit-circle gate.
+    O(sqrt(eps)) ~ 1e-8 errors, too coarse for the unit-circle gate.  Clusters
+    of one multiplicity are polished together.
     """
-    poly = np.polynomial.polynomial.Polynomial(coeffs)
-    derivs = [poly]
-    for _ in range(len(coeffs)):
-        derivs.append(derivs[-1].deriv())
-    out = np.empty_like(roots)
     used = np.zeros(len(roots), dtype=bool)
-    pos = 0
+    clusters = []
     for i in range(len(roots)):
-        if used[i]:
-            continue
-        cluster = np.where(~used & (np.abs(roots - roots[i]) < cluster_tol))[0]
-        used[cluster] = True
-        mult = len(cluster)
-        x0 = roots[cluster].mean()
-        p, dp = derivs[mult - 1], derivs[mult]
-        x = x0
-        for _ in range(60):
-            fx, dfx = p(x), dp(x)
-            if dfx == 0:
-                break
-            step = fx / dfx
-            x = x - step
-            if abs(step) <= 1e-15 * (1.0 + abs(x)):
-                break
-        if abs(p(x)) > abs(p(x0)) or abs(x - x0) > 100 * cluster_tol:
-            x = x0  # refinement did not improve; keep the eigenvalue cluster mean
-        out[pos:pos + mult] = x
-        pos += mult
-    return out
+        if not used[i]:
+            members = ~used & (np.abs(roots - roots[i]) < cluster_tol)
+            used |= members
+            clusters.append(roots[members])
+    mult = np.array([len(cl) for cl in clusters])
+    x0 = np.array([cl.mean() for cl in clusters])
+    poly = np.polynomial.polynomial  # loaded on first use, not at import
+    derivs = [poly.polyder(coeffs, j) for j in range(mult.max() + 1)]
+    x = np.empty_like(x0)
+    for mu in set(mult.tolist()):
+        sel = mult == mu
+        p, start = derivs[mu - 1], x0[sel]
+        polished = _newton(p, derivs[mu], start)
+        # keep the eigenvalue cluster mean where refinement did not improve
+        worse = ((np.abs(poly.polyval(polished, p)) > np.abs(poly.polyval(start, p)))
+                 | (np.abs(polished - start) > 100 * cluster_tol))
+        x[sel] = np.where(worse, start, polished)
+    return np.repeat(x, mult)
 
 
 def polynomial_roots(c: np.ndarray, trim_tol: float = 1e-13) -> np.ndarray:
@@ -322,8 +334,8 @@ def root_check(series: HelicitySeries | np.ndarray,
     Im t <= 0 (real-axis zeros sit on the unit circle and pass as the boundary
     case).
     """
-    c = series.c if isinstance(series, HelicitySeries) else np.asarray(series, dtype=float)
-    roots = polynomial_roots(c)
+    roots = (series.roots if isinstance(series, HelicitySeries)
+             else polynomial_roots(series))
     if len(roots) == 0:
         return RootCheckResult(roots, True, np.inf)
     min_mod = float(np.min(np.abs(roots)))

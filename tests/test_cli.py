@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from cyclicphase.cli import main
 
 
@@ -40,6 +42,24 @@ class TestValidation:
         code, _, err = run_cli(capsys, "berry", "--k", "16.59")
         assert code == 2
         assert "cyclic" in err
+
+
+class TestInputContract:
+    @pytest.mark.parametrize("argv", [
+        ("coeffs", "--k", "1", "--n-max", "0"),
+        ("coeffs", "--k", "1", "--n-max", "-1"),
+        ("reciprocity", "--g", "1e200"),
+        ("reciprocity", "--k", "nan"),
+        ("sweep", "--k-values", "1,nan", "--grid-size", "4096"),
+        ("verify", "--k", "1", "--rk4-steps", "0"),
+    ])
+    def test_rejected_with_one_line(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert err.startswith("configuration error:")
+        assert err.count("\n") == 1
+        assert "Traceback" not in err
+        assert "rms_phase" not in out  # the sweep rejects every k before any row
 
 
 class TestReciprocity:

@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from cyclicphase import model
+from cyclicphase import experiments, hilbert, model, trigpoly
 from cyclicphase.experiments import (
     PRESETS,
     Table,
@@ -123,6 +123,23 @@ class TestReciprocityCase:
         # converged to the intrinsic (theorem-violation) discrepancy
         assert abs(r2.rms_phase_error / r1.rms_phase_error - 1.0) < 0.1
         assert abs(r2.rms_logmod_error / r1.rms_logmod_error - 1.0) < 0.1
+
+    def test_roots_found_once_per_series(self, monkeypatch):
+        calls = []
+        original = trigpoly.polynomial_roots
+
+        def counting(c, *args, **kwargs):
+            calls.append(len(c))
+            return original(c, *args, **kwargs)
+
+        # every module binding, so a consumer with its own import is counted too
+        for module in (trigpoly, hilbert, model, experiments):
+            if getattr(module, "polynomial_roots", None) is original:
+                monkeypatch.setattr(module, "polynomial_roots", counting)
+        params = model.params_from_k(17)
+        report, _ = run_reciprocity_case(params, 4096)
+        assert report.root_check_pass
+        assert calls == [2 * params.n_harmonic + 1]
 
     def test_fejer_flag_runs(self):
         report, _ = run_reciprocity_case(fig_params("fig1"), 4096, fejer=True)

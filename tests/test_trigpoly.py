@@ -1,5 +1,7 @@
 """Series machinery: analysis, synthesis, helicity conversion, zero locations."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -178,3 +180,31 @@ class TestRootCheck:
         on_circle = result.roots[np.abs(np.abs(result.roots) - 1.0) < 1e-9]
         assert len(on_circle) == 4
         assert np.all(np.min(np.abs(on_circle[:, None] - np.array([1j, -1j])), axis=1) < 1e-9)
+
+    def test_k100_roots_raise_no_runtime_warning(self):
+        params = model.params_from_k(100)
+        signals = model.evaluate_model(params, 4 * params.n_harmonic + 4)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            roots = polynomial_roots(signals.helicity.c)
+        assert len(roots) == 2 * params.n_harmonic
+        assert np.min(np.abs(roots)) >= 1.0 - 1e-9
+
+    def test_recovers_prescribed_roots_at_degree_400(self, rng):
+        # P(z) = (z^2 + 1)^2 prod_r (z - z_r)(z - conj z_r), |z_r| > 1, multiplied
+        # out independently: sampled at 1024 roots of unity, coefficients by FFT
+        theta = np.pi * (np.arange(198) + 0.5 + 0.3 * rng.uniform(-1, 1, 198)) / 198
+        upper = rng.uniform(1.02, 1.05, 198) * np.exp(1j * theta)
+        simple = np.concatenate((upper, upper.conj()))
+        w = np.exp(2j * np.pi * np.arange(1024) / 1024)
+        values = (w * w + 1.0) ** 2 * np.prod(w[:, None] - simple[None, :], axis=1)
+        c = np.fft.fft(values) / 1024
+        assert np.max(np.abs(c[401:])) < 1e-8 * np.max(np.abs(c))
+        roots = polynomial_roots(c[:401].real)
+        assert len(roots) == 400
+        for unit in (1j, -1j):  # double roots, polished to full accuracy
+            assert np.count_nonzero(np.abs(roots - unit) <= 1e-12) == 2
+        rest = roots[np.minimum(np.abs(roots - 1j), np.abs(roots + 1j)) > 1e-12]
+        dist = np.abs(rest[:, None] - simple[None, :])
+        assert sorted(np.argmin(dist, axis=1)) == list(range(len(simple)))
+        assert np.max(np.min(dist, axis=1)) < 1e-9
