@@ -223,7 +223,7 @@ def run_reciprocity_case(params: model.ModelParams, grid_size: int,
         pair = hilbert.PhaseModulusPair.from_samples(s, lm_direct, ph_direct)
         ph_rec = pair.reconstruct_phase(method, fejer_order)
         lm_rec = pair.reconstruct_modulus(method, fejer_order, trend_tolerance=None)
-        zeros = ((-np.pi / 2, 2), (np.pi / 2, 2))  # near-zeros of the drive
+        zeros = model.DRIVE_ZEROS
         phase_direct_out = ph_direct
         phase_rec_out = ph_rec
         notes.append(

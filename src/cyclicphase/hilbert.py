@@ -34,6 +34,7 @@ import numpy as np
 
 from .trigpoly import (
     HelicitySeries,
+    cos_sin_coefficients,
     from_spectrum,
     offset_grid,
     spectrum,
@@ -256,24 +257,14 @@ def _anchor_unwrapped(phase: np.ndarray) -> np.ndarray:
     return phase - 2.0 * np.pi * np.round(phase.mean() / (2.0 * np.pi))
 
 
-def _cos_sin_analysis(grid, log_mod, phase, n_max):
-    n = np.arange(n_max + 1)
-    cos_t = np.cos(np.outer(n, grid))
-    sin_t = np.sin(np.outer(n, grid))
-    a = 2.0 * (cos_t @ log_mod) / len(grid)
-    a[0] = log_mod.mean()
-    b = 2.0 * (sin_t @ phase) / len(grid)
-    b[0] = 0.0
-    return a, b
-
-
 def log_coefficients(chi, n_max: int, grid_size: int,
                      unit_tol: float = UNIT_ROOT_TOL) -> ConjugateCoefficients:
     """Fourier coefficients of the real and imaginary parts of log(chi/c_0).
 
     ``chi`` is either a :class:`HelicitySeries` or complex samples on the
     offset grid.  The real part (log-modulus) is cosine-analyzed into A_n, the
-    imaginary part (unwrapped phase) sine-analyzed into B_n.
+    imaginary part (unwrapped phase) sine-analyzed into B_n, both from one
+    :func:`~cyclicphase.trigpoly.cos_sin_coefficients` of log|w| + i arg w.
 
     For a HelicitySeries input the zeros on the unit circle are handled
     exactly: each unit root e^{i s_r} of multiplicity mu contributes the
@@ -297,31 +288,26 @@ def log_coefficients(chi, n_max: int, grid_size: int,
         off_circle = roots[np.abs(np.abs(roots) - 1.0) > unit_tol]
         z = np.exp(1j * grid)
         # deflated factor R(z)/R(0); unit roots divided out, value 1 at z = 0
-        deflated = np.ones(grid_size, dtype=complex)
+        w = np.ones(grid_size, dtype=complex)
         for zr in off_circle:
-            deflated *= (z - zr) / (0.0 - zr)
-        log_mod = np.log(np.abs(deflated))
-        phase = _anchor_unwrapped(unwrap(np.angle(deflated)).phase)
-        a, b = _cos_sin_analysis(grid, log_mod, phase, n_max)
+            w *= (z - zr) / (0.0 - zr)
         n = np.arange(1, n_max + 1)
+        unit_terms = np.zeros(n_max + 1)
         for zr in on_circle:
-            sr = np.angle(zr)
-            contrib = -np.cos(n * sr) / n
-            a[1:] += contrib
-            b[1:] += contrib
-        return ConjugateCoefficients(a, b)
+            unit_terms[1:] -= np.cos(n * np.angle(zr)) / n
+    else:
+        samples = np.asarray(chi, dtype=complex)
+        if samples.shape != (grid_size,):
+            raise ValueError("sample array length must equal grid_size")
+        c0 = samples.mean()
+        if abs(c0) == 0.0:
+            raise ValueError("c_0 (sample mean) vanishes; log expansion undefined")
+        w = samples / c0
+        unit_terms = 0.0
 
-    samples = np.asarray(chi, dtype=complex)
-    if samples.shape != (grid_size,):
-        raise ValueError("sample array length must equal grid_size")
-    c0 = samples.mean()
-    if abs(c0) == 0.0:
-        raise ValueError("c_0 (sample mean) vanishes; log expansion undefined")
-    w = samples / c0
-    log_mod = np.log(np.abs(w))
     phase = _anchor_unwrapped(unwrap(np.angle(w)).phase)
-    a, b = _cos_sin_analysis(grid, log_mod, phase, n_max)
-    return ConjugateCoefficients(a, b)
+    a, b = cos_sin_coefficients(np.log(np.abs(w)) + 1j * phase, n_max)
+    return ConjugateCoefficients(a.real + unit_terms, b.real + unit_terms)
 
 
 @dataclass(frozen=True)

@@ -146,6 +146,25 @@ class HelicitySeries:
         return np.polyval(self.c[::-1], np.exp(1j * np.asarray(grid)))
 
 
+def cos_sin_coefficients(values, n_max: int) -> tuple[np.ndarray, np.ndarray]:
+    """Complex a_n, b_n (n = 0..n_max, b_0 = 0) of samples on the offset grid.
+
+    values(s) = sum_n a_n cos(n s) + i sum_n b_n sin(n s) up to n_max, with
+    a_n = fhat[n] + fhat[-n] and b_n = fhat[n] - fhat[-n] from one
+    :func:`spectrum`.  For values = u + i v with real u and v, Re a_n are the
+    cosine coefficients of u and Re b_n the sine coefficients of v, whatever
+    the symmetry of u and v.
+    """
+    fhat, _ = spectrum(values)
+    pos = fhat[:n_max + 1]                    # frequencies 0..n_max
+    neg = fhat[-np.arange(n_max + 1)]         # frequencies 0, -1, ..., -n_max
+    a = pos + neg
+    a[0] = fhat[0]
+    b = pos - neg
+    b[0] = 0.0
+    return a, b
+
+
 def _min_samples(n_max: int) -> int:
     return 4 * n_max + 4
 
@@ -173,13 +192,7 @@ def analyze(signal, n_max: int) -> TrigSeries:
             f"m_samples = {signal.m_samples} too small for n_max = {n_max}: "
             f"need at least {_min_samples(n_max)} (aliasing)"
         )
-    fhat, _ = spectrum(signal.values)
-    pos = fhat[:n_max + 1]                    # frequencies 0..n_max
-    neg = fhat[-np.arange(n_max + 1)]         # frequencies 0, -1, ..., -n_max
-    a = pos + neg
-    a[0] = fhat[0]
-    b = pos - neg
-    b[0] = 0.0
+    a, b = cos_sin_coefficients(signal.values, n_max)
     residue = max(np.max(np.abs(a.imag)), np.max(np.abs(b.imag)))
     if residue > REALITY_TOL:
         raise ValueError(

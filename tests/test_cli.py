@@ -118,6 +118,13 @@ class TestOtherCommands:
         assert "PASS  solution residual" in out
         assert "FAIL" not in out
 
+    def test_verify_rk4_drift_fails_quietly(self, capsys):
+        code, out, err = run_cli(capsys, "verify", "--preset", "fig2",
+                                 "--rk4-steps", "200")
+        assert code == 1
+        assert "FAIL  RK4" in out
+        assert err == ""
+
     def test_coeffs_table(self, capsys):
         code, out, _ = run_cli(capsys, "coeffs", "--g", "1.7320508075688772",
                                "--n-max", "10", "--grid-size", "4096")

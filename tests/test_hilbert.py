@@ -1,5 +1,7 @@
 """Hilbert transform, reciprocal reconstructions, log-series coefficients."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -221,13 +223,26 @@ class TestLogCoefficients:
         assert np.max(np.abs(coeffs.B[2:])) < 1e-12
         assert abs(coeffs.A[0]) < 1e-8
 
-    def test_k1_model_vs_newton_oracle(self):
-        params = model.derive_params(np.sqrt(3.0))
-        signals = model.evaluate_model(params, 64)
+    @pytest.mark.parametrize("k", [1, 17, 50])
+    def test_model_vs_newton_oracle(self, k):
+        params = model.params_from_k(k)
+        signals = model.evaluate_model(params, 512)
         coeffs = log_coefficients(signals.helicity, 50, 16384)
         expected = log_series_coefficients_newton(signals.helicity.c, 50)
         assert np.max(np.abs(coeffs.A - expected)) < 1e-12
         assert np.max(np.abs(coeffs.B[1:] - expected[1:])) < 1e-12
+
+    def test_analysis_memory_is_linear_in_grid(self):
+        # a few complex m-vectors (1 MB each) fit; one (n_max+1) x m matrix is 27 MB
+        signals = model.evaluate_model(model.params_from_k(17), 512)
+        signals.helicity.roots  # root finding is not part of the measurement
+        tracemalloc.start()
+        try:
+            log_coefficients(signals.helicity, 50, 65536)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32e6
 
     def test_a0_vanishes(self):
         params = model.derive_params(np.sqrt(1155.0))

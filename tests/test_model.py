@@ -135,11 +135,11 @@ class TestIntegrateOde:
             pair = model.analytic_state_pair(p, offset_grid(256))
             assert np.max(np.abs(np.sum(np.abs(pair) ** 2, axis=-1) - 1.0)) < 1e-12
 
-    def test_large_step_warns_but_returns(self):
+    def test_large_step_reports_drift_and_returns(self):
         p = model.derive_params(np.sqrt(1155.0))
-        with pytest.warns(UserWarning, match="drift"):
-            traj = model.integrate_ode(p, np.array([0.0, 1.0], dtype=complex),
-                                       step=2 * np.pi / 40)
+        traj = model.integrate_ode(p, np.array([0.0, 1.0], dtype=complex),
+                                   step=2 * np.pi / 40)
+        assert traj.norm_drift > 1e-6
         assert traj.states.shape[0] == 41
 
     def test_rejects_unnormalised_state(self):
