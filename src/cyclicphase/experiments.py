@@ -336,11 +336,15 @@ def report_to_dict(report) -> dict:
     return out
 
 
+def _rows(table: Table):
+    """Iterate the rows as tuples of Python floats (one conversion per column)."""
+    return zip(*(np.asarray(table.data[c], dtype=float).tolist() for c in table.columns))
+
+
 def write_csv(table: Table, path) -> None:
     """Write a header line, then one row per line with every cell as %.17g."""
-    cols = [np.asarray(table.data[c], dtype=float).tolist() for c in table.columns]
     lines = [",".join(table.columns)]
-    lines.extend(",".join(f"{x:.17g}" for x in row) for row in zip(*cols))
+    lines.extend(",".join(f"{x:.17g}" for x in row) for row in _rows(table))
     Path(path).write_text("\n".join(lines) + "\n", encoding="ascii")
 
 
@@ -362,9 +366,7 @@ def emit_outputs(report, dataset: Table, path_prefix, fmt: str = "csv") -> list[
             write_csv(dataset, target)
         else:
             target = prefix.with_name(prefix.name + ".json")
-            payload = {"columns": list(dataset.columns),
-                       "rows": [[float(dataset.data[c][i]) for c in dataset.columns]
-                                for i in range(dataset.n_rows)]}
+            payload = {"columns": list(dataset.columns), "rows": list(_rows(dataset))}
             target.write_text(json.dumps(payload, indent=2) + "\n", encoding="ascii")
         written.append(target)
         report_path = prefix.with_name(prefix.name + ".report.json")

@@ -37,6 +37,7 @@ from .trigpoly import (
     cos_sin_coefficients,
     from_spectrum,
     offset_grid,
+    polynomial_values,
     spectrum,
 )
 
@@ -201,8 +202,7 @@ class UnwrapResult:
     jumps: list  # (index, size) pairs; jump sits between index and index + 1
 
 
-def unwrap(phase_raw, jump_tolerance: float = np.pi / 2,
-           zeros=None, grid=None) -> UnwrapResult:
+def unwrap(phase_raw, zeros=None, grid=None) -> UnwrapResult:
     """One-dimensional phase unwrapping with genuine-jump bookkeeping.
 
     Adjacent differences are wrapped into (-pi, pi] and accumulated.  Where a
@@ -211,7 +211,7 @@ def unwrap(phase_raw, jump_tolerance: float = np.pi / 2,
     conjugate phase genuinely jumps by -pi * multiplicity; the difference
     across that interval is steered to the branch nearest the jump and the
     jump is recorded instead of smoothed.  Any remaining difference larger
-    than ``jump_tolerance`` is recorded as well.
+    than pi/2 is recorded as well.
     """
     raw = _check_real_finite(phase_raw)
     d = np.diff(raw)
@@ -228,7 +228,7 @@ def unwrap(phase_raw, jump_tolerance: float = np.pi / 2,
                 d[j] += 2.0 * np.pi * np.round((target - d[j]) / (2.0 * np.pi))
                 jumps.append((j, float(d[j])))
     marked = {j for j, _ in jumps}
-    for j in np.where(np.abs(d) > jump_tolerance)[0]:
+    for j in np.where(np.abs(d) > np.pi / 2)[0]:
         if int(j) not in marked:
             jumps.append((int(j), float(d[j])))
     jumps.sort()
@@ -257,8 +257,7 @@ def _anchor_unwrapped(phase: np.ndarray) -> np.ndarray:
     return phase - 2.0 * np.pi * np.round(phase.mean() / (2.0 * np.pi))
 
 
-def log_coefficients(chi, n_max: int, grid_size: int,
-                     unit_tol: float = UNIT_ROOT_TOL) -> ConjugateCoefficients:
+def log_coefficients(chi, n_max: int, grid_size: int) -> ConjugateCoefficients:
     """Fourier coefficients of the real and imaginary parts of log(chi/c_0).
 
     ``chi`` is either a :class:`HelicitySeries` or complex samples on the
@@ -270,12 +269,14 @@ def log_coefficients(chi, n_max: int, grid_size: int,
     exactly: each unit root e^{i s_r} of multiplicity mu contributes the
     classical conjugate pair log|2 sin((s - s_r)/2)| and the periodised
     sawtooth ((s - s_r) mod 2pi - pi)/2, both with coefficients
-    -mu cos(n s_r)/n, while the deflated (zero-free near the circle) factor is
-    sampled and analyzed on the grid.  Plain sampling across the log
-    singularities would lose ~3 decades of accuracy.  Raw-sample inputs are
-    analyzed directly and should be zero-free.
+    -mu cos(n s_r)/n.  Only those roots are read: their factor is divided out
+    of the coefficients, and the quotient R (zero-free near the circle) is
+    evaluated by one :func:`~cyclicphase.trigpoly.polynomial_values` and
+    analyzed.  Plain sampling across the log singularities would lose ~3
+    decades of accuracy.  Raw-sample inputs are analyzed directly and should
+    be zero-free.
     """
-    grid = offset_grid(grid_size)
+    offset_grid(grid_size)  # validates the grid size
     if grid_size < 4 * n_max + 4:
         raise ValueError(f"grid_size {grid_size} too small for n_max {n_max}")
 
@@ -283,18 +284,14 @@ def log_coefficients(chi, n_max: int, grid_size: int,
         c0 = chi.c[0]
         if c0 <= 0.0:
             raise ValueError(f"c_0 = {c0:.3e} must be positive for the log expansion")
-        roots = chi.roots
-        on_circle = roots[np.abs(np.abs(roots) - 1.0) <= unit_tol]
-        off_circle = roots[np.abs(np.abs(roots) - 1.0) > unit_tol]
-        z = np.exp(1j * grid)
-        # deflated factor R(z)/R(0); unit roots divided out, value 1 at z = 0
-        w = np.ones(grid_size, dtype=complex)
-        for zr in off_circle:
-            w *= (z - zr) / (0.0 - zr)
+        on_circle = chi.roots[np.abs(np.abs(chi.roots) - 1.0) <= UNIT_ROOT_TOL]
+        poly = np.polynomial.polynomial
+        # deflated factor R(z)/R(0): the unit roots divided out of the coefficients
+        quotient = poly.polydiv(chi.c, poly.polyfromroots(on_circle).real)[0]
+        w = polynomial_values(quotient, grid_size) / quotient[0]
         n = np.arange(1, n_max + 1)
         unit_terms = np.zeros(n_max + 1)
-        for zr in on_circle:
-            unit_terms[1:] -= np.cos(n * np.angle(zr)) / n
+        unit_terms[1:] = -np.cos(np.outer(np.angle(on_circle), n)).sum(axis=0) / n
     else:
         samples = np.asarray(chi, dtype=complex)
         if samples.shape != (grid_size,):
@@ -324,12 +321,10 @@ class EqualityReport:
 
 
 def coefficient_equality_check(coeffs: ConjugateCoefficients,
-                               n_max: int | None = None,
-                               floor: float = 1e-12,
-                               abs_tol: float = EQUALITY_ABS_TOL) -> EqualityReport:
-    """Relative discrepancy |A_n - B_n| / max(|A_n|, floor) for n = 1..n_max.
+                               n_max: int | None = None) -> EqualityReport:
+    """Relative discrepancy |A_n - B_n| / max(|A_n|, 1e-12) for n = 1..n_max.
 
-    Differences at or below ``abs_tol`` count as equal (zero discrepancy):
+    Differences at or below ``EQUALITY_ABS_TOL`` count as equal (zero discrepancy):
     they are double-precision round-off, and dividing them by the floor would
     report noise where both coefficients vanish.
     """
@@ -341,6 +336,6 @@ def coefficient_equality_check(coeffs: ConjugateCoefficients,
     a = coeffs.A[1:n_max + 1]
     b = coeffs.B[1:n_max + 1]
     diff = np.abs(a - b)
-    rel = np.where(diff <= abs_tol, 0.0, diff / np.maximum(np.abs(a), floor))
+    rel = np.where(diff <= EQUALITY_ABS_TOL, 0.0, diff / np.maximum(np.abs(a), 1e-12))
     return EqualityReport(n, a, b, diff, rel, float(np.max(rel)) if len(rel) else 0.0,
                           float(coeffs.A[0]))

@@ -56,8 +56,8 @@ def derive_params(g: float, omega: float = 1.0) -> ModelParams:
     """Build ModelParams from the coupling ratio g = G/omega."""
     if not (g > 0.0):
         raise ValueError(f"g must be positive, got {g}")
-    if not (omega > 0.0):
-        raise ValueError(f"omega must be positive, got {omega}")
+    if not (0.0 < omega < np.inf):
+        raise ValueError(f"omega must be positive and finite, got {omega}")
     k = float(0.5 * np.sqrt(g * g + 1.0))
     if not np.isfinite(k):
         raise ValueError(f"g = {g} is too large: k = sqrt(g^2 + 1)/2 is not finite")

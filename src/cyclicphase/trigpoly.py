@@ -27,7 +27,7 @@ import numpy as np
 #: absolute tolerance for discarding imaginary residue of extracted coefficients
 REALITY_TOL = 1e-10
 
-#: default |z| >= 1 - tolerance for the zero-location gate (boundary case Im t = 0 passes)
+#: |z| >= 1 - ROOT_TOL is the zero-location gate (boundary case Im t = 0 passes)
 ROOT_TOL = 1e-9
 
 
@@ -65,6 +65,19 @@ def from_spectrum(fhat: np.ndarray, n: np.ndarray) -> np.ndarray:
     m = len(fhat)
     twiddle = (-1.0) ** n * np.exp(-1j * np.pi * n / m)
     return np.fft.ifft(fhat / twiddle * m)
+
+
+def polynomial_values(c, m_samples: int) -> np.ndarray:
+    """sum_d c[d] e^{i d s_j} (real c) on the offset grid, by one inverse FFT.
+
+    e^{i d s_j} = (-1)^d e^{i pi d/m} e^{2 pi i d j/m}; as e^{i m s_j} = -1,
+    degree d >= m folds exactly into bin d mod m with sign (-1)^(d // m).
+    """
+    offset_grid(m_samples)  # validates the grid size
+    d = np.arange(len(c))
+    folded = np.bincount(d % m_samples, (-1.0) ** (d + d // m_samples) * c)
+    twiddle = np.exp(1j * np.pi * np.arange(len(folded)) / m_samples)
+    return np.fft.ifft(folded * twiddle, m_samples, norm="forward")
 
 
 @dataclass(frozen=True)
@@ -141,9 +154,9 @@ class HelicitySeries:
         roots.flags.writeable = False
         return roots
 
-    def values(self, grid: np.ndarray) -> np.ndarray:
-        """Evaluate sum_m c_m e^{i m s} on the given grid."""
-        return np.polyval(self.c[::-1], np.exp(1j * np.asarray(grid)))
+    def values(self, m_samples: int) -> np.ndarray:
+        """Evaluate sum_m c_m e^{i m s} on the offset grid of m_samples points."""
+        return polynomial_values(self.c, m_samples)
 
 
 def cos_sin_coefficients(values, n_max: int) -> tuple[np.ndarray, np.ndarray]:
@@ -242,9 +255,8 @@ def to_helicity(series: TrigSeries) -> HelicitySeries:
         series = TrigSeries(nmax, -series.a, -series.b)
     out = HelicitySeries(c)
     m_check = max(64, _min_samples(nmax))
-    grid = offset_grid(m_check)
-    direct = np.exp(1j * nmax * grid) * synthesize(series, m_check).values
-    dev = np.max(np.abs(out.values(grid) - direct))
+    direct = np.exp(1j * nmax * offset_grid(m_check)) * synthesize(series, m_check).values
+    dev = np.max(np.abs(out.values(m_check) - direct))
     if dev > 1e-10:
         raise ValueError(f"helicity synthesis identity violated: max dev {dev:.3e}")
     return out
@@ -277,11 +289,10 @@ def _newton(p: np.ndarray, dp: np.ndarray, x: np.ndarray) -> np.ndarray:
     return x
 
 
-def _refine_root_clusters(coeffs: np.ndarray, roots: np.ndarray,
-                          cluster_tol: float = 1e-5) -> np.ndarray:
+def _refine_root_clusters(coeffs: np.ndarray, roots: np.ndarray) -> np.ndarray:
     """Polish companion eigenvalues; multiple roots via the derivative chain.
 
-    A cluster of m eigenvalues within cluster_tol is treated as one root of
+    A cluster of m eigenvalues within 1e-5 is treated as one root of
     multiplicity m and refined by Newton iteration on the (m-1)-th derivative,
     where it is simple.  Raw companion eigenvalues of a double root carry
     O(sqrt(eps)) ~ 1e-8 errors, too coarse for the unit-circle gate.  Clusters
@@ -291,7 +302,7 @@ def _refine_root_clusters(coeffs: np.ndarray, roots: np.ndarray,
     clusters = []
     for i in range(len(roots)):
         if not used[i]:
-            members = ~used & (np.abs(roots - roots[i]) < cluster_tol)
+            members = ~used & (np.abs(roots - roots[i]) < 1e-5)
             used |= members
             clusters.append(roots[members])
     mult = np.array([len(cl) for cl in clusters])
@@ -305,15 +316,15 @@ def _refine_root_clusters(coeffs: np.ndarray, roots: np.ndarray,
         polished = _newton(p, derivs[mu], start)
         # keep the eigenvalue cluster mean where refinement did not improve
         worse = ((np.abs(poly.polyval(polished, p)) > np.abs(poly.polyval(start, p)))
-                 | (np.abs(polished - start) > 100 * cluster_tol))
+                 | (np.abs(polished - start) > 1e-3))
         x[sel] = np.where(worse, start, polished)
     return np.repeat(x, mult)
 
 
-def polynomial_roots(c: np.ndarray, trim_tol: float = 1e-13) -> np.ndarray:
+def polynomial_roots(c: np.ndarray) -> np.ndarray:
     """All roots of P(z) = sum_m c[m] z^m via companion-matrix eigenvalues.
 
-    Trailing coefficients below trim_tol * max|c| are trimmed so the degree is
+    Trailing coefficients below 1e-13 * max|c| are trimmed so the degree is
     well defined.  Clustered eigenvalues are polished to full accuracy.
     """
     c = np.asarray(c, dtype=float)
@@ -321,7 +332,7 @@ def polynomial_roots(c: np.ndarray, trim_tol: float = 1e-13) -> np.ndarray:
     if scale == 0.0:
         raise ValueError("degenerate (all-zero) polynomial has no defined roots")
     keep = len(c)
-    while keep > 1 and abs(c[keep - 1]) <= trim_tol * scale:
+    while keep > 1 and abs(c[keep - 1]) <= 1e-13 * scale:
         keep -= 1
     c = c[:keep]
     if len(c) == 1:
@@ -339,9 +350,8 @@ class RootCheckResult:
     min_modulus: float
 
 
-def root_check(series: HelicitySeries | np.ndarray,
-               tolerance: float = ROOT_TOL) -> RootCheckResult:
-    """Check that all zeros z of sum c_m z^m satisfy |z| >= 1 - tolerance.
+def root_check(series: HelicitySeries | np.ndarray) -> RootCheckResult:
+    """Check that all zeros z of sum c_m z^m satisfy |z| >= 1 - ROOT_TOL.
 
     z = e^{is}, so |z| >= 1 is the condition that the zeros of phi(t) lie at
     Im t <= 0 (real-axis zeros sit on the unit circle and pass as the boundary
@@ -352,4 +362,4 @@ def root_check(series: HelicitySeries | np.ndarray,
     if len(roots) == 0:
         return RootCheckResult(roots, True, np.inf)
     min_mod = float(np.min(np.abs(roots)))
-    return RootCheckResult(roots, bool(min_mod >= 1.0 - tolerance), min_mod)
+    return RootCheckResult(roots, bool(min_mod >= 1.0 - ROOT_TOL), min_mod)

@@ -211,6 +211,20 @@ class TestEmitOutputs:
         assert payload["columns"] == ["n", "A_n", "B_n", "abs_diff"]
         assert len(payload["rows"]) == 10
 
+    def test_json_dataset_bytes(self, tmp_path):
+        # int, float32 and list columns all become full-precision doubles
+        table = Table(("n", "x", "y"),
+                      {"n": np.arange(1, 4), "x": np.array([0.1, -2.5e-300, 1 / 3]),
+                       "y": [np.float32(0.1), 7, -0.0]})
+        report, _ = run_coefficient_case(fig_params("fig1"), 5, 4096)
+        emit_outputs(report, table, tmp_path / "t", fmt="json")
+        rows = ("[\n      1.0,\n      0.1,\n      0.10000000149011612\n    ]",
+                "[\n      2.0,\n      -2.5e-300,\n      7.0\n    ]",
+                "[\n      3.0,\n      0.3333333333333333,\n      -0.0\n    ]")
+        assert (tmp_path / "t.json").read_bytes() == (
+            '{\n  "columns": [\n    "n",\n    "x",\n    "y"\n  ],\n  "rows": [\n    '
+            + ",\n    ".join(rows) + "\n  ]\n}\n").encode("ascii")
+
     def test_bad_format_rejected(self, tmp_path):
         report, dataset = run_coefficient_case(fig_params("fig1"), 5, 4096)
         with pytest.raises(ValueError):

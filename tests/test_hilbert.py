@@ -223,12 +223,23 @@ class TestLogCoefficients:
         assert np.max(np.abs(coeffs.B[2:])) < 1e-12
         assert abs(coeffs.A[0]) < 1e-8
 
-    @pytest.mark.parametrize("k", [1, 17, 50])
+    @pytest.mark.parametrize("k", [1, 17, 50, 100])
     def test_model_vs_newton_oracle(self, k):
         params = model.params_from_k(k)
-        signals = model.evaluate_model(params, 512)
+        signals = model.evaluate_model(params, 1024 if k == 100 else 512)  # m >= 4N + 4
         coeffs = log_coefficients(signals.helicity, 50, 16384)
         expected = log_series_coefficients_newton(signals.helicity.c, 50)
+        assert np.max(np.abs(coeffs.A - expected)) < 1e-12
+        assert np.max(np.abs(coeffs.B[1:] - expected[1:])) < 1e-12
+
+    @pytest.mark.parametrize("roots", [
+        [1.0, -1.0, 1.5, -2.0, 1.2 + 0.5j, 1.2 - 0.5j],  # simple unit roots z = +-1
+        [1.0, 1.5, -2.0, 1.2 + 0.5j, 1.2 - 0.5j, -3.0],  # quotient of even length
+    ])
+    def test_simple_unit_roots_vs_newton_oracle(self, roots):
+        c = np.polynomial.polynomial.polyfromroots(roots).real
+        coeffs = log_coefficients(HelicitySeries(c), 50, 4096)
+        expected = log_series_coefficients_newton(c, 50)
         assert np.max(np.abs(coeffs.A - expected)) < 1e-12
         assert np.max(np.abs(coeffs.B[1:] - expected[1:])) < 1e-12
 

@@ -39,6 +39,12 @@ class TestDeriveParams:
         with pytest.raises(ValueError):
             model.params_from_k(0.5)
 
+    @pytest.mark.parametrize("omega", [np.inf, -np.inf, np.nan])
+    def test_non_finite_omega_rejected(self, omega):
+        # omega = inf would give t = 2 s / omega = 0 on the whole grid
+        with pytest.raises(ValueError, match="omega"):
+            model.derive_params(1.0, omega)
+
 
 class TestAmplitude:
     def test_unit_value_at_origin(self):

@@ -13,6 +13,7 @@ from cyclicphase.trigpoly import (
     analyze,
     offset_grid,
     polynomial_roots,
+    polynomial_values,
     root_check,
     synthesize,
     to_helicity,
@@ -134,13 +135,27 @@ class TestToHelicity:
         m = 64
         s = offset_grid(m)
         direct = np.exp(1j * 6 * s) * synthesize(series, m).values
-        assert np.max(np.abs(hel.values(s) - direct)) < 1e-10
+        assert np.max(np.abs(hel.values(m) - direct)) < 1e-10
 
     def test_parseval(self, rng):
         hel = to_helicity(self._random_series(rng, 5))
-        s = offset_grid(64)
-        assert np.isclose(np.sum(hel.c ** 2), np.mean(np.abs(hel.values(s)) ** 2),
+        m = 64
+        assert np.isclose(np.sum(hel.c ** 2), np.mean(np.abs(hel.values(m)) ** 2),
                           atol=1e-12)
+
+
+class TestPolynomialValues:
+    @pytest.mark.parametrize("degree", [5, 8, 30])
+    def test_matches_direct_sum(self, rng, degree):
+        # at m = 8, degrees 8 and above fold onto the grid's 8 bins
+        c = rng.standard_normal(degree + 1)
+        s = offset_grid(8)
+        direct = np.exp(1j * np.outer(s, np.arange(degree + 1))) @ c
+        assert np.max(np.abs(polynomial_values(c, 8) - direct)) < 1e-12
+
+    def test_rejects_bad_grid(self):
+        with pytest.raises(ValueError, match="multiple of 4"):
+            polynomial_values(np.ones(3), 6)
 
 
 class TestRootCheck:
