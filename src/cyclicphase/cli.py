@@ -18,6 +18,10 @@ from . import experiments, model, trigpoly
 from .experiments import PRESETS
 
 
+#: --rk4-steps ceiling (50x the default); the trajectory holds steps + 1 states
+MAX_RK4_STEPS = 1_000_000
+
+
 class ConfigError(Exception):
     pass
 
@@ -130,8 +134,9 @@ def cmd_coeffs(args) -> int:
 def cmd_verify(args) -> int:
     params, default_grid = resolve_params(args)
     grid = _resolve_grid(args, min(default_grid, 16384))
-    if args.rk4_steps < 1:
-        raise ConfigError(f"--rk4-steps must be at least 1, got {args.rk4_steps}")
+    if not 1 <= args.rk4_steps <= MAX_RK4_STEPS:
+        raise ConfigError(f"--rk4-steps must be between 1 and {MAX_RK4_STEPS}, "
+                          f"got {args.rk4_steps}")
     _print_config("verify", params, {"grid_size": grid, "rk4_steps": args.rk4_steps})
     checks = []
 

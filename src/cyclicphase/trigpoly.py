@@ -324,21 +324,28 @@ def _refine_root_clusters(coeffs: np.ndarray, roots: np.ndarray) -> np.ndarray:
 def polynomial_roots(c: np.ndarray) -> np.ndarray:
     """All roots of P(z) = sum_m c[m] z^m via companion-matrix eigenvalues.
 
-    Trailing coefficients below 1e-13 * max|c| are trimmed so the degree is
-    well defined.  Clustered eigenvalues are polished to full accuracy.
+    Only trailing coefficients that are exactly zero are trimmed: a small
+    leading coefficient is genuine and carries roots far from the circle
+    (z^400 - 1.1^400 has c_400 / c_0 ~ 3e-17).  The eigensolve runs on
+    P(rho w) with rho = |c_0 / c_d|^(1/d), the geometric mean of the root
+    moduli, which balances the coefficients; leading zero coefficients are
+    roots at z = 0.  Clustered eigenvalues are polished to full accuracy.
     """
     c = np.asarray(c, dtype=float)
-    scale = np.max(np.abs(c)) if len(c) else 0.0
-    if scale == 0.0:
+    nonzero = np.flatnonzero(c)
+    if len(nonzero) == 0:
         raise ValueError("degenerate (all-zero) polynomial has no defined roots")
-    keep = len(c)
-    while keep > 1 and abs(c[keep - 1]) <= 1e-13 * scale:
-        keep -= 1
-    c = c[:keep]
+    at_zero = np.zeros(nonzero[0], dtype=complex)
+    c = c[nonzero[0]:nonzero[-1] + 1]
     if len(c) == 1:
-        return np.empty(0, dtype=complex)
-    raw = _companion_eigenvalues(c)
-    return _refine_root_clusters(c, raw)
+        return at_zero
+    d = len(c) - 1
+    # Q(w) = P(rho w) / |c_0|, formed in logs so that no power of rho overflows
+    log_c = np.log(np.abs(c), out=np.full(d + 1, -np.inf), where=c != 0)
+    log_rho = (log_c[0] - log_c[-1]) / d
+    q = np.sign(c) * np.exp(log_c - log_c[0] + log_rho * np.arange(d + 1))
+    roots = np.exp(log_rho) * _refine_root_clusters(q, _companion_eigenvalues(q))
+    return np.concatenate((at_zero, roots))
 
 
 @dataclass(frozen=True)

@@ -10,6 +10,8 @@ The oracles here deliberately avoid the code paths they are used to check:
 * ``log_series_coefficients_newton``   the positive-frequency log expansion
   coefficients C_n = A_n = B_n from Newton power-sum identities applied to the
   reversed polynomial (no sampling, no Fourier analysis).
+* ``rk4_reference``   classic RK4 for the driven two-level equation, one
+  right-hand-side evaluation at a time (no precomputed step matrices).
 """
 
 import numpy as np
@@ -72,6 +74,31 @@ def log_series_coefficients_newton(c, n_max):
     out = np.zeros(n_max + 1)
     out[1:] = -p[1:] / np.arange(1, n_max + 1)
     return out
+
+
+def rk4_reference(g, psi, s0, s1, nsteps, freeze_s=None):
+    """(states, norm drift) of nsteps classic RK4 steps of dPsi/ds = -2i H(2s) Psi."""
+    psi = np.asarray(psi, dtype=complex)
+    h = (s1 - s0) / nsteps
+
+    def rhs(s, y):
+        se = 2.0 * (freeze_s if freeze_s is not None else s)
+        c, sn = np.cos(se), np.sin(se)
+        return -1j * g * np.array([-c * y[0] + sn * y[1], sn * y[0] + c * y[1]])
+
+    states = np.empty((nsteps + 1, 2), dtype=complex)
+    states[0] = psi
+    s = s0
+    for i in range(nsteps):
+        k1 = rhs(s, psi)
+        k2 = rhs(s + h / 2, psi + (h / 2) * k1)
+        k3 = rhs(s + h / 2, psi + (h / 2) * k2)
+        k4 = rhs(s + h, psi + h * k3)
+        psi = psi + (h / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
+        s = s0 + (i + 1) * h
+        states[i + 1] = psi
+    drift = float(np.max(np.abs(np.sum(np.abs(states) ** 2, axis=1) - 1.0)))
+    return states, drift
 
 
 def itoh_unwrap(raw):

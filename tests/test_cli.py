@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from cyclicphase.cli import main
+from cyclicphase.cli import MAX_RK4_STEPS, main
 
 
 def run_cli(capsys, *argv):
@@ -52,6 +52,7 @@ class TestInputContract:
         ("reciprocity", "--k", "nan"),
         ("sweep", "--k-values", "1,nan", "--grid-size", "4096"),
         ("verify", "--k", "1", "--rk4-steps", "0"),
+        ("verify", "--k", "1", "--rk4-steps", str(MAX_RK4_STEPS + 1)),
     ])
     def test_rejected_with_one_line(self, capsys, argv):
         code, out, err = run_cli(capsys, *argv)

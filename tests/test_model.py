@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from conftest import itoh_unwrap
+from conftest import itoh_unwrap, rk4_reference
 from cyclicphase import model
 from cyclicphase.trigpoly import analyze, offset_grid
 
@@ -152,6 +152,47 @@ class TestIntegrateOde:
         p = model.derive_params(2.0)
         with pytest.raises(ValueError, match="normalised"):
             model.integrate_ode(p, np.array([1.0, 1.0], dtype=complex))
+
+
+class TestIntegrateOdeMatchesLoop:
+    """The chunked increment form against the per-step RK4 oracle."""
+
+    @staticmethod
+    def assert_matches(g, psi0, s_span, nsteps, freeze_s=None):
+        p = model.derive_params(g)
+        traj = model.integrate_ode(p, psi0, s_span,
+                                   step=(s_span[1] - s_span[0]) / nsteps,
+                                   freeze_s=freeze_s)
+        states, drift = rk4_reference(p.g, psi0, *s_span, nsteps, freeze_s)
+        assert traj.states.shape == (nsteps + 1, 2)
+        # coarse steps grow the state far beyond unit norm: compare relative to it
+        scale = np.maximum(1.0, np.abs(states))
+        assert np.max(np.abs(traj.states - states) / scale) <= 1e-12
+        assert traj.norm_drift == pytest.approx(drift, rel=1e-3)
+        return traj
+
+    @pytest.mark.parametrize("g", [np.sqrt(3.0), np.sqrt(1155.0),
+                                   np.sqrt(39999.0), np.sqrt(1100.0)],
+                             ids=["k1", "k17", "k100", "fig3"])
+    def test_drives(self, g):
+        p = model.derive_params(g)
+        s = offset_grid(4096)
+        self.assert_matches(g, model.analytic_state_pair(p, s[0]), (s[0], s[-1]), 3000)
+
+    @pytest.mark.parametrize("nsteps", [1, model.RK4_CHUNK - 1, model.RK4_CHUNK + 1,
+                                        20_000])
+    def test_step_counts(self, nsteps):
+        self.assert_matches(np.sqrt(1155.0), np.array([0.6, 0.8j]),
+                            (-np.pi, np.pi), nsteps)
+
+    def test_frozen_hamiltonian(self):
+        self.assert_matches(2.0, np.array([0.6, 0.8j]), (0.0, 3.0),
+                            model.RK4_CHUNK + 1, freeze_s=0.3)
+
+    def test_large_drift(self):
+        traj = self.assert_matches(np.sqrt(1155.0), np.array([0.0, 1.0], dtype=complex),
+                                   (-np.pi, np.pi), 40)
+        assert traj.norm_drift > 1e-6
 
 
 class TestSolutionResidual:

@@ -10,6 +10,8 @@ from cyclicphase.trigpoly import (
     HelicitySeries,
     SampledSignal,
     TrigSeries,
+    _companion_eigenvalues,
+    _refine_root_clusters,
     analyze,
     offset_grid,
     polynomial_roots,
@@ -204,6 +206,39 @@ class TestRootCheck:
             roots = polynomial_roots(signals.helicity.c)
         assert len(roots) == 2 * params.n_harmonic
         assert np.min(np.abs(roots)) >= 1.0 - 1e-9
+
+    def test_small_leading_coefficient_is_kept(self):
+        # c_400 / c_0 ~ 3e-17: a relative trim dropped every root of this one
+        c = np.zeros(401)
+        c[0], c[400] = -1.1 ** 400, 1.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            roots = polynomial_roots(c)
+        assert len(roots) == 400
+        assert np.max(np.abs(np.abs(roots) - 1.1)) <= 1e-9
+
+    @pytest.mark.parametrize("c0, c2", [(1.0, 1e-320), (1e-300, 1e300)])
+    def test_extreme_coefficient_ratio(self, c0, c2):
+        # |c0 / c2| overflows or underflows; the roots +-i sqrt(c0 / c2) do not
+        roots = polynomial_roots(np.array([c0, 0.0, c2]))
+        modulus = np.sqrt(c0) / np.sqrt(c2)
+        assert np.allclose(np.sort_complex(roots / modulus), [-1j, 1j], atol=1e-12)
+
+    def test_leading_zero_coefficients_are_roots_at_zero(self):
+        roots = polynomial_roots(np.array([0.0, 0.0, 2.0, 1.0, 0.0]))
+        assert np.array_equal(np.sort_complex(roots), [-2.0, 0.0, 0.0])
+
+    @pytest.mark.parametrize("k", [1, 17, 50, 100])
+    def test_scaling_keeps_model_roots(self, k):
+        # the unscaled companion eigensolve, polished the same way, as reference
+        params = model.params_from_k(k)
+        c = model.evaluate_model(params, 4 * params.n_harmonic + 4).helicity.c
+        unscaled = _refine_root_clusters(c, _companion_eigenvalues(c))
+        roots = polynomial_roots(c)
+        dist = np.abs(roots[:, None] - unscaled[None, :])
+        assert len(roots) == len(unscaled) == 2 * params.n_harmonic
+        assert np.max(np.min(dist, axis=1)) <= 1e-13
+        assert np.max(np.min(dist, axis=0)) <= 1e-13
 
     def test_recovers_prescribed_roots_at_degree_400(self, rng):
         # P(z) = (z^2 + 1)^2 prod_r (z - z_r)(z - conj z_r), |z_r| > 1, multiplied
