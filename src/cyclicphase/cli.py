@@ -94,6 +94,8 @@ def cmd_reciprocity(args) -> int:
     params, default_grid = resolve_params(args)
     grid = _resolve_grid(args, default_grid)
     _positive(args.epsilon, "--epsilon")
+    if args.n_max < 1:
+        raise ConfigError(f"--n-max must be at least 1, got {args.n_max}")
     _print_config("reciprocity", params,
                   {"grid_size": grid, "method": args.method, "fejer": args.fejer,
                    "epsilon": args.epsilon, "n_max": args.n_max,
@@ -174,13 +176,12 @@ def cmd_verify(args) -> int:
 def cmd_berry(args) -> int:
     params, default_grid = resolve_params(args)
     grid = _resolve_grid(args, default_grid)
-    _positive(args.epsilon, "--epsilon")
     if not params.cyclic:
         raise ConfigError("berry requires a cyclic drive (integer K/omega)")
-    _print_config("berry", params, {"grid_size": grid, "epsilon": args.epsilon})
+    _print_config("berry", params, {"grid_size": grid})
     predicted = model.berry_phase_predicted(params)
     signals = model.evaluate_model(params, grid)
-    measured = experiments.measure_berry_phase(signals, args.epsilon)
+    measured = experiments.measure_berry_phase(signals)
     print(f"berry predicted = {predicted:.12f} rad")
     print(f"berry measured  = {measured:.12f} rad")
     print(f"|difference|    = {abs(measured - predicted):.3e} rad")
@@ -263,7 +264,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("berry", help="measured vs predicted geometric phase")
     _add_model_arguments(p)
     p.add_argument("--grid-size", type=int, default=None)
-    p.add_argument("--epsilon", type=float, default=0.05)
     p.set_defaults(func=cmd_berry)
 
     p = sub.add_parser("sweep", help="summary table over several k values")

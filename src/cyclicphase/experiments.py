@@ -135,7 +135,7 @@ def match_peaks(reference: np.ndarray, candidate: np.ndarray,
     return pairs, unmatched, candidate[~used] if len(candidate) else candidate
 
 
-def measure_berry_phase(signals: model.ModelSignals, epsilon: float = 0.05) -> float:
+def measure_berry_phase(signals: model.ModelSignals) -> float:
     """Smooth change of the physical phase over one Hamiltonian revolution.
 
     Evaluates D(e) = phase_physical(pi/2 - e) - phase_physical(-pi/2 + e),
@@ -143,19 +143,11 @@ def measure_berry_phase(signals: model.ModelSignals, epsilon: float = 0.05) -> f
     e -> 0 linearly from the two innermost grid samples (e = h/2 and 3h/2).
     Near the adiabatic regime the connection is a boundary-layer step of
     width ~1/(4k) decorated with O(1) oscillations, so extrapolating from
-    coarser offsets inside the oscillation zone would not converge; epsilon
-    only bounds the jump-exclusion region and must exceed the two sampling
-    offsets used.
+    coarser offsets inside the oscillation zone would not converge.
     """
     if signals.chi is None:
         raise ValueError("Berry-phase measurement requires cyclic signals")
-    grid = signals.grid
-    m = len(grid)
-    h = grid[1] - grid[0]
-    if not (0.0 < epsilon < np.pi / 2):
-        raise ValueError("epsilon must lie in (0, pi/2)")
-    if epsilon < 2.0 * h:
-        raise ValueError(f"epsilon = {epsilon:.2e} below the grid resolution 2h")
+    m = len(signals.grid)
     # the offset grid contains pi/2 - h/2 exactly: indices 3m/4 - 1 and m/4
     jp, jm = 3 * m // 4 - 1, m // 4
     phys = signals.phase_physical
@@ -185,6 +177,10 @@ def run_reciprocity_case(params: model.ModelParams, grid_size: int,
     """
     signals = model.evaluate_model(params, grid_size)
     s = signals.grid
+    mask = exclusion_mask(s, model.DRIVE_ZEROS, exclusion_halfwidth)
+    if not mask.any():
+        raise ValueError(f"exclusion half-width {exclusion_halfwidth} around the "
+                         f"amplitude zeros leaves no sample for the error statistics")
     h = s[1] - s[0]
     fejer_order = grid_size // 2 if fejer else None
     notes = [f"regime: {params.regime}",
@@ -205,11 +201,10 @@ def run_reciprocity_case(params: model.ModelParams, grid_size: int,
         pair = hilbert.PhaseModulusPair.from_samples(s, lm_direct, ph_direct)
         ph_rec = pair.reconstruct_phase(method, fejer_order)
         lm_rec = pair.reconstruct_modulus(method, fejer_order)
-        zeros = signals.zeros
         phase_direct_out = signals.phase_physical
         phase_rec_out = ph_rec + (params.g - n) * s
         berry_pred = model.berry_phase_predicted(params)
-        berry_meas = measure_berry_phase(signals, epsilon=exclusion_halfwidth)
+        berry_meas = measure_berry_phase(signals)
         coeffs = hilbert.log_coefficients(signals.helicity, n_max, grid_size)
         coeff_max = hilbert.coefficient_equality_check(coeffs).max_relative
         root_pass = trigpoly.root_check(signals.helicity).passed
@@ -223,7 +218,6 @@ def run_reciprocity_case(params: model.ModelParams, grid_size: int,
         pair = hilbert.PhaseModulusPair.from_samples(s, lm_direct, ph_direct)
         ph_rec = pair.reconstruct_phase(method, fejer_order)
         lm_rec = pair.reconstruct_modulus(method, fejer_order, trend_tolerance=None)
-        zeros = model.DRIVE_ZEROS
         phase_direct_out = ph_direct
         phase_rec_out = ph_rec
         notes.append(
@@ -250,7 +244,6 @@ def run_reciprocity_case(params: model.ModelParams, grid_size: int,
                 f"{len(gibbs)} reconstructed-only peaks outside the matched train "
                 f"flagged as Gibbs artifacts (spurious edge oscillations)")
 
-    mask = exclusion_mask(s, zeros, exclusion_halfwidth)
     rms_ph, max_ph = _masked_error_stats(ph_rec - ph_direct, mask)
     rms_lm, max_lm = _masked_error_stats(lm_rec - lm_direct, mask)
 

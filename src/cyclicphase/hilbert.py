@@ -35,14 +35,16 @@ import numpy as np
 from .trigpoly import (
     HelicitySeries,
     cos_sin_coefficients,
-    from_spectrum,
+    frequencies,
     offset_grid,
     polynomial_values,
-    spectrum,
 )
 
 #: roots within this distance of |z| = 1 are treated as unit-circle zeros
 UNIT_ROOT_TOL = 1e-8
+
+#: ceiling on the analysis grid that log_coefficients may choose for a HelicitySeries
+MAX_ANALYSIS_GRID = 2 ** 20
 
 #: |A_n - B_n| below this is reported as zero discrepancy (double-precision equality)
 EQUALITY_ABS_TOL = 1e-10
@@ -77,11 +79,12 @@ def periodic_hilbert(samples, method: str = "series",
     samples : array_like
         Real samples on the offset grid (length a multiple of 4).
     method : {"series", "quadrature"}
-        "series" Fourier-analyzes and maps cos(ns) -> -pi sin(ns),
-        sin(ns) -> pi cos(ns), constant -> 0.  "quadrature" evaluates the
-        folded principal-value integral with the (1/2) cot((s'-s)/2) kernel on
-        the interleaved offset sub-grid (spacing 2h), which places every
-        evaluation point halfway between integration nodes.
+        "series" multiplies frequency n by i pi sign(n), which maps
+        cos(ns) -> -pi sin(ns), sin(ns) -> pi cos(ns), constant -> 0.
+        "quadrature" evaluates the folded principal-value integral with the
+        (1/2) cot((s'-s)/2) kernel on the interleaved offset sub-grid
+        (spacing 2h), which places every evaluation point halfway between
+        integration nodes; its multiplier is the kernel's FFT.
     fejer_order : int, optional
         Cesaro resummation order for the series path (harmonic n weighted by
         max(0, 1 - n/(order+1))); used near singularities where the raw series
@@ -91,17 +94,18 @@ def periodic_hilbert(samples, method: str = "series",
     m = len(f)
     offset_grid(m)  # validates the grid size
     if method == "series":
-        fhat, n = spectrum(f)
-        mult = 1j * np.pi * np.sign(n)
+        n = frequencies(m)
+        multiplier = 1j * np.pi * np.sign(n)
         if fejer_order is not None:
-            mult = mult * np.maximum(0.0, 1.0 - np.abs(n) / (fejer_order + 1.0))
-        return from_spectrum(fhat * mult, n).real
-    if method == "quadrature":
+            multiplier *= np.maximum(0.0, 1.0 - np.abs(n) / (fejer_order + 1.0))
+    elif method == "quadrature":
         if fejer_order is not None:
             raise ValueError("fejer_order applies to the series method only")
         # circular cross-correlation g_i = sum_j f_j K[(j - i) mod m]
-        return np.fft.ifft(np.fft.fft(f) * _quadrature_kernel_fft(m)).real
-    raise ValueError(f"unknown method {method!r}")
+        multiplier = _quadrature_kernel_fft(m)
+    else:
+        raise ValueError(f"unknown method {method!r}")
+    return np.fft.ifft(np.fft.fft(f) * multiplier).real
 
 
 def phase_from_modulus(log_modulus, method: str = "series",
@@ -273,18 +277,30 @@ def log_coefficients(chi, n_max: int, grid_size: int) -> ConjugateCoefficients:
     of the coefficients, and the quotient R (zero-free near the circle) is
     evaluated by one :func:`~cyclicphase.trigpoly.polynomial_values` and
     analyzed.  Plain sampling across the log singularities would lose ~3
-    decades of accuracy.  Raw-sample inputs are analyzed directly and should
-    be zero-free.
+    decades of accuracy.  R can be sampled on any grid, so the analysis grid
+    is raised above ``grid_size`` to 4 n_max + 4 and to the smallest multiple
+    of 4 with rho^-m <= eps, rho the smallest root modulus off the circle:
+    the aliased tail of log R decays like rho^-m (ValueError, before any
+    allocation, when that raised grid exceeds MAX_ANALYSIS_GRID).  Raw-sample
+    inputs are analyzed directly on their own grid and should be zero-free.
     """
+    if n_max < 0:
+        raise ValueError(f"n_max must be >= 0, got {n_max}")
     offset_grid(grid_size)  # validates the grid size
-    if grid_size < 4 * n_max + 4:
-        raise ValueError(f"grid_size {grid_size} too small for n_max {n_max}")
 
     if isinstance(chi, HelicitySeries):
         c0 = chi.c[0]
         if c0 <= 0.0:
             raise ValueError(f"c_0 = {c0:.3e} must be positive for the log expansion")
-        on_circle = chi.roots[np.abs(np.abs(chi.roots) - 1.0) <= UNIT_ROOT_TOL]
+        moduli = np.abs(chi.roots)
+        on_circle = chi.roots[np.abs(moduli - 1.0) <= UNIT_ROOT_TOL]
+        rho = np.min(moduli[moduli > 1.0 + UNIT_ROOT_TOL], initial=np.inf)
+        needed = np.log(1.0 / np.finfo(float).eps) / np.log(rho)  # 0 without such roots
+        analysis = max(4 * n_max + 4, 4 * int(np.ceil(needed / 4)))
+        if analysis > MAX_ANALYSIS_GRID:
+            raise ValueError(f"analysis grid of {analysis} points (n_max {n_max}, root at |z| = "
+                             f"{rho:.9f}) is above the ceiling {MAX_ANALYSIS_GRID}")
+        grid_size = max(grid_size, analysis)
         poly = np.polynomial.polynomial
         # deflated factor R(z)/R(0): the unit roots divided out of the coefficients
         quotient = poly.polydiv(chi.c, poly.polyfromroots(on_circle).real)[0]
@@ -293,6 +309,8 @@ def log_coefficients(chi, n_max: int, grid_size: int) -> ConjugateCoefficients:
         unit_terms = np.zeros(n_max + 1)
         unit_terms[1:] = -np.cos(np.outer(np.angle(on_circle), n)).sum(axis=0) / n
     else:
+        if grid_size < 4 * n_max + 4:
+            raise ValueError(f"grid_size {grid_size} too small for n_max {n_max}")
         samples = np.asarray(chi, dtype=complex)
         if samples.shape != (grid_size,):
             raise ValueError("sample array length must equal grid_size")

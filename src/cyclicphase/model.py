@@ -104,7 +104,6 @@ class ModelSignals:
     phase_chi: np.ndarray | None = field(repr=False, default=None)
     c0: float | None = None
     helicity: trigpoly.HelicitySeries | None = None
-    zeros: tuple = ()
 
 
 def evaluate_model(params: ModelParams, m_samples: int) -> ModelSignals:
@@ -138,8 +137,7 @@ def evaluate_model(params: ModelParams, m_samples: int) -> ModelSignals:
     phase_phys = phase_chi + (params.g - n) * grid
     return ModelSignals(params, grid, phi1,
                         np.log(np.abs(chi / c0)), phase_phys,
-                        chi=chi, phase_chi=phase_chi, c0=c0, helicity=hel,
-                        zeros=DRIVE_ZEROS)
+                        chi=chi, phase_chi=phase_chi, c0=c0, helicity=hel)
 
 
 @dataclass(frozen=True)
@@ -289,9 +287,9 @@ def solution_residual(params: ModelParams, m_samples: int = 16384) -> ResidualRe
     h11 = -0.5 * g * np.cos(2 * grid)
     h12 = 0.5 * g * np.sin(2 * grid)
     if params.cyclic:
-        fhat, n = trigpoly.spectrum(partner)
-        fhat[np.abs(n) > params.n_harmonic + 4] = 0.0
-        dpartner = trigpoly.from_spectrum(1j * n * fhat, n)
+        n = trigpoly.frequencies(m_samples)
+        multiplier = np.where(np.abs(n) <= params.n_harmonic + 4, 1j * n, 0.0)
+        dpartner = np.fft.ifft(np.fft.fft(partner) * multiplier)
         residual = np.abs(0.5j * dpartner - h11 * partner - h12 * phi1)
         return ResidualReport(float(np.max(residual)), m_samples)
     h = grid[1] - grid[0]

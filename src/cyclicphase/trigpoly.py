@@ -46,25 +46,25 @@ def offset_grid(m_samples: int) -> np.ndarray:
     return -np.pi + (np.arange(m_samples) + 0.5) * h
 
 
+def frequencies(m: int) -> np.ndarray:
+    """Signed integer frequency of each of m FFT bins, in [-m/2, m/2) (Nyquist: -m/2)."""
+    return np.rint(np.fft.fftfreq(m, d=1.0 / m)).astype(int)
+
+
 def spectrum(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Two-sided Fourier coefficients of samples on the offset grid.
 
     Returns (fhat, n) with values(s_j) = sum_n fhat[n] e^{i n s_j} for signed
     integer frequencies n in [-m/2, m/2).  Exact (to round-off) for content
-    band-limited below m/2.
+    band-limited below m/2.  This is the coefficient readout; an operator
+    that is diagonal in frequency needs no grid-offset twiddle and is applied
+    to a plain FFT instead (see ``hilbert.periodic_hilbert``).
     """
     m = len(values)
     fft = np.fft.fft(values) / m
-    n = np.rint(np.fft.fftfreq(m, d=1.0 / m)).astype(int)
+    n = frequencies(m)
     twiddle = (-1.0) ** n * np.exp(-1j * np.pi * n / m)
     return fft * twiddle, n
-
-
-def from_spectrum(fhat: np.ndarray, n: np.ndarray) -> np.ndarray:
-    """Inverse of :func:`spectrum` back onto the offset grid."""
-    m = len(fhat)
-    twiddle = (-1.0) ** n * np.exp(-1j * np.pi * n / m)
-    return np.fft.ifft(fhat / twiddle * m)
 
 
 def polynomial_values(c, m_samples: int) -> np.ndarray:
@@ -215,27 +215,14 @@ def analyze(signal, n_max: int) -> TrigSeries:
     return TrigSeries(n_max, a.real.copy(), b.real.copy())
 
 
-def synthesize(series: TrigSeries, m_samples: int,
-               fejer_order: int | None = None) -> SampledSignal:
-    """Evaluate the series on the offset grid.
-
-    With ``fejer_order = K`` the Cesaro mean of the partial sums S_0..S_K is
-    returned instead, i.e. harmonic n is weighted by max(0, 1 - n/(K+1)).
-    """
+def synthesize(series: TrigSeries, m_samples: int) -> SampledSignal:
+    """Evaluate the series on the offset grid."""
     if m_samples < _min_samples(series.n_max):
         raise ValueError(
             f"m_samples = {m_samples} too small for n_max = {series.n_max}"
         )
-    s = offset_grid(m_samples)
-    n = np.arange(series.n_max + 1)
-    if fejer_order is not None:
-        if fejer_order < 0:
-            raise ValueError("fejer_order must be >= 0")
-        w = np.maximum(0.0, 1.0 - n / (fejer_order + 1.0))
-    else:
-        w = np.ones_like(n, dtype=float)
-    ns = np.outer(n, s)
-    values = (w * series.a) @ np.cos(ns) + 1j * ((w * series.b) @ np.sin(ns))
+    ns = np.outer(np.arange(series.n_max + 1), offset_grid(m_samples))
+    values = series.a @ np.cos(ns) + 1j * (series.b @ np.sin(ns))
     return SampledSignal(m_samples, values)
 
 

@@ -38,6 +38,29 @@ class TestValidation:
         assert code == 2
         assert "--grid-size" in err
 
+    def test_berry_has_no_epsilon(self, capsys):
+        code, _, err = run_cli(capsys, "berry", "--k", "1", "--epsilon", "0.05")
+        assert code == 2
+        assert "--epsilon" in err
+
+    @pytest.mark.parametrize("k, grid", [("1", "128"), ("16.59", "4096")])
+    def test_exclusion_covering_every_sample_exits_1(self, capsys, k, grid):
+        # two windows of half-width >= pi/2 around s = +-pi/2 cover the period
+        code, _, err = run_cli(capsys, "reciprocity", "--k", k, "--grid-size", grid,
+                               "--epsilon", "4")
+        assert code == 1
+        assert err.startswith("error:") and "no sample" in err
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("command", ["coeffs", "reciprocity"])
+    def test_n_max_above_analysis_ceiling_exits_1(self, capsys, command):
+        # 4 n_max + 4 points would be ~1.2e9 complex samples (~19 GB)
+        code, _, err = run_cli(capsys, command, "--k", "1", "--grid-size", "128",
+                               "--n-max", "300000000")
+        assert code == 1
+        assert err.startswith("error:") and "ceiling" in err
+        assert err.count("\n") == 1
+
     def test_berry_non_cyclic_exits_2(self, capsys):
         code, _, err = run_cli(capsys, "berry", "--k", "16.59")
         assert code == 2
@@ -53,6 +76,8 @@ class TestInputContract:
         ("sweep", "--k-values", "1,nan", "--grid-size", "4096"),
         ("verify", "--k", "1", "--rk4-steps", "0"),
         ("verify", "--k", "1", "--rk4-steps", str(MAX_RK4_STEPS + 1)),
+        ("reciprocity", "--k", "1", "--n-max", "0"),
+        ("reciprocity", "--k", "1", "--n-max", "-1"),
     ])
     def test_rejected_with_one_line(self, capsys, argv):
         code, out, err = run_cli(capsys, *argv)
@@ -137,6 +162,13 @@ class TestOtherCommands:
                                "--grid-size", "4096")
         assert code == 0
         assert "berry predicted" in out and "berry measured" in out
+
+    @pytest.mark.parametrize("command", ["reciprocity", "berry"])
+    def test_coarse_grid_runs(self, capsys, command):
+        # 2h = 0.098 exceeds the 0.05 exclusion half-width on this grid
+        code, out, err = run_cli(capsys, command, "--k", "1", "--grid-size", "128")
+        assert code == 0, err
+        assert "berry" in out
 
     def test_sweep_summary(self, capsys, tmp_path):
         out_csv = tmp_path / "sweep.csv"

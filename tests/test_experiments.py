@@ -50,12 +50,11 @@ class TestMeasureBerryPhase:
         with pytest.raises(ValueError, match="cyclic"):
             measure_berry_phase(signals)
 
-    def test_epsilon_validation(self):
-        signals = model.evaluate_model(model.derive_params(np.sqrt(3.0)), 4096)
-        with pytest.raises(ValueError):
-            measure_berry_phase(signals, epsilon=3.0)
-        with pytest.raises(ValueError):
-            measure_berry_phase(signals, epsilon=1e-9)
+    def test_coarse_grid(self):
+        # the measurement reads the two innermost samples on any grid
+        p = model.derive_params(np.sqrt(3.0))
+        measured = measure_berry_phase(model.evaluate_model(p, 128))
+        assert abs(measured - model.berry_phase_predicted(p)) < 1e-4
 
 
 class TestPeakMachinery:

@@ -35,6 +35,17 @@ class TestPeriodicHilbert:
             assert np.max(np.abs(periodic_hilbert(np.sin(n * s), method)
                                  - np.pi * np.cos(n * s))) < 1e-10
 
+    @pytest.mark.parametrize("fejer_order", [0, 3, 10, 40])
+    def test_fejer_weighted_pairs(self, fejer_order, grid_4096):
+        # harmonic n is weighted by max(0, 1 - n/(K+1)); n > K is removed
+        s = grid_4096
+        for n in (1, 2, 5, 11):
+            w = max(0.0, 1.0 - n / (fejer_order + 1.0))
+            h_cos = periodic_hilbert(np.cos(n * s), "series", fejer_order=fejer_order)
+            h_sin = periodic_hilbert(np.sin(n * s), "series", fejer_order=fejer_order)
+            assert np.max(np.abs(h_cos + np.pi * w * np.sin(n * s))) < 1e-12
+            assert np.max(np.abs(h_sin - np.pi * w * np.cos(n * s))) < 1e-12
+
     @pytest.mark.parametrize("method", METHODS)
     def test_constant_annihilated(self, method):
         out = periodic_hilbert(np.full(256, 3.7), method)
@@ -192,7 +203,7 @@ class TestUnwrap:
         signals = model.evaluate_model(params, 4096)
         s = signals.grid
         res = unwrap(np.angle(signals.chi / signals.c0),
-                     zeros=signals.zeros, grid=s)
+                     zeros=model.DRIVE_ZEROS, grid=s)
         assert len(res.jumps) == 2
         for (idx, size), loc in zip(res.jumps, (-np.pi / 2, np.pi / 2)):
             assert abs(s[idx] - loc) < (s[1] - s[0])
@@ -268,6 +279,49 @@ class TestLogCoefficients:
     def test_grid_too_small(self):
         with pytest.raises(ValueError, match="grid_size"):
             log_coefficients(np.ones(64, dtype=complex), 50, 64)
+
+    def test_negative_n_max(self):
+        with pytest.raises(ValueError, match="n_max"):
+            log_coefficients(HelicitySeries(np.array([1.0, 0.0, 0.5])), -1, 64)
+
+    def test_coarse_grid_raised_to_resolve_chi(self):
+        # k = 100: the root nearest the circle has |z| = 1.005236, and
+        # ln(1/eps) / ln|z| = 6901.9 rounds up to 6904 points; on the
+        # caller's 64 points log R aliases (A_n != B_n by 21 %)
+        helicity = model.evaluate_model(model.params_from_k(100), 1024).helicity
+        coeffs = log_coefficients(helicity, 10, 64)
+        on_6904 = log_coefficients(helicity, 10, 6904)
+        assert np.array_equal(coeffs.A, on_6904.A) and np.array_equal(coeffs.B, on_6904.B)
+        report = coefficient_equality_check(coeffs)
+        assert report.max_relative == 0.0
+        assert abs(report.a0) < 1e-15
+        expected = log_series_coefficients_newton(helicity.c, 10)
+        assert np.max(np.abs(coeffs.A - expected)) < 1e-12
+
+    def test_grid_raised_to_n_max(self):
+        # a polynomial can be sampled anywhere: 64 points serve n_max = 50
+        helicity = model.evaluate_model(model.params_from_k(1), 64).helicity
+        coeffs = log_coefficients(helicity, 50, 64)
+        on_204 = log_coefficients(helicity, 50, 204)
+        assert np.array_equal(coeffs.A, on_204.A) and np.array_equal(coeffs.B, on_204.B)
+
+    @pytest.mark.parametrize("radius, n_max", [
+        (1.0 + 1e-6, 5),     # the root would need ~3.6e7 points
+        (2.0, 2 ** 18),      # n_max would need 4 n_max + 4 = 2^20 + 4 points
+    ])
+    def test_analysis_grid_ceiling(self, radius, n_max):
+        # roots radius * e^{+-i}: refused before anything is allocated
+        r = radius
+        helicity = HelicitySeries(np.array([r * r, -2.0 * r * np.cos(1.0), 1.0]))
+        helicity.roots  # root finding is not part of the measurement
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="ceiling"):
+                log_coefficients(helicity, n_max, 64)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1e6
 
 
 class TestEqualityCheck:

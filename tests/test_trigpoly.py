@@ -84,13 +84,6 @@ class TestSynthesize:
         out = synthesize(series, 8)
         assert np.allclose(out.values, 2.5)
 
-    def test_fejer_arithmetic_mean(self):
-        # partial sums S0 = 0, S1 = cos s; their mean is cos(s)/2
-        series = TrigSeries(1, np.array([0.0, 1.0]), np.array([0.0, 0.0]))
-        out = synthesize(series, 16, fejer_order=1)
-        s = offset_grid(16)
-        assert np.allclose(out.values, 0.5 * np.cos(s), atol=1e-14)
-
     def test_round_trip_random(self, rng):
         for _ in range(5):
             n_max = 8
