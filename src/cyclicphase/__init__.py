@@ -4,14 +4,9 @@ wave-function amplitudes, with the driven two-level model as test bed."""
 from .trigpoly import (
     HelicitySeries,
     RootCheckResult,
-    SampledSignal,
-    TrigSeries,
-    analyze,
     offset_grid,
     polynomial_roots,
     root_check,
-    synthesize,
-    to_helicity,
 )
 from .hilbert import (
     ConjugateCoefficients,

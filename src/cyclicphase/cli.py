@@ -14,7 +14,7 @@ import sys
 
 import numpy as np
 
-from . import experiments, model, trigpoly
+from . import experiments, hilbert, model, trigpoly
 from .experiments import PRESETS
 
 
@@ -63,7 +63,7 @@ def resolve_params(args) -> tuple[model.ModelParams, int]:
     _positive(args.omega, "--omega")
     if args.preset is not None:
         preset = PRESETS[args.preset]
-        params = model.derive_params(preset["g"], args.omega)
+        params = _build_params(model.derive_params, preset["g"], args.omega)
         return params, preset["grid_size"]
     if args.g is not None:
         _positive(args.g, "--g")
@@ -77,8 +77,9 @@ def resolve_params(args) -> tuple[model.ModelParams, int]:
 
 def _resolve_grid(args, default: int) -> int:
     grid = args.grid_size if args.grid_size is not None else default
-    if grid < 8 or grid % 4 != 0:
-        raise ConfigError(f"--grid-size must be a multiple of 4 (>= 8), got {grid}")
+    if not 8 <= grid <= hilbert.MAX_ANALYSIS_GRID or grid % 4 != 0:
+        raise ConfigError(f"--grid-size must be a multiple of 4 from 8 to "
+                          f"{hilbert.MAX_ANALYSIS_GRID}, got {grid}")
     return grid
 
 

@@ -213,6 +213,9 @@ def run_reciprocity_case(params: model.ModelParams, grid_size: int,
         n_eff = 2 * int(round(params.k)) + 1
         chi = np.exp(1j * n_eff * s) * signals.phi1
         c0 = np.mean(chi)
+        if c0 == 0.0:
+            raise ValueError(f"c_0 = mean(e^(i N_eff s) phi1) vanishes for N_eff = "
+                             f"{n_eff}; log expansion undefined")
         lm_direct = np.log(np.abs(chi / c0))
         ph_direct, slope = _detrended_phase(np.angle(chi / c0), s)
         pair = hilbert.PhaseModulusPair.from_samples(s, lm_direct, ph_direct)
@@ -278,6 +281,7 @@ class CoefficientCaseReport:
     n_harmonic: int | None
     cyclic: bool
     grid_size: int
+    analysis_grid_size: int
     n_max: int
     max_relative_discrepancy: float
     a0: float
@@ -305,7 +309,7 @@ def run_coefficient_case(params: model.ModelParams, n_max: int = 50,
     report = CoefficientCaseReport(
         g=params.g, omega=params.omega, k=params.k,
         n_harmonic=params.n_harmonic, cyclic=params.cyclic,
-        grid_size=grid_size, n_max=n_max,
+        grid_size=grid_size, analysis_grid_size=coeffs.grid_size, n_max=n_max,
         max_relative_discrepancy=eq.max_relative, a0=eq.a0,
         decay_exponent=exponent,
         notes="algebraic |A_n| decay reflects the real-axis amplitude zeros")

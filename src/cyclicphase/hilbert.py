@@ -245,11 +245,13 @@ class ConjugateCoefficients:
     """A_n (cosine series of log|chi/c_0|) and B_n (sine series of arg(chi/c_0)).
 
     Both arrays are indexed 0..n_max; B[0] is a zero placeholder.  A[0] must
-    vanish: the log expansion contains only positive frequencies.
+    vanish: the log expansion contains only positive frequencies.  grid_size
+    is the number of offset-grid points analysed.
     """
 
     A: np.ndarray
     B: np.ndarray
+    grid_size: int
 
     @property
     def n_max(self) -> int:
@@ -322,7 +324,7 @@ def log_coefficients(chi, n_max: int, grid_size: int) -> ConjugateCoefficients:
 
     phase = _anchor_unwrapped(unwrap(np.angle(w)).phase)
     a, b = cos_sin_coefficients(np.log(np.abs(w)) + 1j * phase, n_max)
-    return ConjugateCoefficients(a.real + unit_terms, b.real + unit_terms)
+    return ConjugateCoefficients(a.real + unit_terms, b.real + unit_terms, grid_size)
 
 
 @dataclass(frozen=True)

@@ -56,8 +56,10 @@ def derive_params(g: float, omega: float = 1.0) -> ModelParams:
     """Build ModelParams from the coupling ratio g = G/omega."""
     if not (g > 0.0):
         raise ValueError(f"g must be positive, got {g}")
-    if not (0.0 < omega < np.inf):
-        raise ValueError(f"omega must be positive and finite, got {omega}")
+    # Python float division: an overflowing period is inf, not a numpy warning
+    if not (0.0 < omega < np.inf and np.isfinite(2.0 * np.pi / float(omega))):
+        raise ValueError(f"omega must be positive with a finite period 2 pi/omega, "
+                         f"got {omega}")
     k = float(0.5 * np.sqrt(g * g + 1.0))
     if not np.isfinite(k):
         raise ValueError(f"g = {g} is too large: k = sqrt(g^2 + 1)/2 is not finite")
@@ -126,10 +128,7 @@ def evaluate_model(params: ModelParams, m_samples: int) -> ModelSignals:
         return ModelSignals(params, grid, phi1,
                             np.log(np.abs(phi1)), phase_phys)
     n = params.n_harmonic
-    if m_samples < 4 * n + 4:
-        raise ValueError(f"m_samples = {m_samples} too small for N = {n}")
-    series = trigpoly.analyze(phi1, n)
-    hel = trigpoly.to_helicity(series)
+    hel = trigpoly.HelicitySeries.from_samples(phi1, n)
     c0 = float(hel.c[0])
     chi = np.exp(1j * n * grid) * phi1
     res = hilbert.unwrap(np.angle(chi / c0), zeros=DRIVE_ZEROS, grid=grid)

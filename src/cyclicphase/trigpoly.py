@@ -7,7 +7,8 @@ A signal here is a finite series
 with real coefficients (which encodes phi*(s) = phi(-s)).  Multiplying by
 e^{i n_max s} turns it into the positive-frequency ("helicity") polynomial
 chi(s) = sum_m c_m e^{i m s}, m = 0..2 n_max, whose zero locations decide
-whether log(chi/c_0) expands in positive frequencies only.
+whether log(chi/c_0) expands in positive frequencies only.  Its coefficients
+are phi's two-sided spectrum read from -n_max to n_max: c_m = fhat[m - n_max].
 
 All sampling happens on the half-sample-offset grid
 
@@ -19,7 +20,7 @@ zeros are never sampled exactly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -51,20 +52,21 @@ def frequencies(m: int) -> np.ndarray:
     return np.rint(np.fft.fftfreq(m, d=1.0 / m)).astype(int)
 
 
-def spectrum(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def spectrum(values: np.ndarray) -> np.ndarray:
     """Two-sided Fourier coefficients of samples on the offset grid.
 
-    Returns (fhat, n) with values(s_j) = sum_n fhat[n] e^{i n s_j} for signed
-    integer frequencies n in [-m/2, m/2).  Exact (to round-off) for content
-    band-limited below m/2.  This is the coefficient readout; an operator
-    that is diagonal in frequency needs no grid-offset twiddle and is applied
-    to a plain FFT instead (see ``hilbert.periodic_hilbert``).
+    Returns fhat with values(s_j) = sum_n fhat[n] e^{i n s_j}, bin by bin at
+    the signed frequencies n = ``frequencies(m)`` in [-m/2, m/2).  Exact (to
+    round-off) for content band-limited below m/2.  This is the coefficient
+    readout; an operator that is diagonal in frequency needs no grid-offset
+    twiddle and is applied to a plain FFT instead (see
+    ``hilbert.periodic_hilbert``).
     """
     m = len(values)
     fft = np.fft.fft(values) / m
     n = frequencies(m)
     twiddle = (-1.0) ** n * np.exp(-1j * np.pi * n / m)
-    return fft * twiddle, n
+    return fft * twiddle
 
 
 def polynomial_values(c, m_samples: int) -> np.ndarray:
@@ -81,55 +83,6 @@ def polynomial_values(c, m_samples: int) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class SampledSignal:
-    """Complex samples of a period-2pi function on the offset grid."""
-
-    m_samples: int
-    values: np.ndarray = field(repr=False)
-
-    def __post_init__(self):
-        offset_grid(self.m_samples)  # validates m_samples
-        values = np.asarray(self.values, dtype=complex)
-        if values.shape != (self.m_samples,):
-            raise ValueError("values length does not match m_samples")
-        if not np.all(np.isfinite(values)):
-            raise ValueError("signal values must be finite")
-        object.__setattr__(self, "values", values)
-
-    @classmethod
-    def from_values(cls, values) -> "SampledSignal":
-        values = np.asarray(values, dtype=complex)
-        return cls(len(values), values)
-
-    @property
-    def grid(self) -> np.ndarray:
-        return offset_grid(self.m_samples)
-
-
-@dataclass(frozen=True)
-class TrigSeries:
-    """Real cosine/sine coefficients a_n, b_n, n = 0..n_max (b_0 = 0)."""
-
-    n_max: int
-    a: np.ndarray
-    b: np.ndarray
-
-    def __post_init__(self):
-        a = np.asarray(self.a, dtype=float)
-        b = np.asarray(self.b, dtype=float)
-        if self.n_max < 0:
-            raise ValueError("n_max must be >= 0")
-        if a.shape != (self.n_max + 1,) or b.shape != (self.n_max + 1,):
-            raise ValueError("coefficient arrays must have length n_max + 1")
-        if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
-            raise ValueError("coefficients must be finite")
-        if b[0] != 0.0:
-            raise ValueError("b[0] must be zero (sin(0 t) carries no coefficient)")
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
-
-
-@dataclass(frozen=True)
 class HelicitySeries:
     """Real coefficients c_m, m = 0..2N, of the positive-frequency polynomial."""
 
@@ -143,6 +96,45 @@ class HelicitySeries:
             raise ValueError("coefficients must be finite")
         object.__setattr__(self, "c", c)
 
+    @classmethod
+    def from_samples(cls, values, n_max: int) -> "HelicitySeries":
+        """The series of chi = e^{i n_max s} phi from samples of phi on the offset grid.
+
+        c_m = fhat[m - n_max], m = 0..2 n_max, from one :func:`spectrum`,
+        sign-normalised so that c_0 >= 0 (chi/c_0 is unchanged by the flip).
+
+        Raises
+        ------
+        ValueError
+            If the samples are not finite values on an offset grid of at least
+            4 n_max + 4 points (aliasing), or if phi*(s) = phi(-s) fails: the
+            coefficients at +n and -n must be real to REALITY_TOL in the sum of
+            their imaginary residues, the residue the cos/sin pair a_n, b_n of
+            phi would carry.
+        """
+        values = np.asarray(values, dtype=complex)
+        if values.ndim != 1:
+            raise ValueError("samples must be a 1-d array")
+        m = len(values)
+        offset_grid(m)  # validates the grid size
+        if not np.all(np.isfinite(values)):
+            raise ValueError("signal values must be finite")
+        if m < 4 * n_max + 4:
+            raise ValueError(f"m_samples = {m} too small for n_max = {n_max}: "
+                             f"need at least {4 * n_max + 4} (aliasing)")
+        c = spectrum(values)[np.arange(-n_max, n_max + 1)]
+        imag = np.abs(c.imag)
+        paired = imag[n_max:] + imag[n_max::-1]  # frequencies n and -n, n = 0..n_max
+        paired[0] = imag[n_max]
+        residue = np.max(paired)
+        if residue > REALITY_TOL:
+            raise ValueError(
+                f"coefficient-reality violation: imaginary residue {residue:.3e} "
+                f"exceeds {REALITY_TOL:.0e}; input does not satisfy phi*(s) = phi(-s)"
+            )
+        c = c.real
+        return cls(-c if c[0] < 0.0 else c.copy())
+
     @property
     def n_max(self) -> int:
         return (len(self.c) - 1) // 2
@@ -154,10 +146,6 @@ class HelicitySeries:
         roots.flags.writeable = False
         return roots
 
-    def values(self, m_samples: int) -> np.ndarray:
-        """Evaluate sum_m c_m e^{i m s} on the offset grid of m_samples points."""
-        return polynomial_values(self.c, m_samples)
-
 
 def cos_sin_coefficients(values, n_max: int) -> tuple[np.ndarray, np.ndarray]:
     """Complex a_n, b_n (n = 0..n_max, b_0 = 0) of samples on the offset grid.
@@ -168,7 +156,7 @@ def cos_sin_coefficients(values, n_max: int) -> tuple[np.ndarray, np.ndarray]:
     cosine coefficients of u and Re b_n the sine coefficients of v, whatever
     the symmetry of u and v.
     """
-    fhat, _ = spectrum(values)
+    fhat = spectrum(values)
     pos = fhat[:n_max + 1]                    # frequencies 0..n_max
     neg = fhat[-np.arange(n_max + 1)]         # frequencies 0, -1, ..., -n_max
     a = pos + neg
@@ -176,77 +164,6 @@ def cos_sin_coefficients(values, n_max: int) -> tuple[np.ndarray, np.ndarray]:
     b = pos - neg
     b[0] = 0.0
     return a, b
-
-
-def _min_samples(n_max: int) -> int:
-    return 4 * n_max + 4
-
-
-def analyze(signal, n_max: int) -> TrigSeries:
-    """Extract a_n, b_n from samples of a trigonometric polynomial.
-
-    Parameters
-    ----------
-    signal : SampledSignal or array_like
-        Samples on the offset grid of a function satisfying phi*(s) = phi(-s).
-    n_max : int
-        Highest harmonic to extract.  Requires m_samples >= 4 n_max + 4.
-
-    Raises
-    ------
-    ValueError
-        If the grid is too coarse for n_max, or the imaginary residue of an
-        extracted coefficient exceeds REALITY_TOL (symmetry violation).
-    """
-    if not isinstance(signal, SampledSignal):
-        signal = SampledSignal.from_values(signal)
-    if signal.m_samples < _min_samples(n_max):
-        raise ValueError(
-            f"m_samples = {signal.m_samples} too small for n_max = {n_max}: "
-            f"need at least {_min_samples(n_max)} (aliasing)"
-        )
-    a, b = cos_sin_coefficients(signal.values, n_max)
-    residue = max(np.max(np.abs(a.imag)), np.max(np.abs(b.imag)))
-    if residue > REALITY_TOL:
-        raise ValueError(
-            f"coefficient-reality violation: imaginary residue {residue:.3e} "
-            f"exceeds {REALITY_TOL:.0e}; input does not satisfy phi*(s) = phi(-s)"
-        )
-    return TrigSeries(n_max, a.real.copy(), b.real.copy())
-
-
-def synthesize(series: TrigSeries, m_samples: int) -> SampledSignal:
-    """Evaluate the series on the offset grid."""
-    if m_samples < _min_samples(series.n_max):
-        raise ValueError(
-            f"m_samples = {m_samples} too small for n_max = {series.n_max}"
-        )
-    ns = np.outer(np.arange(series.n_max + 1), offset_grid(m_samples))
-    values = series.a @ np.cos(ns) + 1j * (series.b @ np.sin(ns))
-    return SampledSignal(m_samples, values)
-
-
-def to_helicity(series: TrigSeries) -> HelicitySeries:
-    """Convert a_n, b_n to the positive-frequency coefficients c_m.
-
-    c_m = (a_{N-m} - b_{N-m})/2 for m < N, c_N = a_0, and
-    c_m = (a_{m-N} + b_{m-N})/2 for m > N.  The result is sign-normalised so
-    that c_0 >= 0 and verified against the pointwise synthesis identity
-    chi(s) = e^{iNs} phi(s).
-    """
-    nmax = series.n_max
-    a, b = series.a, series.b
-    c = np.concatenate((0.5 * (a[:0:-1] - b[:0:-1]), a[:1], 0.5 * (a[1:] + b[1:])))
-    if c[0] < 0.0:
-        c = -c  # chi/c_0 is unchanged under a global sign flip
-        series = TrigSeries(nmax, -series.a, -series.b)
-    out = HelicitySeries(c)
-    m_check = max(64, _min_samples(nmax))
-    direct = np.exp(1j * nmax * offset_grid(m_check)) * synthesize(series, m_check).values
-    dev = np.max(np.abs(out.values(m_check) - direct))
-    if dev > 1e-10:
-        raise ValueError(f"helicity synthesis identity violated: max dev {dev:.3e}")
-    return out
 
 
 def _companion_eigenvalues(coeffs: np.ndarray) -> np.ndarray:

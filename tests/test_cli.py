@@ -61,6 +61,13 @@ class TestValidation:
         assert err.startswith("error:") and "ceiling" in err
         assert err.count("\n") == 1
 
+    def test_vanishing_non_cyclic_c0_exits_1(self, capsys):
+        # k = 1/2 to round-off: N_eff = 1 and mean(e^{is} phi1) is exactly 0
+        code, _, err = run_cli(capsys, "reciprocity", "--g", "1e-300")
+        assert code == 1
+        assert err.startswith("error:") and "c_0" in err and "vanishes" in err
+        assert err.count("\n") == 1
+
     def test_berry_non_cyclic_exits_2(self, capsys):
         code, _, err = run_cli(capsys, "berry", "--k", "16.59")
         assert code == 2
@@ -78,6 +85,15 @@ class TestInputContract:
         ("verify", "--k", "1", "--rk4-steps", str(MAX_RK4_STEPS + 1)),
         ("reciprocity", "--k", "1", "--n-max", "0"),
         ("reciprocity", "--k", "1", "--n-max", "-1"),
+        # a grid above the analysis ceiling of 2^20 points, refused before allocation
+        ("reciprocity", "--k", "1", "--grid-size", "1099511627776"),
+        ("berry", "--k", "1", "--grid-size", "1099511627776"),
+        ("verify", "--k", "1", "--grid-size", "1099511627776"),
+        ("coeffs", "--k", "1", "--grid-size", "1099511627776"),
+        ("sweep", "--k-values", "1", "--grid-size", "1099511627776"),
+        # the period 2 pi / omega, and so the t column, would overflow
+        ("reciprocity", "--k", "1", "--omega", "1e-320", "--grid-size", "64"),
+        ("reciprocity", "--preset", "fig1", "--omega", "1e-320"),
     ])
     def test_rejected_with_one_line(self, capsys, argv):
         code, out, err = run_cli(capsys, *argv)

@@ -169,6 +169,15 @@ class TestCoefficientCase:
         with pytest.raises(ValueError, match="cyclic"):
             run_coefficient_case(fig_params("fig3"))
 
+    @pytest.mark.parametrize("params, n_max, grid, analysed", [
+        (model.params_from_k(100), 10, 64, 6904),  # raised to resolve the root at |z| = 1.005
+        (fig_params("fig2"), 200, 16384, 16384),
+    ])
+    def test_reports_the_analysis_grid(self, params, n_max, grid, analysed):
+        report, _ = run_coefficient_case(params, n_max, grid)
+        assert report.grid_size == grid
+        assert report.analysis_grid_size == analysed
+
 
 class TestEmitOutputs:
     def test_files_and_round_trip(self, tmp_path):

@@ -292,6 +292,7 @@ class TestLogCoefficients:
         coeffs = log_coefficients(helicity, 10, 64)
         on_6904 = log_coefficients(helicity, 10, 6904)
         assert np.array_equal(coeffs.A, on_6904.A) and np.array_equal(coeffs.B, on_6904.B)
+        assert coeffs.grid_size == on_6904.grid_size == 6904
         report = coefficient_equality_check(coeffs)
         assert report.max_relative == 0.0
         assert abs(report.a0) < 1e-15

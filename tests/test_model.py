@@ -5,7 +5,7 @@ import pytest
 
 from conftest import itoh_unwrap, rk4_reference
 from cyclicphase import model
-from cyclicphase.trigpoly import analyze, frequencies, offset_grid
+from cyclicphase.trigpoly import frequencies, offset_grid, spectrum
 
 
 class TestDeriveParams:
@@ -39,9 +39,10 @@ class TestDeriveParams:
         with pytest.raises(ValueError):
             model.params_from_k(0.5)
 
-    @pytest.mark.parametrize("omega", [np.inf, -np.inf, np.nan])
+    @pytest.mark.parametrize("omega", [np.inf, -np.inf, np.nan, 1e-320])
     def test_non_finite_omega_rejected(self, omega):
-        # omega = inf would give t = 2 s / omega = 0 on the whole grid
+        # omega = inf would give t = 2 s / omega = 0 on the whole grid, and
+        # omega = 1e-320 a period 2 pi / omega (and t) that overflows to inf
         with pytest.raises(ValueError, match="omega"):
             model.derive_params(1.0, omega)
 
@@ -78,10 +79,8 @@ class TestAmplitude:
 
     def test_highest_harmonic_is_n(self):
         p = model.derive_params(np.sqrt(3.0))
-        s = offset_grid(128)
-        series = analyze(model.phi1_values(p, s), 10)
-        assert np.max(np.abs(series.a[4:])) < 1e-10
-        assert np.max(np.abs(series.b[4:])) < 1e-10
+        fhat = spectrum(model.phi1_values(p, offset_grid(128)))
+        assert np.max(np.abs(fhat[np.abs(frequencies(128)) > 3])) < 1e-10
 
 
 class TestEvaluateModel:

@@ -1,4 +1,6 @@
-"""Series machinery: analysis, synthesis, helicity conversion, zero locations."""
+"""Series machinery: the offset grid, the helicity series read from the
+spectrum of samples (analysis), its evaluation back on the grid (synthesis),
+its layout against a cos/sin series, and the zero locations."""
 
 import warnings
 
@@ -8,17 +10,12 @@ import pytest
 from cyclicphase import model
 from cyclicphase.trigpoly import (
     HelicitySeries,
-    SampledSignal,
-    TrigSeries,
     _companion_eigenvalues,
     _refine_root_clusters,
-    analyze,
     offset_grid,
     polynomial_roots,
     polynomial_values,
     root_check,
-    synthesize,
-    to_helicity,
 )
 
 SQ3 = np.sqrt(3.0)
@@ -44,99 +41,156 @@ class TestGrid:
                 offset_grid(m)
 
     def test_sampled_signal_validation(self):
-        with pytest.raises(ValueError):
-            SampledSignal(8, np.ones(7))
-        with pytest.raises(ValueError):
-            SampledSignal(8, np.full(8, np.nan))
+        for values, match in ((np.ones(10), "multiple of 4"),
+                              (np.ones((2, 8)), "1-d"),
+                              (np.full(8, np.nan), "finite"),
+                              (np.r_[np.ones(7), np.inf], "finite")):
+            with pytest.raises(ValueError, match=match):
+                HelicitySeries.from_samples(values, 0)
+
+
+def _samples(fhat: dict, m: int) -> np.ndarray:
+    """sum_n fhat[n] e^{ins} on the offset grid, summed term by term."""
+    s = offset_grid(m)
+    return sum(v * np.exp(1j * n * s) for n, v in fhat.items())
+
+
+def _cos_sin_samples(a, b, m):
+    """sum_n a_n cos(ns) + i sum_n b_n sin(ns) on the offset grid, dense synthesis."""
+    ns = np.outer(np.arange(len(a)), offset_grid(m))
+    return a @ np.cos(ns) + 1j * (b @ np.sin(ns))
+
+
+def _helicity_by_hand(a, b):
+    """c = ((a - b)/2 reversed, a_0, (a + b)/2) of phi = sum a_n cos + i b_n sin."""
+    return np.concatenate((0.5 * (a[:0:-1] - b[:0:-1]), a[:1], 0.5 * (a[1:] + b[1:])))
+
+
+def _random_cos_sin(rng, n_max):
+    """Random real a_n, b_n (b_0 = 0) whose helicity series has c_0 > 0."""
+    a = rng.standard_normal(n_max + 1)
+    b = rng.standard_normal(n_max + 1)
+    b[0] = 0.0
+    if a[n_max] - b[n_max] < 0:
+        a, b = -a, -b  # keep c_0 > 0 so no sign normalisation kicks in
+    return a, b
 
 
 class TestAnalyze:
+    """Samples of phi -> helicity coefficients, by HelicitySeries.from_samples."""
+
     def test_single_tone(self):
-        s = offset_grid(16)
-        series = analyze(np.cos(s) + 0j, 1)
-        assert np.allclose(series.a, [0.0, 1.0], atol=1e-14)
-        assert np.allclose(series.b, 0.0, atol=1e-14)
+        hel = HelicitySeries.from_samples(np.cos(offset_grid(16)), 1)
+        assert np.allclose(hel.c, [0.5, 0.0, 0.5], atol=1e-14)
 
     def test_constant(self):
-        series = analyze(np.ones(8, dtype=complex), 0)
-        assert np.allclose(series.a, [1.0], atol=1e-14)
+        hel = HelicitySeries.from_samples(np.ones(8), 0)
+        assert np.allclose(hel.c, [1.0], atol=1e-14)
 
     def test_k1_model_coefficients(self):
         params = model.derive_params(SQ3)
-        s = offset_grid(64)
-        series = analyze(model.phi1_values(params, s), 3)
-        assert np.allclose(series.a, K1_A, atol=1e-13)
-        assert np.allclose(series.b, K1_B, atol=1e-13)
+        hel = HelicitySeries.from_samples(model.phi1_values(params, offset_grid(64)), 3)
+        assert np.allclose(hel.c, K1_C, atol=1e-13)
+
+    def test_sign_normalised(self, rng):
+        a, b = _random_cos_sin(rng, 5)
+        values = _cos_sin_samples(a, b, 64)
+        plus = HelicitySeries.from_samples(values, 5)
+        minus = HelicitySeries.from_samples(-values, 5)
+        assert plus.c[0] > 0.0
+        assert np.array_equal(plus.c, minus.c)
 
     def test_reality_violation_raises(self):
         s = offset_grid(16)
         with pytest.raises(ValueError, match="reality"):
-            analyze(np.cos(s) + 0.3j * np.cos(s), 1)
+            HelicitySeries.from_samples(np.cos(s) + 0.3j * np.cos(s), 1)
+
+    @pytest.mark.parametrize("fhat, passes", [
+        ({1: 0.6e-10j, -1: 0.6e-10j}, False),   # Im a_1 = 1.2e-10
+        ({1: 0.6e-10j, -1: -0.6e-10j}, False),  # Im b_1 = 1.2e-10
+        ({1: 0.4e-10j, -1: -0.4e-10j}, True),
+        ({0: 0.9e-10j}, True),                  # Im a_0 = Im fhat[0], counted once
+        ({0: 1.1e-10j}, False),
+    ])
+    def test_reality_residue_sums_plus_and_minus_n(self, fhat, passes):
+        # the residue of the pair +-n is |Im fhat[n]| + |Im fhat[-n]|, which is
+        # max(|Im a_n|, |Im b_n|) for a_n = fhat[n] + fhat[-n], b_n = fhat[n] - fhat[-n]
+        values = 1.0 + _samples(fhat, 16)
+        if passes:
+            assert HelicitySeries.from_samples(values, 2).c[2] == pytest.approx(1.0)
+        else:
+            with pytest.raises(ValueError, match="reality"):
+                HelicitySeries.from_samples(values, 2)
 
     def test_grid_too_coarse_raises(self):
         with pytest.raises(ValueError, match="aliasing"):
-            analyze(np.ones(16, dtype=complex), 4)
+            HelicitySeries.from_samples(np.ones(16), 4)
 
 
 class TestSynthesize:
+    """Helicity coefficients -> samples of chi, by polynomial_values."""
+
     def test_constant_series(self):
-        series = TrigSeries(0, np.array([2.5]), np.array([0.0]))
-        out = synthesize(series, 8)
-        assert np.allclose(out.values, 2.5)
+        assert np.allclose(polynomial_values(np.array([2.5]), 8), 2.5, atol=1e-14)
 
     def test_round_trip_random(self, rng):
+        # c -> chi on the grid -> phi = e^{-iNs} chi -> c
         for _ in range(5):
-            n_max = 8
-            a = rng.standard_normal(n_max + 1)
-            b = rng.standard_normal(n_max + 1)
-            b[0] = 0.0
-            series = TrigSeries(n_max, a, b)
-            back = analyze(synthesize(series, 64), n_max)
-            assert np.allclose(back.a, a, atol=1e-12)
-            assert np.allclose(back.b, b, atol=1e-12)
+            n_max, m = 8, 64
+            c = rng.standard_normal(2 * n_max + 1)
+            c[0] = abs(c[0])
+            phi = np.exp(-1j * n_max * offset_grid(m)) * polynomial_values(c, m)
+            back = HelicitySeries.from_samples(phi, n_max).c
+            assert np.allclose(back, c, atol=1e-12)
 
 
 class TestToHelicity:
+    """The layout c_m = fhat[m - N] against c built by hand from a_n, b_n."""
+
     def test_k1_model(self):
-        series = TrigSeries(3, K1_A, K1_B)
-        hel = to_helicity(series)
+        assert np.allclose(_helicity_by_hand(K1_A, K1_B), K1_C, atol=1e-15)
+        hel = HelicitySeries.from_samples(_cos_sin_samples(K1_A, K1_B, 64), 3)
         assert np.allclose(hel.c, K1_C, atol=1e-14)
         # sum rule: coefficients sum to the amplitude at s = 0
         assert np.isclose(np.sum(hel.c), 1.0, atol=1e-14)
 
     def test_constant(self):
-        hel = to_helicity(TrigSeries(0, np.array([1.0]), np.array([0.0])))
-        assert np.allclose(hel.c, [1.0])
-
-    @staticmethod
-    def _random_series(rng, n_max):
-        a = rng.standard_normal(n_max + 1)
-        b = rng.standard_normal(n_max + 1)
-        b[0] = 0.0
-        if a[n_max] - b[n_max] < 0:
-            a, b = -a, -b  # keep c_0 > 0 so no sign normalisation kicks in
-        return TrigSeries(n_max, a, b)
+        hel = HelicitySeries.from_samples(np.full(8, 2.5), 0)
+        assert np.allclose(hel.c, [2.5])
 
     def test_sum_rule_random(self, rng):
         for _ in range(5):
-            series = self._random_series(rng, 5)
-            hel = to_helicity(series)
-            phi0 = np.sum(series.a)  # phi(0): cosines all 1, sines all 0
+            a, b = _random_cos_sin(rng, 5)
+            hel = HelicitySeries.from_samples(_cos_sin_samples(a, b, 64), 5)
+            assert np.allclose(hel.c, _helicity_by_hand(a, b), atol=1e-12)
+            phi0 = np.sum(a)  # phi(0): cosines all 1, sines all 0
             assert np.isclose(np.sum(hel.c), phi0, atol=1e-12)
 
     def test_synthesis_identity(self, rng):
-        series = self._random_series(rng, 6)
-        hel = to_helicity(series)
+        a, b = _random_cos_sin(rng, 6)
         m = 64
-        s = offset_grid(m)
-        direct = np.exp(1j * 6 * s) * synthesize(series, m).values
-        assert np.max(np.abs(hel.values(m) - direct)) < 1e-10
+        values = _cos_sin_samples(a, b, m)
+        hel = HelicitySeries.from_samples(values, 6)
+        direct = np.exp(1j * 6 * offset_grid(m)) * values
+        assert np.max(np.abs(polynomial_values(hel.c, m) - direct)) < 1e-10
+
+    @pytest.mark.parametrize("k", [1, 17, 100])
+    def test_model_series_reproduces_chi(self, k):
+        # chi = e^{iNs} phi1 up to the flip that makes c_0 >= 0
+        params = model.params_from_k(k)
+        for m in (4 * params.n_harmonic + 4, 16384):
+            signals = model.evaluate_model(params, m)
+            c = signals.helicity.c
+            sign = np.sign(np.sum(c))  # sum(c) = +-phi1(0) = +-1
+            assert np.isclose(abs(np.sum(c)), 1.0, atol=1e-12)
+            assert np.max(np.abs(polynomial_values(c, m) - sign * signals.chi)) <= 1e-10
 
     def test_parseval(self, rng):
-        hel = to_helicity(self._random_series(rng, 5))
+        a, b = _random_cos_sin(rng, 5)
+        hel = HelicitySeries.from_samples(_cos_sin_samples(a, b, 64), 5)
         m = 64
-        assert np.isclose(np.sum(hel.c ** 2), np.mean(np.abs(hel.values(m)) ** 2),
-                          atol=1e-12)
+        assert np.isclose(np.sum(hel.c ** 2),
+                          np.mean(np.abs(polynomial_values(hel.c, m)) ** 2), atol=1e-12)
 
 
 class TestPolynomialValues:
