@@ -127,10 +127,8 @@ def cmd_coeffs(args) -> int:
             print(f"wrote {path}")
     else:
         print(json.dumps(experiments.report_to_dict(report), indent=2))
-        for i in range(table.n_rows):
-            print(f"n={int(table.data['n'][i]):3d}  A={table.data['A_n'][i]:+.12e}  "
-                  f"B={table.data['B_n'][i]:+.12e}  "
-                  f"|A-B|={table.data['abs_diff'][i]:.3e}")
+        for n, a, b, diff in zip(*(table.data[c].tolist() for c in table.columns)):
+            print(f"n={int(n):3d}  A={a:+.12e}  B={b:+.12e}  |A-B|={diff:.3e}")
     return 0
 
 

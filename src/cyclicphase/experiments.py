@@ -44,13 +44,15 @@ class Table:
     data: dict
 
     def __post_init__(self):
+        if not self.columns:
+            raise ValueError("a table needs at least one column")
         lengths = {len(self.data[c]) for c in self.columns}
         if len(lengths) > 1:
             raise ValueError("table columns differ in length")
 
     @property
     def n_rows(self) -> int:
-        return len(self.data[self.columns[0]]) if self.columns else 0
+        return len(self.data[self.columns[0]])
 
 
 @dataclass(frozen=True)
@@ -333,16 +335,46 @@ def report_to_dict(report) -> dict:
     return out
 
 
-def _rows(table: Table):
-    """Iterate the rows as tuples of Python floats (one conversion per column)."""
-    return zip(*(np.asarray(table.data[c], dtype=float).tolist() for c in table.columns))
+def _cells(table: Table) -> tuple:
+    """Every cell as a Python float, row after row."""
+    columns = [np.asarray(table.data[c], dtype=float) for c in table.columns]
+    return tuple(np.column_stack(columns).ravel().tolist())
 
 
-def write_csv(table: Table, path) -> None:
-    """Write a header line, then one row per line with every cell as %.17g."""
-    lines = [",".join(table.columns)]
-    lines.extend(",".join(f"{x:.17g}" for x in row) for row in _rows(table))
-    Path(path).write_text("\n".join(lines) + "\n", encoding="ascii")
+def _write(path, text: str) -> Path:
+    """Write ASCII text to path, creating missing parent directories."""
+    path = Path(path)
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(text, encoding="ascii")
+    except OSError as exc:
+        raise OSError(f"failed writing {path}: {exc}") from exc
+    return path
+
+
+def write_csv(table: Table, path) -> Path:
+    """Write a header line, then one row per line with every cell as %.17g.
+
+    Returns the path written; missing parent directories are created.
+    """
+    row = ",".join(["%.17g"] * len(table.columns)) + "\n"
+    header = ",".join(table.columns) + "\n"
+    return _write(path, header + (row * table.n_rows) % _cells(table))
+
+
+def _json_text(table: Table) -> str:
+    """The bytes of ``json.dumps({"columns": ..., "rows": ...}, indent=2) + "\\n"``.
+
+    A finite float's ``%r`` is the repr json writes; the non-finite ones are
+    renamed to json's ``NaN``/``Infinity`` tokens (no finite repr holds a letter
+    other than ``e``).
+    """
+    names = ",\n    ".join(json.dumps(c) for c in table.columns)
+    row = "    [\n      " + ",\n      ".join(["%r"] * len(table.columns)) + "\n    ]"
+    rows = ",\n".join([row] * table.n_rows) % _cells(table)
+    rows = rows.replace("nan", "NaN").replace("inf", "Infinity")
+    return ('{\n  "columns": [\n    ' + names + '\n  ],\n  "rows": ['
+            + ("\n" + rows + "\n  " if rows else "") + "]\n}\n")
 
 
 def emit_outputs(report, dataset: Table, path_prefix, fmt: str = "csv") -> list[Path]:
@@ -350,26 +382,16 @@ def emit_outputs(report, dataset: Table, path_prefix, fmt: str = "csv") -> list[
 
     Byte output is deterministic for fixed inputs: full double precision,
     locale-independent decimal points, fixed key order, ``\\n`` newlines.
+    Missing parent directories are created; a failed write raises OSError
+    naming the file.
     """
     if fmt not in ("csv", "json"):
         raise ValueError(f"unknown format {fmt!r}")
     prefix = Path(path_prefix)
-    written = []
-    try:
-        if prefix.parent and not prefix.parent.exists():
-            prefix.parent.mkdir(parents=True, exist_ok=True)
-        if fmt == "csv":
-            target = prefix.with_name(prefix.name + ".csv")
-            write_csv(dataset, target)
-        else:
-            target = prefix.with_name(prefix.name + ".json")
-            payload = {"columns": list(dataset.columns), "rows": list(_rows(dataset))}
-            target.write_text(json.dumps(payload, indent=2) + "\n", encoding="ascii")
-        written.append(target)
-        report_path = prefix.with_name(prefix.name + ".report.json")
-        report_path.write_text(json.dumps(report_to_dict(report), indent=2) + "\n",
-                               encoding="ascii")
-        written.append(report_path)
-    except OSError as exc:
-        raise OSError(f"failed writing outputs with prefix {prefix}: {exc}") from exc
-    return written
+    target = prefix.with_name(f"{prefix.name}.{fmt}")
+    if fmt == "csv":
+        written = write_csv(dataset, target)
+    else:
+        written = _write(target, _json_text(dataset))
+    report_text = json.dumps(report_to_dict(report), indent=2) + "\n"
+    return [written, _write(prefix.with_name(prefix.name + ".report.json"), report_text)]

@@ -34,9 +34,9 @@ import numpy as np
 
 from .trigpoly import (
     HelicitySeries,
+    _check_grid_size,
     cos_sin_coefficients,
     frequencies,
-    offset_grid,
     polynomial_values,
 )
 
@@ -92,7 +92,7 @@ def periodic_hilbert(samples, method: str = "series",
     """
     f = _check_real_finite(samples)
     m = len(f)
-    offset_grid(m)  # validates the grid size
+    _check_grid_size(m)
     if method == "series":
         n = frequencies(m)
         multiplier = 1j * np.pi * np.sign(n)
@@ -288,7 +288,7 @@ def log_coefficients(chi, n_max: int, grid_size: int) -> ConjugateCoefficients:
     """
     if n_max < 0:
         raise ValueError(f"n_max must be >= 0, got {n_max}")
-    offset_grid(grid_size)  # validates the grid size
+    _check_grid_size(grid_size)
 
     if isinstance(chi, HelicitySeries):
         c0 = chi.c[0]

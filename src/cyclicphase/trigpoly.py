@@ -32,17 +32,22 @@ REALITY_TOL = 1e-10
 ROOT_TOL = 1e-9
 
 
+def _check_grid_size(m_samples: int) -> None:
+    """Raise ValueError unless m_samples is a positive multiple of 4."""
+    if m_samples <= 0 or m_samples % 4 != 0:
+        raise ValueError(
+            f"m_samples must be a positive multiple of 4 so the offset grid "
+            f"avoids s = +-pi/2; got {m_samples}"
+        )
+
+
 def offset_grid(m_samples: int) -> np.ndarray:
     """Return the offset grid s_j = -pi + (j + 1/2) h, h = 2 pi / m_samples.
 
     m_samples must be a positive multiple of 4; otherwise the grid would
     contain s = +-pi/2 exactly.
     """
-    if m_samples <= 0 or m_samples % 4 != 0:
-        raise ValueError(
-            f"m_samples must be a positive multiple of 4 so the offset grid "
-            f"avoids s = +-pi/2; got {m_samples}"
-        )
+    _check_grid_size(m_samples)
     h = 2.0 * np.pi / m_samples
     return -np.pi + (np.arange(m_samples) + 0.5) * h
 
@@ -75,7 +80,7 @@ def polynomial_values(c, m_samples: int) -> np.ndarray:
     e^{i d s_j} = (-1)^d e^{i pi d/m} e^{2 pi i d j/m}; as e^{i m s_j} = -1,
     degree d >= m folds exactly into bin d mod m with sign (-1)^(d // m).
     """
-    offset_grid(m_samples)  # validates the grid size
+    _check_grid_size(m_samples)
     d = np.arange(len(c))
     folded = np.bincount(d % m_samples, (-1.0) ** (d + d // m_samples) * c)
     twiddle = np.exp(1j * np.pi * np.arange(len(folded)) / m_samples)
@@ -116,7 +121,7 @@ class HelicitySeries:
         if values.ndim != 1:
             raise ValueError("samples must be a 1-d array")
         m = len(values)
-        offset_grid(m)  # validates the grid size
+        _check_grid_size(m)
         if not np.all(np.isfinite(values)):
             raise ValueError("signal values must be finite")
         if m < 4 * n_max + 4:

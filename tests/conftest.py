@@ -12,7 +12,12 @@ The oracles here deliberately avoid the code paths they are used to check:
   reversed polynomial (no sampling, no Fourier analysis).
 * ``rk4_reference``   classic RK4 for the driven two-level equation, one
   right-hand-side evaluation at a time (no precomputed step matrices).
+* ``csv_oracle`` / ``json_oracle``   the dataset bytes written cell by cell:
+  one ``f"{x:.17g}"`` per CSV cell, and ``json.dumps(..., indent=2)`` of the
+  ``columns``/``rows`` payload (no row template, no token renaming).
 """
+
+import json
 
 import numpy as np
 import pytest
@@ -99,6 +104,24 @@ def rk4_reference(g, psi, s0, s1, nsteps, freeze_s=None):
         states[i + 1] = psi
     drift = float(np.max(np.abs(np.sum(np.abs(states) ** 2, axis=1) - 1.0)))
     return states, drift
+
+
+def rows_oracle(table):
+    """Iterate the rows as tuples of Python floats (one conversion per column)."""
+    return zip(*(np.asarray(table.data[c], dtype=float).tolist() for c in table.columns))
+
+
+def csv_oracle(table):
+    """A header line, then one row per line with every cell as %.17g."""
+    lines = [",".join(table.columns)]
+    lines.extend(",".join(f"{x:.17g}" for x in row) for row in rows_oracle(table))
+    return "\n".join(lines) + "\n"
+
+
+def json_oracle(table):
+    """The columns/rows JSON dataset, pretty-printed by the json module."""
+    payload = {"columns": list(table.columns), "rows": list(rows_oracle(table))}
+    return json.dumps(payload, indent=2) + "\n"
 
 
 def itoh_unwrap(raw):

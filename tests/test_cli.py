@@ -2,8 +2,11 @@
 
 import json
 
+import numpy as np
 import pytest
 
+from conftest import csv_oracle
+from cyclicphase import experiments, model
 from cyclicphase.cli import MAX_RK4_STEPS, main
 
 
@@ -167,6 +170,20 @@ class TestOtherCommands:
         assert "FAIL  RK4" in out
         assert err == ""
 
+    def test_coeffs_stdout_bytes(self, capsys):
+        # the table lines as formatted cell by numpy cell, after the report
+        code, out, _ = run_cli(capsys, "coeffs", "--g", "1.7320508075688772",
+                               "--n-max", "12", "--grid-size", "4096")
+        assert code == 0
+        report, table = experiments.run_coefficient_case(
+            model.derive_params(1.7320508075688772), 12, 4096)
+        expected = "".join(
+            f"n={int(table.data['n'][i]):3d}  A={table.data['A_n'][i]:+.12e}  "
+            f"B={table.data['B_n'][i]:+.12e}  "
+            f"|A-B|={table.data['abs_diff'][i]:.3e}\n" for i in range(table.n_rows))
+        report_text = json.dumps(experiments.report_to_dict(report), indent=2) + "\n"
+        assert out.split("\n", 1)[1] == report_text + expected
+
     def test_coeffs_table(self, capsys):
         code, out, _ = run_cli(capsys, "coeffs", "--g", "1.7320508075688772",
                                "--n-max", "10", "--grid-size", "4096")
@@ -194,3 +211,40 @@ class TestOtherCommands:
         lines = out_csv.read_text().strip().split("\n")
         assert lines[0].startswith("k,g,cyclic")
         assert len(lines) == 3
+
+    def test_sweep_creates_missing_directories(self, capsys, tmp_path):
+        out_csv = tmp_path / "missing" / "a" / "s.csv"
+        code, out, err = run_cli(capsys, "sweep", "--k-values", "2",
+                                 "--grid-size", "256", "--out", str(out_csv))
+        assert code == 0, err
+        assert out.endswith(f"wrote {out_csv}\n")
+        assert out_csv.read_text().startswith("k,g,cyclic")
+
+    @pytest.mark.parametrize("command", [("sweep", "--k-values", "2"),
+                                         ("reciprocity", "--k", "1")])
+    def test_unwritable_out_exits_1(self, capsys, tmp_path, command):
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        target = blocker / "out"
+        code, _, err = run_cli(capsys, *command, "--grid-size", "256",
+                               "--out", str(target))
+        assert code == 1
+        assert err.startswith(f"error: failed writing {target}")
+        assert err.count("\n") == 1
+
+    def test_sweep_bytes_with_non_cyclic_row(self, capsys, tmp_path, monkeypatch):
+        tables = []
+        original = experiments.write_csv
+
+        def spy(table, path):
+            tables.append(table)
+            return original(table, path)
+
+        monkeypatch.setattr(experiments, "write_csv", spy)
+        out_csv = tmp_path / "sweep.csv"
+        code, _, _ = run_cli(capsys, "sweep", "--k-values", "1,16.59",
+                             "--grid-size", "4096", "--out", str(out_csv))
+        assert code == 0
+        (table,) = tables
+        assert np.isnan(table.data["berry_measured"][1])
+        assert out_csv.read_bytes() == csv_oracle(table).encode("ascii")

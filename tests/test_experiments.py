@@ -1,10 +1,14 @@
 """Pipelines, Berry measurement, peak matching, file emission."""
 
 import json
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from conftest import csv_oracle, json_oracle
 from cyclicphase import experiments, hilbert, model, trigpoly
 from cyclicphase.experiments import (
     PRESETS,
@@ -16,6 +20,7 @@ from cyclicphase.experiments import (
     peak_positions,
     run_coefficient_case,
     run_reciprocity_case,
+    write_csv,
 )
 from cyclicphase.trigpoly import offset_grid
 
@@ -241,3 +246,76 @@ class TestEmitOutputs:
     def test_table_validation(self):
         with pytest.raises(ValueError):
             Table(("a", "b"), {"a": np.ones(3), "b": np.ones(4)})
+
+    def test_table_needs_a_column(self):
+        with pytest.raises(ValueError, match="at least one column"):
+            Table((), {})
+
+
+def emitted(table, directory, fmt):
+    """Dataset bytes that emit_outputs writes for the table (empty report)."""
+    emit_outputs(SimpleNamespace(), table, directory / "t", fmt)
+    return (directory / f"t.{fmt}").read_bytes()
+
+
+def oracle_bytes(table, fmt):
+    return (csv_oracle if fmt == "csv" else json_oracle)(table).encode("ascii")
+
+
+EDGE_TABLES = {
+    "non-finite": Table(("nan", "inf"), {"nan": np.array([np.nan, np.inf, -np.inf]),
+                                         "inf": np.array([-np.nan, -np.inf, np.inf])}),
+    "extremes": Table(("a", "b"), {"a": np.array([-0.0, 5e-324, 1e308]),
+                                   "b": np.array([-1e308, -5e-324, 0.0])}),
+    "int, float32 and list": Table(("n", "x", "y"),
+                                   {"n": np.arange(1, 4),
+                                    "x": np.array([0.1, -2.5e-300, 1e30], dtype=np.float32),
+                                    "y": [np.float32(0.1), 7, -0.0]}),
+    "one row": Table(("s", "%r%%", 'q"\\'), {"s": [np.nan], "%r%%": [1 / 3],
+                                            'q"\\': [-np.inf]}),
+    "no rows": Table(("s", "t"), {"s": np.array([]), "t": []}),
+}
+
+CELLS = st.floats(width=64) | st.integers(-2 ** 62, 2 ** 62)
+
+
+@st.composite
+def tables(draw):
+    """At most 6 columns x 40 rows; names that need escaping or look like tokens."""
+    names = draw(st.lists(st.text("naif%,\"\\x", min_size=1, max_size=4),
+                          min_size=1, max_size=6, unique=True))
+    n_rows = draw(st.integers(0, 40))
+    cells = st.lists(CELLS, min_size=n_rows, max_size=n_rows)
+    return Table(tuple(names), {c: draw(cells) for c in names})
+
+
+class TestEmissionBytes:
+    """The writers against the cell-by-cell oracles of conftest."""
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_fig1(self, tmp_path, fmt):
+        _, dataset = run_reciprocity_case(fig_params("fig1"), 4096)
+        assert emitted(dataset, tmp_path, fmt) == oracle_bytes(dataset, fmt)
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("name", sorted(EDGE_TABLES))
+    def test_edge_tables(self, tmp_path, name, fmt):
+        table = EDGE_TABLES[name]
+        assert emitted(table, tmp_path, fmt) == oracle_bytes(table, fmt)
+
+    def test_write_csv(self, tmp_path):
+        table = EDGE_TABLES["non-finite"]
+        assert write_csv(table, tmp_path / "x.csv") == tmp_path / "x.csv"
+        assert (tmp_path / "x.csv").read_bytes() == oracle_bytes(table, "csv")
+
+    @settings(max_examples=60, deadline=None)
+    @given(table=tables())
+    def test_random_tables(self, tmp_path_factory, table):
+        directory = tmp_path_factory.mktemp("table")
+        for fmt in ("csv", "json"):
+            assert emitted(table, directory, fmt) == oracle_bytes(table, fmt)
+
+    def test_missing_directories_created(self, tmp_path):
+        table = EDGE_TABLES["one row"]
+        emitted(table, tmp_path / "a" / "b", "json")
+        assert (tmp_path / "a" / "b" / "t.report.json").read_text() == "{}\n"

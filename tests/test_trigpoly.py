@@ -2,12 +2,13 @@
 spectrum of samples (analysis), its evaluation back on the grid (synthesis),
 its layout against a cos/sin series, and the zero locations."""
 
+import re
 import warnings
 
 import numpy as np
 import pytest
 
-from cyclicphase import model
+from cyclicphase import hilbert, model, trigpoly
 from cyclicphase.trigpoly import (
     HelicitySeries,
     _companion_eigenvalues,
@@ -39,6 +40,31 @@ class TestGrid:
         for m in (6, 10, 4098, 0, -4):
             with pytest.raises(ValueError):
                 offset_grid(m)
+
+    # every function that takes a grid size without being handed the grid
+    GRID_SIZE_TAKERS = {
+        "polynomial_values": lambda m: polynomial_values(np.ones(3), m),
+        "from_samples": lambda m: HelicitySeries.from_samples(np.ones(m), 1),
+        "periodic_hilbert": lambda m: hilbert.periodic_hilbert(np.ones(m)),
+        "log_coefficients": lambda m: hilbert.log_coefficients(
+            HelicitySeries(np.array([1.0, 0.5, 0.0])), 1, m),
+    }
+
+    @pytest.mark.parametrize("name", sorted(GRID_SIZE_TAKERS))
+    def test_grid_size_rejected_with_offset_grid_message(self, name):
+        message = ("m_samples must be a positive multiple of 4 so the offset grid "
+                   "avoids s = +-pi/2; got 10")
+        with pytest.raises(ValueError, match=re.escape(message)):
+            self.GRID_SIZE_TAKERS[name](10)
+
+    @pytest.mark.parametrize("name", sorted(GRID_SIZE_TAKERS))
+    def test_grid_size_checked_without_building_the_grid(self, monkeypatch, name):
+        def no_grid(m):
+            raise AssertionError("offset grid built to validate its size")
+
+        for module in (trigpoly, hilbert):  # every binding a caller may hold
+            monkeypatch.setattr(module, "offset_grid", no_grid, raising=False)
+        self.GRID_SIZE_TAKERS[name](16)
 
     def test_sampled_signal_validation(self):
         for values, match in ((np.ones(10), "multiple of 4"),
