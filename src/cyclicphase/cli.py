@@ -83,6 +83,13 @@ def _resolve_grid(args, default: int) -> int:
     return grid
 
 
+def _check_out_prefix(args) -> None:
+    """Refuse an unusable --out prefix (exit 1) before the computation, not after it."""
+    if args.out:
+        for path in experiments.output_paths(args.out, args.format):
+            experiments.check_writable(path)
+
+
 def _print_config(command: str, params: model.ModelParams, extra: dict) -> None:
     resolved = {"command": command, "g": params.g, "k": params.k,
                 "omega": params.omega, "n_harmonic": params.n_harmonic,
@@ -97,10 +104,13 @@ def cmd_reciprocity(args) -> int:
     _positive(args.epsilon, "--epsilon")
     if args.n_max < 1:
         raise ConfigError(f"--n-max must be at least 1, got {args.n_max}")
+    if args.fejer and args.method != "series":
+        raise ConfigError("--fejer applies to --method series only")
     _print_config("reciprocity", params,
                   {"grid_size": grid, "method": args.method, "fejer": args.fejer,
                    "epsilon": args.epsilon, "n_max": args.n_max,
                    "out": args.out, "format": args.format})
+    _check_out_prefix(args)
     report, dataset = experiments.run_reciprocity_case(
         params, grid, method=args.method, fejer=args.fejer, n_max=args.n_max,
         exclusion_halfwidth=args.epsilon)
@@ -121,6 +131,7 @@ def cmd_coeffs(args) -> int:
         raise ConfigError("coeffs requires a cyclic drive (integer K/omega)")
     _print_config("coeffs", params,
                   {"grid_size": grid, "n_max": args.n_max, "out": args.out})
+    _check_out_prefix(args)
     report, table = experiments.run_coefficient_case(params, args.n_max, grid)
     if args.out:
         for path in experiments.emit_outputs(report, table, args.out, args.format):
@@ -200,6 +211,8 @@ def cmd_sweep(args) -> int:
     print("resolved configuration: " + json.dumps(
         {"command": "sweep", "k_values": k_values, "grid_size": grid,
          "omega": args.omega, "out": args.out}))
+    if args.out:  # before the first k is computed
+        experiments.check_writable(args.out)
     rows = {"k": [], "g": [], "cyclic": [], "rms_phase_error": [],
             "rms_logmod_error": [], "berry_predicted": [], "berry_measured": [],
             "root_check_pass": []}

@@ -15,7 +15,9 @@ the underlying agreement is only qualitative.
 
 from __future__ import annotations
 
+import errno
 import json
+import os
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -207,7 +209,8 @@ def run_reciprocity_case(params: model.ModelParams, grid_size: int,
         phase_rec_out = ph_rec + (params.g - n) * s
         berry_pred = model.berry_phase_predicted(params)
         berry_meas = measure_berry_phase(signals)
-        coeffs = hilbert.log_coefficients(signals.helicity, n_max, grid_size)
+        # on the series' own grid: R is a polynomial, so the dataset grid adds nothing
+        coeffs = hilbert.log_coefficients(signals.helicity, n_max, 4 * n_max + 4)
         coeff_max = hilbert.coefficient_equality_check(coeffs).max_relative
         root_pass = trigpoly.root_check(signals.helicity).passed
         notes.append(f"cyclic drive: N = {n}, c_0 = {signals.c0:.12g}")
@@ -341,11 +344,29 @@ def _cells(table: Table) -> tuple:
     return tuple(np.column_stack(columns).ravel().tolist())
 
 
-def _write(path, text: str) -> Path:
-    """Write ASCII text to path, creating missing parent directories."""
+def check_writable(path) -> Path:
+    """Create the missing parent directories of path; check that path is writable.
+
+    Raises OSError ``failed writing PATH: ...``, the message of a failed
+    write, so a command can refuse an unusable output path before it computes.
+    """
     path = Path(path)
     try:
         path.parent.mkdir(parents=True, exist_ok=True)
+        if path.is_dir():
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(path))
+        target = path if path.exists() else path.parent
+        if not os.access(target, os.W_OK):
+            raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), str(target))
+    except OSError as exc:
+        raise OSError(f"failed writing {path}: {exc}") from exc
+    return path
+
+
+def _write(path, text: str) -> Path:
+    """Write ASCII text to path, creating missing parent directories."""
+    path = check_writable(path)
+    try:
         path.write_text(text, encoding="ascii")
     except OSError as exc:
         raise OSError(f"failed writing {path}: {exc}") from exc
@@ -385,13 +406,19 @@ def emit_outputs(report, dataset: Table, path_prefix, fmt: str = "csv") -> list[
     Missing parent directories are created; a failed write raises OSError
     naming the file.
     """
-    if fmt not in ("csv", "json"):
-        raise ValueError(f"unknown format {fmt!r}")
-    prefix = Path(path_prefix)
-    target = prefix.with_name(f"{prefix.name}.{fmt}")
+    target, report_path = output_paths(path_prefix, fmt)
     if fmt == "csv":
         written = write_csv(dataset, target)
     else:
         written = _write(target, _json_text(dataset))
     report_text = json.dumps(report_to_dict(report), indent=2) + "\n"
-    return [written, _write(prefix.with_name(prefix.name + ".report.json"), report_text)]
+    return [written, _write(report_path, report_text)]
+
+
+def output_paths(path_prefix, fmt: str = "csv") -> list[Path]:
+    """The dataset ({prefix}.csv or .json) and report ({prefix}.report.json) paths."""
+    if fmt not in ("csv", "json"):
+        raise ValueError(f"unknown format {fmt!r}")
+    prefix = Path(path_prefix)
+    return [prefix.with_name(f"{prefix.name}.{fmt}"),
+            prefix.with_name(prefix.name + ".report.json")]

@@ -36,7 +36,6 @@ from .trigpoly import (
     HelicitySeries,
     _check_grid_size,
     cos_sin_coefficients,
-    frequencies,
     polynomial_values,
 )
 
@@ -84,7 +83,12 @@ def periodic_hilbert(samples, method: str = "series",
         "quadrature" evaluates the folded principal-value integral with the
         (1/2) cot((s'-s)/2) kernel on the interleaved offset sub-grid
         (spacing 2h), which places every evaluation point halfway between
-        integration nodes; its multiplier is the kernel's FFT.
+        integration nodes; its multiplier is the kernel's FFT.  That DFT is
+        exactly i pi sign(n) with 0 on the Nyquist bin (Kak, "The discrete
+        Hilbert transform", Proc. IEEE 58, 1970), and the Nyquist bin of a
+        real input adds nothing to the real output, so the quadrature is the
+        series transform plus the kernel's O(m eps) round-off, not an
+        independent check of it.
     fejer_order : int, optional
         Cesaro resummation order for the series path (harmonic n weighted by
         max(0, 1 - n/(order+1))); used near singularities where the raw series
@@ -94,18 +98,28 @@ def periodic_hilbert(samples, method: str = "series",
     m = len(f)
     _check_grid_size(m)
     if method == "series":
-        n = frequencies(m)
-        multiplier = 1j * np.pi * np.sign(n)
-        if fejer_order is not None:
-            multiplier *= np.maximum(0.0, 1.0 - np.abs(n) / (fejer_order + 1.0))
+        # i pi sign(n) scaled into the bins in place: n = 0 at bin 0,
+        # n = 1..m/2-1 above it and n = -m/2..-1 from the Nyquist bin on, with
+        # the Fejer weight of |n|; scaling bin 0 by 0 and the factor -(1j pi)
+        # give the signed zeros of the product with i pi sign(n) itself
+        fft = np.fft.fft(f)
+        half = m // 2
+        weight = (None if fejer_order is None
+                  else np.maximum(0.0, 1.0 - np.arange(half + 1) / (fejer_order + 1.0)))
+        fft[0] *= 0
+        for bins, factor, n_abs in ((slice(1, half), 1j * np.pi, slice(1, half)),
+                                    (slice(half, m), -(1j * np.pi), slice(half, 0, -1))):
+            fft[bins] *= factor if weight is None else factor * weight[n_abs]
     elif method == "quadrature":
         if fejer_order is not None:
             raise ValueError("fejer_order applies to the series method only")
-        # circular cross-correlation g_i = sum_j f_j K[(j - i) mod m]
-        multiplier = _quadrature_kernel_fft(m)
+        # circular cross-correlation g_i = sum_j f_j K[(j - i) mod m]; the
+        # kernel is built before the FFT of f is held, which bounds the peak
+        kernel = _quadrature_kernel_fft(m)
+        fft = np.fft.fft(f) * kernel
     else:
         raise ValueError(f"unknown method {method!r}")
-    return np.fft.ifft(np.fft.fft(f) * multiplier).real
+    return np.fft.ifft(fft).real
 
 
 def phase_from_modulus(log_modulus, method: str = "series",
@@ -285,6 +299,11 @@ def log_coefficients(chi, n_max: int, grid_size: int) -> ConjugateCoefficients:
     the aliased tail of log R decays like rho^-m (ValueError, before any
     allocation, when that raised grid exceeds MAX_ANALYSIS_GRID).  Raw-sample
     inputs are analyzed directly on their own grid and should be zero-free.
+
+    For a HelicitySeries ``grid_size`` is only a lower bound, unrelated to
+    the grid the series was read from: reciprocity runs pass 4 n_max + 4, so
+    their A_n = B_n check runs on the series' own grid, max(4 n_max + 4, rho
+    rule), whatever the dataset grid; ``coeffs`` passes its ``--grid-size``.
     """
     if n_max < 0:
         raise ValueError(f"n_max must be >= 0, got {n_max}")

@@ -79,9 +79,11 @@ def phi1_values(params: ModelParams, s) -> np.ndarray:
     """The closed-form amplitude (dynamic phase removed) at time s = omega t / 2."""
     s = np.asarray(s, dtype=float)
     k, g = params.k, params.g
-    return (np.cos(2 * k * s) * np.cos(s)
-            + np.sin(2 * k * s) * np.sin(s) / (2 * k)
-            - 1j * (g / (2 * k)) * np.sin(2 * k * s) * np.cos(s))
+    two_ks, cos_s = 2 * k * s, np.cos(s)
+    sin_2ks = np.sin(two_ks)
+    return (np.cos(two_ks) * cos_s
+            + sin_2ks * np.sin(s) / (2 * k)
+            - 1j * (g / (2 * k)) * sin_2ks * cos_s)
 
 
 def phi1_derivative(params: ModelParams, s) -> np.ndarray:
@@ -131,11 +133,12 @@ def evaluate_model(params: ModelParams, m_samples: int) -> ModelSignals:
     hel = trigpoly.HelicitySeries.from_samples(phi1, n)
     c0 = float(hel.c[0])
     chi = np.exp(1j * n * grid) * phi1
-    res = hilbert.unwrap(np.angle(chi / c0), zeros=DRIVE_ZEROS, grid=grid)
+    w = chi / c0
+    res = hilbert.unwrap(np.angle(w), zeros=DRIVE_ZEROS, grid=grid)
     phase_chi = hilbert._anchor_unwrapped(res.phase)
     phase_phys = phase_chi + (params.g - n) * grid
     return ModelSignals(params, grid, phi1,
-                        np.log(np.abs(chi / c0)), phase_phys,
+                        np.log(np.abs(w)), phase_phys,
                         chi=chi, phase_chi=phase_chi, c0=c0, helicity=hel)
 
 
@@ -239,7 +242,9 @@ def companion_amplitude(params: ModelParams, s,
     phi1 is the lower doublet component, so row two of the Schrodinger
     equation gives psi_upper = (i dphi1/dt - H22 phi1) / H21 with
     d/dt = (1/2) d/ds.  Valid off the zeros of sin(2s); the offset grid
-    avoids them.
+    avoids them.  In floating point sin(2s) vanishes only at s = 0, where the
+    row says nothing about the partner; the model state's partner there, 0
+    (phi1(0) = 1 holds the whole norm), is returned.
     """
     s = np.asarray(s, dtype=float)
     if phi1 is None:
@@ -249,7 +254,8 @@ def companion_amplitude(params: ModelParams, s,
     g = params.g
     h21 = 0.5 * g * np.sin(2 * s)
     h22 = 0.5 * g * np.cos(2 * s)
-    return (0.5j * dphi1 - h22 * phi1) / h21
+    return np.divide(0.5j * dphi1 - h22 * phi1, h21, where=h21 != 0.0,
+                     out=np.zeros(s.shape, dtype=complex))
 
 
 def analytic_state_pair(params: ModelParams, s) -> np.ndarray:
@@ -291,6 +297,9 @@ def solution_residual(params: ModelParams, m_samples: int = 16384) -> ResidualRe
         dpartner = np.fft.ifft(np.fft.fft(partner) * multiplier)
         residual = np.abs(0.5j * dpartner - h11 * partner - h12 * phi1)
         return ResidualReport(float(np.max(residual)), m_samples)
+    if m_samples < len(_FD8):
+        raise ValueError(f"the non-cyclic residual's {len(_FD8)}-point difference stencil "
+                         f"needs at least {len(_FD8)} samples; got {m_samples}")
     h = grid[1] - grid[0]
     interior = slice(4, m_samples - 4)
     dpartner = np.convolve(partner, _FD8[::-1], mode="valid") / h

@@ -57,21 +57,30 @@ def frequencies(m: int) -> np.ndarray:
     return np.rint(np.fft.fftfreq(m, d=1.0 / m)).astype(int)
 
 
-def spectrum(values: np.ndarray) -> np.ndarray:
-    """Two-sided Fourier coefficients of samples on the offset grid.
+def spectrum(values: np.ndarray, n_max: int) -> np.ndarray:
+    """Fourier coefficients fhat[n], n = -n_max..n_max, of samples on the offset grid.
 
-    Returns fhat with values(s_j) = sum_n fhat[n] e^{i n s_j}, bin by bin at
-    the signed frequencies n = ``frequencies(m)`` in [-m/2, m/2).  Exact (to
-    round-off) for content band-limited below m/2.  This is the coefficient
-    readout; an operator that is diagonal in frequency needs no grid-offset
+    Returns the 2 n_max + 1 coefficients in frequency order (fhat[n] at index
+    n + n_max), with values(s_j) = sum_n fhat[n] e^{i n s_j} for content
+    band-limited below m/2.  One FFT of the m samples is taken, but the
+    offset-grid twiddle (-1)^n e^{-i pi n/m} and the 1/m scaling are formed on
+    the returned bins only, so a narrow band costs O(m log m + n_max).  This is
+    the coefficient readout; an operator that is diagonal in frequency needs no
     twiddle and is applied to a plain FFT instead (see
     ``hilbert.periodic_hilbert``).
+
+    Raises
+    ------
+    ValueError
+        If n_max < 0 or the band is wider than the grid (2 n_max + 1 > m).
     """
     m = len(values)
-    fft = np.fft.fft(values) / m
-    n = frequencies(m)
+    if n_max < 0 or 2 * n_max + 1 > m:
+        raise ValueError(f"the band -n_max..n_max (n_max = {n_max}) does not fit "
+                         f"the {m} bins of the grid")
+    n = np.arange(-n_max, n_max + 1)
     twiddle = (-1.0) ** n * np.exp(-1j * np.pi * n / m)
-    return fft * twiddle
+    return np.fft.fft(values)[n] / m * twiddle
 
 
 def polynomial_values(c, m_samples: int) -> np.ndarray:
@@ -127,7 +136,7 @@ class HelicitySeries:
         if m < 4 * n_max + 4:
             raise ValueError(f"m_samples = {m} too small for n_max = {n_max}: "
                              f"need at least {4 * n_max + 4} (aliasing)")
-        c = spectrum(values)[np.arange(-n_max, n_max + 1)]
+        c = spectrum(values, n_max)
         imag = np.abs(c.imag)
         paired = imag[n_max:] + imag[n_max::-1]  # frequencies n and -n, n = 0..n_max
         paired[0] = imag[n_max]
@@ -161,11 +170,11 @@ def cos_sin_coefficients(values, n_max: int) -> tuple[np.ndarray, np.ndarray]:
     cosine coefficients of u and Re b_n the sine coefficients of v, whatever
     the symmetry of u and v.
     """
-    fhat = spectrum(values)
-    pos = fhat[:n_max + 1]                    # frequencies 0..n_max
-    neg = fhat[-np.arange(n_max + 1)]         # frequencies 0, -1, ..., -n_max
+    fhat = spectrum(values, n_max)
+    pos = fhat[n_max:]                        # frequencies 0..n_max
+    neg = fhat[n_max::-1]                     # frequencies 0, -1, ..., -n_max
     a = pos + neg
-    a[0] = fhat[0]
+    a[0] = fhat[n_max]
     b = pos - neg
     b[0] = 0.0
     return a, b

@@ -1,9 +1,13 @@
 """Command-line interface: dispatch, validation, determinism."""
 
+import io
 import json
+from contextlib import redirect_stderr, redirect_stdout
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import csv_oracle
 from cyclicphase import experiments, model
@@ -71,6 +75,21 @@ class TestValidation:
         assert err.startswith("error:") and "c_0" in err and "vanishes" in err
         assert err.count("\n") == 1
 
+    def test_non_cyclic_verify_on_8_points_exits_1(self, capsys):
+        # the non-cyclic residual's 9-point difference stencil does not fit
+        code, _, err = run_cli(capsys, "verify", "--k", "16.59", "--grid-size", "8",
+                               "--rk4-steps", "50")
+        assert code == 1
+        assert err.startswith("error:") and "stencil" in err
+        assert err.count("\n") == 1
+
+    def test_rk4_sample_at_s0_compares_quietly(self, capsys):
+        # 50 steps over the 64-point grid's span put a sample exactly at s = 0
+        code, out, err = run_cli(capsys, "verify", "--k", "1", "--grid-size", "64",
+                                 "--rk4-steps", "50")
+        assert code == 1 and err == ""
+        assert "FAIL  RK4 vs analytic < 1e-6  (5.006e-05)" in out
+
     def test_berry_non_cyclic_exits_2(self, capsys):
         code, _, err = run_cli(capsys, "berry", "--k", "16.59")
         assert code == 2
@@ -97,6 +116,7 @@ class TestInputContract:
         # the period 2 pi / omega, and so the t column, would overflow
         ("reciprocity", "--k", "1", "--omega", "1e-320", "--grid-size", "64"),
         ("reciprocity", "--preset", "fig1", "--omega", "1e-320"),
+        ("reciprocity", "--k", "1", "--method", "quadrature", "--fejer"),
     ])
     def test_rejected_with_one_line(self, capsys, argv):
         code, out, err = run_cli(capsys, *argv)
@@ -232,6 +252,34 @@ class TestOtherCommands:
         assert err.startswith(f"error: failed writing {target}")
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize("command", [("sweep", "--k-values", "2"),
+                                         ("reciprocity", "--k", "1"),
+                                         ("coeffs", "--k", "1")])
+    def test_unwritable_out_refused_before_computing(self, capsys, tmp_path,
+                                                     monkeypatch, command):
+        calls = []
+        for name in ("run_reciprocity_case", "run_coefficient_case"):
+            monkeypatch.setattr(experiments, name,
+                                lambda *args, name=name, **kwargs: calls.append(name))
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        target = blocker / "out"
+        code, _, err = run_cli(capsys, *command, "--grid-size", "256",
+                               "--out", str(target))
+        assert code == 1
+        assert err.startswith(f"error: failed writing {target}")
+        assert err.count("\n") == 1
+        assert calls == []
+
+    def test_directory_as_out_refused_before_computing(self, capsys, tmp_path,
+                                                       monkeypatch):
+        monkeypatch.setattr(experiments, "run_reciprocity_case",
+                            lambda *args, **kwargs: pytest.fail("computed"))
+        code, _, err = run_cli(capsys, "sweep", "--k-values", "2", "--grid-size", "256",
+                               "--out", str(tmp_path))
+        assert code == 1
+        assert err.startswith(f"error: failed writing {tmp_path}: [Errno 21]")
+
     def test_sweep_bytes_with_non_cyclic_row(self, capsys, tmp_path, monkeypatch):
         tables = []
         original = experiments.write_csv
@@ -248,3 +296,82 @@ class TestOtherCommands:
         (table,) = tables
         assert np.isnan(table.data["berry_measured"][1])
         assert out_csv.read_bytes() == csv_oracle(table).encode("ascii")
+
+
+#: (accepted, refused) values per flag.  Accepted values stay small (k <= 30,
+#: grid <= 4096, RK4 steps <= 2000); refused ones are negatives, 0, nan, +-inf,
+#: non-multiples of 4, garbage and grids above 2^20, which must be refused
+#: before any allocation
+FLAG_VALUES = {
+    "--k": (("1", "2", "17", "30", "0.7", "2.5", "16.59"),
+            ("0.5", "0", "-3", "nan", "inf", "-inf", "1e308", "x")),
+    "--g": (("1.7320508075688772", "1", "33.97", "59.99"),
+            ("0", "-1", "nan", "inf", "1e200", "x")),
+    "--preset": (("fig1", "fig2", "fig3"), ("fig4",)),
+    "--omega": (("1", "2.5", "1e300"), ("0", "-1", "nan", "inf", "1e-320", "x")),
+    "--grid-size": (("8", "64", "256", "1024", "4096"),
+                    ("0", "-4", "10", "4097", str(2 ** 20 + 4), str(2 ** 40), "nan",
+                     "1e3", "x")),
+    "--n-max": (("1", "7", "50"), ("0", "-1", "300000000", "x")),
+    "--epsilon": (("0.05", "0.3", "4"), ("0", "-1", "nan", "inf", "x")),
+    "--method": (("series", "quadrature"), ("simpson",)),
+    "--format": (("csv", "json"), ("xml",)),
+    "--rk4-steps": (("1", "50", "2000"),
+                    ("0", "-5", str(MAX_RK4_STEPS + 1), "2.5", "x")),
+    "--k-values": (("1", "2,17", "16.59", "30,1.5"),
+                   ("1,nan", "0.5", "-1", "inf", "1e308", "a,b", "", ",")),
+    "--out": (("out", "missing/dir/out"), ("file/out",)),
+}
+SWITCHES = ("--fejer",)
+COMMAND_FLAGS = {
+    "reciprocity": ("--omega", "--method", "--fejer", "--epsilon", "--n-max",
+                    "--out", "--format"),
+    "coeffs": ("--omega", "--n-max", "--out", "--format"),
+    "verify": ("--omega",),
+    "berry": ("--omega",),
+    "sweep": ("--omega", "--out"),
+}
+#: a flag the subcommand does not take, or a second model source
+STRAY_FLAGS = ("--bogus", "--k", "--rk4-steps", "--fejer", "--epsilon")
+
+
+@st.composite
+def cli_argv(draw):
+    """A subcommand, mostly with accepted values, now and then a refused value or flag.
+
+    --grid-size (and --rk4-steps for verify) is always given, so no default
+    grid of 16384 or more points and no default 20,000 RK4 steps is run.
+    """
+    command = draw(st.sampled_from(sorted(COMMAND_FLAGS)))
+    flags = ["--k-values"] if command == "sweep" else [
+        draw(st.sampled_from(("--k", "--g", "--preset")))]
+    flags += ["--grid-size"] + (["--rk4-steps"] if command == "verify" else [])
+    flags += [f for f in COMMAND_FLAGS[command] if draw(st.booleans())]
+    flags += [f for f in [draw(st.sampled_from((None,) * 6 + STRAY_FLAGS))] if f]
+    argv = [command]
+    for flag in dict.fromkeys(flags):
+        argv.append(flag)
+        if flag not in SWITCHES:
+            accepted, refused = FLAG_VALUES.get(flag, ((), ("1",)))
+            refuse = not accepted or draw(st.integers(0, 5)) == 0
+            argv.append(draw(st.sampled_from(refused if refuse else accepted)))
+    return argv
+
+
+class TestArgvProperty:
+    @settings(max_examples=120, deadline=None)
+    @given(argv=cli_argv())
+    def test_exit_code_without_traceback(self, tmp_path_factory, argv):
+        directory = tmp_path_factory.mktemp("cli")
+        (directory / "file").write_text("")
+        if "--out" in argv:
+            i = argv.index("--out") + 1
+            argv[i] = str(directory / argv[i])
+        err = io.StringIO()
+        with redirect_stdout(io.StringIO()), redirect_stderr(err):
+            code = main(argv)
+        assert code in (0, 1, 2), (argv, err.getvalue())
+        assert err.getvalue().count("\n") <= 1 or code == 2, (argv, err.getvalue())
+        grid = argv[argv.index("--grid-size") + 1]
+        if grid.isdigit() and int(grid) > 2 ** 20:
+            assert code == 2, argv  # refused before any allocation

@@ -4,6 +4,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import (
     conjugate_pair_from_roots,
@@ -13,6 +15,7 @@ from conftest import (
 from cyclicphase import model
 from cyclicphase.hilbert import (
     PhaseModulusPair,
+    _quadrature_kernel_fft,
     coefficient_equality_check,
     log_coefficients,
     modulus_from_phase,
@@ -20,7 +23,7 @@ from cyclicphase.hilbert import (
     phase_from_modulus,
     unwrap,
 )
-from cyclicphase.trigpoly import HelicitySeries, offset_grid
+from cyclicphase.trigpoly import HelicitySeries, frequencies, offset_grid
 
 METHODS = ("series", "quadrature")
 
@@ -86,6 +89,37 @@ class TestPeriodicHilbert:
         assert np.max(np.abs(odd + odd[::-1])) < 1e-10  # odd: f(-s) = -f(s)
         back = periodic_hilbert(odd, "series")
         assert np.max(np.abs(back - back[::-1])) < 1e-10
+
+    @settings(max_examples=60, deadline=None)
+    @given(m=st.integers(1, 1024).map(lambda q: 4 * q),
+           fejer_order=st.none() | st.integers(0, 5000),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_series_multiplier_bit_for_bit(self, m, fejer_order, seed):
+        # the in-place slices against the explicit multiplier array, byte for byte
+        f = np.random.default_rng(seed).standard_normal(m)
+        n = frequencies(m)
+        multiplier = 1j * np.pi * np.sign(n)
+        if fejer_order is not None:
+            multiplier *= np.maximum(0.0, 1.0 - np.abs(n) / (fejer_order + 1.0))
+        expected = np.fft.ifft(np.fft.fft(f) * multiplier).real
+        out = periodic_hilbert(f, "series", fejer_order)
+        assert np.array_equal(out, expected)
+        assert out.tobytes() == expected.tobytes()  # signed zeros included
+
+    @pytest.mark.parametrize("m", [16, 4096, 262144])
+    def test_quadrature_kernel_is_the_series_multiplier(self, m):
+        # The DFT of the interleaved cot kernel is exactly i pi sign(n), 0 at
+        # the Nyquist bin (Kak, Proc. IEEE 58, 1970), so the quadrature is the
+        # series transform up to the kernel's round-off.  That round-off is
+        # O(m eps): cot(d h / 2) for odd d near m is taken at arguments near pi,
+        # where the rounding of d h / 2 (~ pi eps) is amplified by
+        # |cot'| = 1/sin^2 ~ 4/h^2, so h cot carries ~ 2 m eps; measured
+        # 3.8e-15, 5.6e-13 and 1.9e-11 (<= 1.1 m eps).
+        n = frequencies(m)
+        exact = 1j * np.pi * np.sign(n)
+        exact[m // 2] = 0.0
+        gap = np.max(np.abs(_quadrature_kernel_fft(m) - exact))
+        assert gap <= 4 * m * np.finfo(float).eps
 
     def test_rejects_bad_input(self):
         with pytest.raises(ValueError):
@@ -253,6 +287,18 @@ class TestLogCoefficients:
         expected = log_series_coefficients_newton(c, 50)
         assert np.max(np.abs(coeffs.A - expected)) < 1e-12
         assert np.max(np.abs(coeffs.B[1:] - expected[1:])) < 1e-12
+
+    @pytest.mark.parametrize("k, dataset_grid, own_grid", [
+        (1, 32768, 204), (17, 16384, 1172), (100, 16384, 6904)])
+    def test_own_grid_against_dataset_grid(self, k, dataset_grid, own_grid):
+        # reciprocity's A_n = B_n check runs on max(4 n_max + 4, rho rule)
+        # points, whatever the dataset grid
+        helicity = model.evaluate_model(model.params_from_k(k), dataset_grid).helicity
+        own = log_coefficients(helicity, 50, 4 * 50 + 4)
+        on_dataset_grid = log_coefficients(helicity, 50, dataset_grid)
+        assert own.grid_size == own_grid
+        assert np.max(np.abs(own.A[1:] - own.B[1:])) <= 1e-13
+        assert np.max(np.abs(own.A - on_dataset_grid.A)) <= 1e-14
 
     def test_analysis_memory_is_linear_in_grid(self):
         # a few complex m-vectors (1 MB each) fit; one (n_max+1) x m matrix is 27 MB

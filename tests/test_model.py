@@ -79,8 +79,8 @@ class TestAmplitude:
 
     def test_highest_harmonic_is_n(self):
         p = model.derive_params(np.sqrt(3.0))
-        fhat = spectrum(model.phi1_values(p, offset_grid(128)))
-        assert np.max(np.abs(fhat[np.abs(frequencies(128)) > 3])) < 1e-10
+        fhat = spectrum(model.phi1_values(p, offset_grid(128)), 63)  # widest band
+        assert np.max(np.abs(fhat[np.abs(np.arange(-63, 64)) > 3])) < 1e-10
 
 
 class TestEvaluateModel:
@@ -139,6 +139,14 @@ class TestIntegrateOde:
             p = model.derive_params(g)
             pair = model.analytic_state_pair(p, offset_grid(256))
             assert np.max(np.abs(np.sum(np.abs(pair) ** 2, axis=-1) - 1.0)) < 1e-12
+
+    def test_analytic_pair_at_s0(self):
+        # sin 2s = 0 only at s = 0 among doubles: the row is silent, the state is (0, 1)
+        for g in (np.sqrt(3.0), np.sqrt(1155.0), np.sqrt(1100.0)):
+            p = model.derive_params(g)
+            assert np.array_equal(model.analytic_state_pair(p, np.array([0.0, -0.0])),
+                                  [[0.0, 1.0], [0.0, 1.0]])
+            assert np.array_equal(model.analytic_state_pair(p, 0.0), [0.0, 1.0])
 
     def test_large_step_reports_drift_and_returns(self):
         p = model.derive_params(np.sqrt(1155.0))

@@ -13,10 +13,12 @@ from cyclicphase.trigpoly import (
     HelicitySeries,
     _companion_eigenvalues,
     _refine_root_clusters,
+    frequencies,
     offset_grid,
     polynomial_roots,
     polynomial_values,
     root_check,
+    spectrum,
 )
 
 SQ3 = np.sqrt(3.0)
@@ -151,6 +153,38 @@ class TestAnalyze:
     def test_grid_too_coarse_raises(self):
         with pytest.raises(ValueError, match="aliasing"):
             HelicitySeries.from_samples(np.ones(16), 4)
+
+
+class TestSpectrum:
+    """The windowed readout against the full-grid readout it replaced."""
+
+    @staticmethod
+    def _full_grid_bins(values, n_max):
+        # every bin scaled and twiddled, then the band read out
+        m = len(values)
+        n = frequencies(m)
+        fhat = np.fft.fft(values) / m * ((-1.0) ** n * np.exp(-1j * np.pi * n / m))
+        return fhat[np.arange(-n_max, n_max + 1)]
+
+    @staticmethod
+    def assert_same_bytes(values, n_max):
+        window, full = spectrum(values, n_max), TestSpectrum._full_grid_bins(values, n_max)
+        assert np.array_equal(window, full)
+        assert window.tobytes() == full.tobytes()  # signed zeros included
+
+    @pytest.mark.parametrize("m, n_max", [(8, 0), (8, 3), (64, 31), (1172, 50),
+                                          (4096, 35), (4096, 2047), (262144, 35)])
+    def test_window_equals_full_grid_bins(self, rng, m, n_max):
+        self.assert_same_bytes(rng.standard_normal(m) + 1j * rng.standard_normal(m), n_max)
+
+    def test_model_samples(self):
+        phi1 = model.phi1_values(model.params_from_k(17), offset_grid(65536))
+        self.assert_same_bytes(phi1, 35)
+
+    @pytest.mark.parametrize("n_max", [-1, 4, 100])
+    def test_band_wider_than_grid_raises(self, n_max):
+        with pytest.raises(ValueError, match="does not fit"):
+            spectrum(np.ones(8), n_max)
 
 
 class TestSynthesize:
