@@ -31,6 +31,16 @@ REALITY_TOL = 1e-10
 #: |z| >= 1 - ROOT_TOL is the zero-location gate (boundary case Im t = 0 passes)
 ROOT_TOL = 1e-9
 
+#: cap on the sweeps of the Aberth iteration in polynomial_roots
+MAX_SWEEPS = 100
+
+#: entries of the power block one chunk of an Aberth sweep may hold
+_CHUNK_ELEMENTS = 2 ** 15
+
+#: roots closer than this (balanced coordinates) are one multiple root; see
+#: _refine_root_clusters for the wider reach of ill-conditioned ones
+_CLUSTER_TOL = 1e-5
+
 
 def _check_grid_size(m_samples: int) -> None:
     """Raise ValueError unless m_samples is a positive multiple of 4."""
@@ -180,26 +190,160 @@ def cos_sin_coefficients(values, n_max: int) -> tuple[np.ndarray, np.ndarray]:
     return a, b
 
 
-def _companion_eigenvalues(coeffs: np.ndarray) -> np.ndarray:
-    """Eigenvalues of the real companion matrix of sum_m coeffs[m] z^m (monic-scaled)."""
-    d = len(coeffs) - 1
-    comp = np.zeros((d, d))
-    comp[1:, :-1] = np.eye(d - 1)
-    comp[:, -1] = -coeffs[:-1] / coeffs[-1]
-    return np.linalg.eigvals(comp).astype(complex)
+def _start_points(q: np.ndarray) -> np.ndarray:
+    """Bini's starting points for the Aberth iteration on sum_j q[j] w^j.
+
+    Each edge of the upper convex hull of (j, log|q_j|) from vertex j0 to j1
+    carries j1 - j0 starts on the circle of radius
+    (|q_j0| / |q_j1|)^(1 / (j1 - j0)), the Newton-polygon estimate of that many
+    root moduli.  A balanced polynomial with no wide modulus spread has one
+    edge, the unit circle.  The angular offset keeps starts off the symmetric
+    configurations (such as the roots of w^d + 1 for w^d - 1) on which the
+    iteration cycles.
+    """
+    nonzero = np.flatnonzero(q)
+    log_q = np.log(np.abs(q[nonzero]))
+    hull = []  # upper hull by the monotone chain, left to right
+    for j, lq in zip(nonzero.tolist(), log_q.tolist()):
+        while len(hull) >= 2:
+            (j0, l0), (j1, l1) = hull[-2], hull[-1]
+            if (l1 - l0) * (j - j0) > (lq - l0) * (j1 - j0):
+                break
+            hull.pop()
+        hull.append((j, lq))
+    d = len(q) - 1
+    starts = []
+    for (j0, l0), (j1, l1) in zip(hull, hull[1:]):
+        n = j1 - j0
+        angle = 2.0 * np.pi * (np.arange(n) / n + j0 / d) + 0.7
+        starts.append(np.exp((l0 - l1) / n + 1j * angle))
+    return np.concatenate(starts)
 
 
-def _newton(p: np.ndarray, dp: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Newton on p from every start in x at once; each start stops on its own."""
-    polyval = np.polynomial.polynomial.polyval
+def _powers(z: np.ndarray, d: int) -> np.ndarray:
+    """The block z[i]^j at row j, column i, j = 0..d, by doubling.
+
+    Each entry is O(log d) products from z, and every product writes a
+    contiguous run of rows.
+    """
+    out = np.empty((d + 1, len(z)), dtype=complex)
+    out[0] = 1.0
+    filled = 1
+    while filled <= d:
+        width = min(filled, d + 1 - filled)
+        np.multiply(out[:width], out[filled - 1] * z, out=out[filled:filled + width])
+        filled += width
+    return out
+
+
+def _weights(q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The columns :func:`_scaled_values` reads for p = sum_j q[j] x^j.
+
+    q, j q and both reversed (complex), and |q| and its reverse (real).
+    """
+    jq = np.arange(len(q)) * q
+    return (np.stack((q, jq, q[::-1], jq[::-1]), axis=1).astype(complex),
+            np.abs(np.stack((q, q[::-1]), axis=1)))
+
+
+def _scaled_values(weights: tuple[np.ndarray, np.ndarray],
+                   x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """p(x), x p'(x) and sum_j |q_j| |x|^j, each times min(1, |x|^-d).
+
+    A point with |x| > 1 is evaluated on the powers of 1/x against the
+    reversed coefficients, so no power exceeds one in modulus and nothing
+    overflows.  The common scale cancels in the Newton ratio p / p' =
+    x P / G and in the backward error |P| / B.
+    """
+    values, bounds = weights
+    outside = np.abs(x) > 1.0
+    powers = _powers(np.divide(1.0, x, out=x.copy(), where=outside), len(values) - 1)
+    p, g, p_rev, g_rev = values.T @ powers
+    bound, bound_rev = bounds.T @ np.abs(powers)
+    return (np.where(outside, p_rev, p), np.where(outside, g_rev, g),
+            np.where(outside, bound_rev, bound))
+
+
+def _converged(p: np.ndarray, bound: np.ndarray, d: int) -> np.ndarray:
+    """Stopping rule: computed |p(x)| <= 2 d eps sum_j |q_j| |x|^j (scaled values).
+
+    That is half the backward-error gate of 4 d eps; the other half covers
+    the round-off of evaluating p, so the exact backward error meets the gate.
+    """
+    return np.abs(p) <= 2.0 * d * np.finfo(float).eps * bound
+
+
+def _aberth_sweep(weights: tuple[np.ndarray, np.ndarray], w: np.ndarray,
+                  newton: np.ndarray, active: np.ndarray) -> np.ndarray:
+    """One sweep of the Aberth iteration over the roots w[active], in place.
+
+    The correction is x P / (G - x P S) (:func:`_scaled_values`), with S the
+    sum of 1 / (x - w_k) over the other roots.  A root that meets
+    :func:`_converged` stays where it is and leaves the active set, and
+    newton records its |p / p'| there.  Rows go in chunks of about
+    _CHUNK_ELEMENTS entries, which bounds the temporaries; each chunk
+    already sees the roots the chunks before it moved.  Returns the indices
+    that are still active.
+    """
+    d = len(w)
+    rows_per_chunk = max(1, _CHUNK_ELEMENTS // (d + 1))
+    still = []
+    for lo in range(0, len(active), rows_per_chunk):
+        rows = active[lo:lo + rows_per_chunk]
+        x = w[rows]
+        p, g, bound = _scaled_values(weights, x)
+        moving = ~_converged(p, bound, d)
+        newton[rows[~moving]] = np.abs(x * p / g)[~moving]
+        rows, x, xp, g = rows[moving], x[moving], x[moving] * p[moving], g[moving]
+        re = np.subtract.outer(x.real, w.real)
+        im = np.subtract.outer(x.imag, w.imag)
+        inv = re * re + im * im
+        inv[np.arange(len(rows)), rows] = np.inf  # the root itself
+        np.reciprocal(inv, out=inv)
+        step = xp / (g - xp * ((re * inv).sum(axis=1) - 1j * (im * inv).sum(axis=1)))
+        w[rows] = np.where(np.isfinite(step), x - step, x)
+        still.append(rows)
+    return np.concatenate(still)
+
+
+def _aberth(q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """All roots of sum_j q[j] w^j (q[0], q[-1] nonzero), each meeting :func:`_converged`.
+
+    Returns the roots and |p / p'| at each, the length of a Newton step
+    there: about the root's distance to the exact root, or a 1/m part of it
+    next to a root of multiplicity m.
+
+    Raises
+    ------
+    ValueError
+        If a root is left unconverged after MAX_SWEEPS sweeps.
+    """
+    weights = _weights(q)
+    w = _start_points(q)
+    newton = np.empty(len(w))
+    active = np.arange(len(w))
+    with np.errstate(all="ignore"):  # a coincident iterate's non-finite step is dropped
+        for _ in range(MAX_SWEEPS):
+            active = _aberth_sweep(weights, w, newton, active)
+            if len(active) == 0:
+                return w, newton
+    raise ValueError(f"root finder did not converge for the degree-{len(w)} polynomial "
+                     f"in {MAX_SWEEPS} sweeps")
+
+
+def _newton(weights: tuple[np.ndarray, np.ndarray], x: np.ndarray) -> np.ndarray:
+    """Newton from every start in x at once (:func:`_weights` of the polynomial).
+
+    Each start stops on its own, once its step falls to round-off.
+    """
     x = x.copy()
     active = np.arange(len(x))
     for _ in range(60):
         xa = x[active]
-        fx, dfx = polyval(xa, p), polyval(xa, dp)
-        moving = dfx != 0
+        p, g, _ = _scaled_values(weights, xa)
+        moving = g != 0
         step = np.zeros_like(xa)
-        step[moving] = fx[moving] / dfx[moving]
+        step[moving] = xa[moving] * p[moving] / g[moving]
         x[active] = xa = xa - step
         active = active[moving & (np.abs(step) > 1e-15 * (1.0 + np.abs(xa)))]
         if len(active) == 0:
@@ -207,47 +351,118 @@ def _newton(p: np.ndarray, dp: np.ndarray, x: np.ndarray) -> np.ndarray:
     return x
 
 
-def _refine_root_clusters(coeffs: np.ndarray, roots: np.ndarray) -> np.ndarray:
-    """Polish companion eigenvalues; multiple roots via the derivative chain.
+def _clusters(roots: np.ndarray, reach: np.ndarray) -> list[np.ndarray]:
+    """Index sets of two or more roots closer to the set's first member than both reaches.
 
-    A cluster of m eigenvalues within 1e-5 is treated as one root of
-    multiplicity m and refined by Newton iteration on the (m-1)-th derivative,
-    where it is simple.  Raw companion eigenvalues of a double root carry
-    O(sqrt(eps)) ~ 1e-8 errors, too coarse for the unit-circle gate.  Clusters
-    of one multiplicity are polished together.
+    Roots i and j are close when |roots[i] - roots[j]| < reach[i] + reach[j].
+    Sorted by real part, only neighbours that close in real part can be that
+    close, so the offsets scanned stop at the widest run of such neighbours,
+    usually a few.  Each set then grows from its first member in root order.
     """
-    used = np.zeros(len(roots), dtype=bool)
+    order = np.argsort(roots.real, kind="stable")
+    ordered, reach_ordered = roots[order], reach[order]
+    close_ordered = np.zeros(len(roots), dtype=bool)
+    for offset in range(1, len(roots)):
+        gap = ordered.real[offset:] - ordered.real[:-offset]
+        if not np.any(gap < 2.0 * np.max(reach)):
+            break
+        near = (np.abs(ordered[offset:] - ordered[:-offset])
+                < reach_ordered[offset:] + reach_ordered[:-offset])
+        close_ordered[offset:] |= near
+        close_ordered[:-offset] |= near
+    close = np.empty_like(close_ordered)
+    close[order] = close_ordered
+    used = ~close
     clusters = []
-    for i in range(len(roots)):
+    for i in np.flatnonzero(close).tolist():
         if not used[i]:
-            members = ~used & (np.abs(roots - roots[i]) < 1e-5)
+            members = ~used & (np.abs(roots - roots[i]) < reach + reach[i])
             used |= members
-            clusters.append(roots[members])
-    mult = np.array([len(cl) for cl in clusters])
-    x0 = np.array([cl.mean() for cl in clusters])
+            clusters.append(np.flatnonzero(members))
+    return clusters
+
+
+def _refine_root_clusters(c: np.ndarray, roots: np.ndarray, newton: np.ndarray,
+                          tol: float) -> np.ndarray:
+    """Polish the multiple and the real roots of sum_m c[m] z^m.
+
+    A cluster of m roots (:func:`_clusters`) is treated as one root of
+    multiplicity m and refined by Newton iteration on the (m-1)-th
+    derivative, where it is simple: the backward-error gate of the iteration
+    leaves a double root with O(sqrt(eps)) errors, too coarse for the
+    unit-circle gate.  Each root reaches tol / 2, or four Newton steps
+    (newton, :func:`_aberth`) where that is more, up to 50 tol: the
+    approximations of an m-fold root lie about m Newton steps from it, at
+    most 2 m apart, and this holds them together for m <= 4 however far
+    ill-conditioning leaves them.  A root in no cluster within its reach of
+    the real axis is real, as its conjugate would be in its cluster; it and
+    any cluster centred within tol / 2 of the axis are refined from their
+    real part, so they stay real.  Other simple roots are kept as they are.
+    Roots of one multiplicity are polished together; where Newton does not
+    lower the backward error, or moves further than 100 tol, the start is
+    kept.
+    """
+    reach = np.fmin(np.fmax(4.0 * newton, tol / 2), 50.0 * tol)
+    clusters = _clusters(roots, reach)
+    clustered = np.zeros(len(roots), dtype=bool)
+    for members in clusters:
+        clustered[members] = True
+    real = ~clustered & (np.abs(roots.imag) < reach)
+    clusters += np.flatnonzero(real)[:, None].tolist()
+    if not clusters:
+        return roots
+    mult = np.array([len(members) for members in clusters])
+    x0 = np.array([roots[members].mean() for members in clusters])
+    x0 = np.where(np.abs(x0.imag) < tol / 2, x0.real, x0)
     poly = np.polynomial.polynomial  # loaded on first use, not at import
-    derivs = [poly.polyder(coeffs, j) for j in range(mult.max() + 1)]
-    x = np.empty_like(x0)
+    roots = roots.copy()
     for mu in set(mult.tolist()):
-        sel = mult == mu
-        p, start = derivs[mu - 1], x0[sel]
-        polished = _newton(p, derivs[mu], start)
-        # keep the eigenvalue cluster mean where refinement did not improve
-        worse = ((np.abs(poly.polyval(polished, p)) > np.abs(poly.polyval(start, p)))
-                 | (np.abs(polished - start) > 1e-3))
-        x[sel] = np.where(worse, start, polished)
-    return np.repeat(x, mult)
+        sel = np.flatnonzero(mult == mu)
+        weights, start = _weights(poly.polyder(c, mu - 1)), x0[sel]
+        polished = _newton(weights, start)
+        p, _, bound = _scaled_values(weights, np.concatenate((polished, start)))
+        p, n = np.abs(p), len(sel)  # polished first, then start
+        worse = (p[:n] * bound[n:] > p[n:] * bound[:n]) | (np.abs(polished - start) > 100 * tol)
+        for i, x in zip(sel.tolist(), np.where(worse, start, polished)):
+            roots[clusters[i]] = x
+    return roots
+
+
+def _conjugate_closed(w: np.ndarray) -> np.ndarray:
+    """The roots w of a real polynomial as a set closed under conjugation.
+
+    If as many roots lie above the real axis as below, the lower ones are
+    replaced by the conjugates of the upper ones, both taken in order of
+    real part: the same roots up to the round-off of the iteration.
+    Otherwise the roots are left as they are.
+    """
+    upper, lower = np.flatnonzero(w.imag > 0), np.flatnonzero(w.imag < 0)
+    if len(upper) == len(lower):
+        w = w.copy()
+        w[lower[np.argsort(w[lower].real)]] = w[upper[np.argsort(w[upper].real)]].conj()
+    return w
 
 
 def polynomial_roots(c: np.ndarray) -> np.ndarray:
-    """All roots of P(z) = sum_m c[m] z^m via companion-matrix eigenvalues.
+    """All roots of P(z) = sum_m c[m] z^m by the Aberth-Ehrlich iteration.
 
     Only trailing coefficients that are exactly zero are trimmed: a small
     leading coefficient is genuine and carries roots far from the circle
-    (z^400 - 1.1^400 has c_400 / c_0 ~ 3e-17).  The eigensolve runs on
+    (z^400 - 1.1^400 has c_400 / c_0 ~ 3e-17).  The iteration runs on
     P(rho w) with rho = |c_0 / c_d|^(1/d), the geometric mean of the root
     moduli, which balances the coefficients; leading zero coefficients are
-    roots at z = 0.  Clustered eigenvalues are polished to full accuracy.
+    roots at z = 0.  Each root stops once it meets the backward-error gate
+    (:func:`_converged`).  Multiple and real roots are then polished on the
+    coefficients c themselves (:func:`_refine_root_clusters`): the balancing
+    perturbs them by O(|log(c_m / c_0)| eps), which can move a double root
+    by ~1e-12.  The roots off the real axis come in exact conjugate pairs
+    where the count allows (:func:`_conjugate_closed`).
+
+    Raises
+    ------
+    ValueError
+        If c is all zero, or if a root misses the gate after MAX_SWEEPS
+        sweeps.
     """
     c = np.asarray(c, dtype=float)
     nonzero = np.flatnonzero(c)
@@ -262,8 +477,11 @@ def polynomial_roots(c: np.ndarray) -> np.ndarray:
     log_c = np.log(np.abs(c), out=np.full(d + 1, -np.inf), where=c != 0)
     log_rho = (log_c[0] - log_c[-1]) / d
     q = np.sign(c) * np.exp(log_c - log_c[0] + log_rho * np.arange(d + 1))
-    roots = np.exp(log_rho) * _refine_root_clusters(q, _companion_eigenvalues(q))
-    return np.concatenate((at_zero, roots))
+    rho = np.exp(log_rho)
+    c = np.ldexp(c, -np.frexp(np.max(np.abs(c)))[1])  # exactly, so that m c_m cannot overflow
+    w, newton = _aberth(q)
+    roots = _refine_root_clusters(c, rho * w, rho * newton, rho * _CLUSTER_TOL)
+    return np.concatenate((at_zero, _conjugate_closed(roots)))
 
 
 @dataclass(frozen=True)

@@ -4,9 +4,12 @@ The oracles here deliberately avoid the code paths they are used to check:
 
 * ``pv_hilbert_oracle``   brute-force principal-value quadrature on a dense
   grid with symmetric singularity exclusion (no FFT, no interleaving trick).
+* ``companion_roots``   polynomial roots as eigenvalues of the companion
+  matrix, multiple roots polished by Newton on a derivative (no Aberth
+  iteration, no balancing, no code from the package).
 * ``conjugate_pair_from_roots``   boundary log-modulus and conjugate phase of
-  a helicity polynomial assembled factor by factor from its roots (no Hilbert
-  transform, no phase unwrapping).
+  a helicity polynomial assembled factor by factor from its ``companion_roots``
+  (no Hilbert transform, no phase unwrapping).
 * ``log_series_coefficients_newton``   the positive-frequency log expansion
   coefficients C_n = A_n = B_n from Newton power-sum identities applied to the
   reversed polynomial (no sampling, no Fourier analysis).
@@ -22,7 +25,7 @@ import json
 import numpy as np
 import pytest
 
-from cyclicphase.trigpoly import offset_grid, polynomial_roots
+from cyclicphase.trigpoly import offset_grid
 
 
 def pv_hilbert_oracle(f, s0, m_dense=200_001):
@@ -37,9 +40,46 @@ def pv_hilbert_oracle(f, s0, m_dense=200_001):
     return float(np.sum(f(sp) * kernel) * h)
 
 
+def companion_roots(c):
+    """Roots of sum_m c[m] z^m (c[0], c[-1] nonzero) from the companion matrix.
+
+    The eigenvalues are polished by Newton iteration: a group of mu
+    eigenvalues within 1e-5 of its first member is one root of multiplicity
+    mu, refined on the (mu-1)-th derivative, where it is simple; eigenvalues
+    of a double root carry O(sqrt(eps)) errors.  A polish that does not lower
+    the residual, or that overflows, keeps the eigenvalue (group mean).
+    """
+    c = np.asarray(c, dtype=float)
+    poly = np.polynomial.polynomial
+    d = len(c) - 1
+    comp = np.zeros((d, d))
+    comp[1:, :-1] = np.eye(d - 1)
+    comp[:, -1] = -c[:-1] / c[-1]
+    eig = np.linalg.eigvals(comp).astype(complex)
+    roots = np.empty(d, dtype=complex)
+    left = np.ones(d, dtype=bool)
+    while left.any():
+        group = left & (np.abs(eig - eig[np.argmax(left)]) < 1e-5)
+        left &= ~group
+        p = poly.polyder(c, np.count_nonzero(group) - 1)
+        dp = poly.polyder(p)
+        x = start = eig[group].mean()
+        with np.errstate(all="ignore"):  # Horner overflows far out; such a polish is dropped
+            for _ in range(50):
+                step = poly.polyval(x, p) / poly.polyval(x, dp)
+                if not np.isfinite(step):
+                    break
+                x -= step
+                if abs(step) <= 1e-15 * (1.0 + abs(x)):
+                    break
+            better = abs(poly.polyval(x, p)) <= abs(poly.polyval(start, p))
+        roots[group] = x if better and abs(x - start) < 1e-3 else start
+    return roots
+
+
 def conjugate_pair_from_roots(c, s, unit_tol=1e-8):
     """(log|chi/c0|, conjugate phase) on the grid, from the root factorisation."""
-    roots = polynomial_roots(np.asarray(c, dtype=float))
+    roots = companion_roots(c)
     z = np.exp(1j * np.asarray(s))
     log_mod = np.zeros(len(s))
     phase = np.zeros(len(s))

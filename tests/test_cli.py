@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import csv_oracle
-from cyclicphase import experiments, model
+from cyclicphase import experiments, model, trigpoly
 from cyclicphase.cli import MAX_RK4_STEPS, main
 
 
@@ -66,6 +66,13 @@ class TestValidation:
                                "--n-max", "300000000")
         assert code == 1
         assert err.startswith("error:") and "ceiling" in err
+        assert err.count("\n") == 1
+
+    def test_unconverged_roots_exit_1(self, capsys, monkeypatch):
+        monkeypatch.setattr(trigpoly, "MAX_SWEEPS", 1)
+        code, _, err = run_cli(capsys, "reciprocity", "--k", "17", "--grid-size", "4096")
+        assert code == 1
+        assert err.startswith("error:") and "degree-70" in err and "converge" in err
         assert err.count("\n") == 1
 
     def test_vanishing_non_cyclic_c0_exits_1(self, capsys):

@@ -7,12 +7,13 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from conftest import companion_roots
 from cyclicphase import hilbert, model, trigpoly
 from cyclicphase.trigpoly import (
     HelicitySeries,
-    _companion_eigenvalues,
-    _refine_root_clusters,
     frequencies,
     offset_grid,
     polynomial_roots,
@@ -267,6 +268,20 @@ class TestPolynomialValues:
             polynomial_values(np.ones(3), 6)
 
 
+def backward_error(c, z):
+    """|P(z)| / sum_m |c_m| |z|^m by Horner in long double, reversed where |z| > 1."""
+    c = np.asarray(c, dtype=np.longdouble)
+    z = np.asarray(z, dtype=np.clongdouble)
+    outside = np.abs(z) > 1
+    z = np.where(outside, 1 / z, z)
+    value = np.zeros(len(z), dtype=np.clongdouble)
+    bound = np.zeros(len(z), dtype=np.longdouble)
+    for cm, cm_rev in zip(c[::-1], c):  # P(z) z^-d = sum_m c_m (1/z)^(d-m)
+        value = value * z + np.where(outside, cm_rev, cm)
+        bound = bound * np.abs(z) + np.abs(np.where(outside, cm_rev, cm))
+    return np.abs(value) / bound
+
+
 class TestRootCheck:
     def test_k1_model_roots(self):
         result = root_check(HelicitySeries(K1_C))
@@ -337,15 +352,74 @@ class TestRootCheck:
 
     @pytest.mark.parametrize("k", [1, 17, 50, 100])
     def test_scaling_keeps_model_roots(self, k):
-        # the unscaled companion eigensolve, polished the same way, as reference
+        # the unscaled companion eigensolve with its own polish as reference
         params = model.params_from_k(k)
         c = model.evaluate_model(params, 4 * params.n_harmonic + 4).helicity.c
-        unscaled = _refine_root_clusters(c, _companion_eigenvalues(c))
+        unscaled = companion_roots(c)
         roots = polynomial_roots(c)
         dist = np.abs(roots[:, None] - unscaled[None, :])
         assert len(roots) == len(unscaled) == 2 * params.n_harmonic
         assert np.max(np.min(dist, axis=1)) <= 1e-13
         assert np.max(np.min(dist, axis=0)) <= 1e-13
+
+    def test_unconverged_roots_raise_naming_the_degree(self, monkeypatch):
+        monkeypatch.setattr(trigpoly, "MAX_SWEEPS", 1)
+        params = model.params_from_k(17)
+        c = model.evaluate_model(params, 4 * params.n_harmonic + 4).helicity.c
+        with pytest.raises(ValueError, match=r"^root finder did not converge for the "
+                                             r"degree-70 polynomial in 1 sweeps$"):
+            polynomial_roots(c)
+
+    def test_start_on_a_double_root_raises_no_warning(self):
+        # the first start point sits on the double root e^{0.7i}, where p = p' = 0
+        pair = np.array([1.0, -2.0 * np.cos(0.7), 1.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            roots = polynomial_roots(np.convolve(pair, pair))
+        for root in (np.exp(0.7j), np.exp(-0.7j)):
+            assert np.count_nonzero(np.abs(roots - root) <= 1e-12) == 2
+
+    @settings(max_examples=40, deadline=None)
+    @given(pairs=st.lists(st.tuples(st.floats(1.02, 3.0), st.floats(-0.4, 0.4)),
+                          min_size=1, max_size=55),
+           double=st.booleans(), inside=st.sampled_from([None, -0.9, -0.5, 0.3, 0.8]))
+    def test_prescribed_roots_property(self, pairs, double, inside):
+        # conjugate pairs outside the disk at spread angles, optionally times
+        # (z^2 + 1)^2 and one real root inside the disk; degree <= 115.  The
+        # pairs keep 0.25 rad off +-i: a simple root next to a double root at
+        # +-i leaves it so ill-conditioned that rounding the multiplied-out
+        # coefficients alone moves it by ~1e-12
+        modulus, jitter = np.array(pairs).T
+        theta = (np.pi - 0.5) * (np.arange(len(pairs)) + 0.5 + jitter) / len(pairs)
+        theta = np.where(theta > np.pi / 2 - 0.25, theta + 0.5, theta)
+        upper = modulus * np.exp(1j * theta)
+        prescribed = np.concatenate((upper, upper.conj(), [] if inside is None else [inside]))
+        c = np.polynomial.polynomial.polyfromroots(prescribed).real
+        if double:
+            c = np.convolve(c, [1.0, 0.0, 2.0, 0.0, 1.0])
+        roots = polynomial_roots(c)
+        d = len(c) - 1
+        assert len(roots) == d
+        assert np.max(backward_error(c, roots)) <= 4 * d * np.finfo(float).eps
+        if double:
+            for unit in (1j, -1j):
+                assert np.count_nonzero(np.abs(roots - unit) <= 1e-12) == 2
+        assert root_check(c).passed == (inside is None)
+
+    @settings(max_examples=30, deadline=None)
+    @given(degree=st.integers(1, 120), seed=st.integers(0, 2 ** 32 - 1))
+    def test_random_coefficients_vs_companion_oracle(self, degree, seed):
+        # judged by backward error: the roots of such polynomials can be too
+        # ill-conditioned for either solver to fix them to a distance
+        c = np.random.default_rng(seed).standard_normal(degree + 1)
+        roots, oracle = polynomial_roots(c), companion_roots(c)
+        assert len(roots) == len(oracle) == degree
+        assert np.max(backward_error(c, roots)) <= 4 * degree * np.finfo(float).eps
+        # the root set as a whole: coefficients rebuilt from it, against c
+        rebuilt = [np.max(np.abs(c[-1] * np.polynomial.polynomial.polyfromroots(r) - c))
+                   for r in (roots, oracle)]
+        scale = np.max(np.abs(c)) * degree * np.finfo(float).eps
+        assert rebuilt[0] <= 100 * max(rebuilt[1], scale)
 
     def test_recovers_prescribed_roots_at_degree_400(self, rng):
         # P(z) = (z^2 + 1)^2 prod_r (z - z_r)(z - conj z_r), |z_r| > 1, multiplied
