@@ -19,6 +19,7 @@ import errno
 import json
 import os
 from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -235,15 +236,16 @@ def run_reciprocity_case(params: model.ModelParams, grid_size: int,
         pk_direct = peak_positions(s, ph_direct)
         pk_rec = peak_positions(s, ph_rec)
         pairs, _, extra = match_peaks(pk_direct, pk_rec, max_distance=60 * h)
-        offsets = np.array([b - a for a, b in pairs]) if pairs else np.array([])
+        offsets = np.array([b - a for a, b in pairs])
         span = max((abs(a) for a, _ in pairs), default=0.0)
         gibbs = tuple(float(p) for p in np.sort(extra) if abs(p) > span)
         spacings = np.diff(pk_direct[np.abs(np.abs(pk_direct) - np.pi / 2) < 0.5])
         spacings = spacings[spacings < 0.5]
         peak_fields = dict(
             matched_peak_count=len(pairs),
-            max_peak_offset_cells=float(np.max(np.abs(offsets)) / h) if len(offsets) else 0.0,
-            median_peak_offset_cells=float(np.median(np.abs(offsets)) / h) if len(offsets) else 0.0,
+            # with no pair matched there is no offset to report, not a zero one
+            max_peak_offset_cells=float(np.max(np.abs(offsets)) / h) if pairs else None,
+            median_peak_offset_cells=float(np.median(np.abs(offsets)) / h) if pairs else None,
             oscillation_period=float(np.median(spacings)) if len(spacings) else None,
             gibbs_peak_positions=gibbs,
         )
@@ -338,10 +340,14 @@ def report_to_dict(report) -> dict:
     return out
 
 
+def _columns(table: Table) -> list:
+    """Every column as a float64 array."""
+    return [np.asarray(table.data[c], dtype=float) for c in table.columns]
+
+
 def _cells(table: Table) -> tuple:
     """Every cell as a Python float, row after row."""
-    columns = [np.asarray(table.data[c], dtype=float) for c in table.columns]
-    return tuple(np.column_stack(columns).ravel().tolist())
+    return tuple(np.column_stack(_columns(table)).ravel().tolist())
 
 
 def check_writable(path) -> Path:
@@ -363,11 +369,13 @@ def check_writable(path) -> Path:
     return path
 
 
-def _write(path, text: str) -> Path:
-    """Write ASCII text to path, creating missing parent directories."""
+def _write(path, chunks) -> Path:
+    """Write the byte chunks to path, creating missing parent directories."""
     path = check_writable(path)
     try:
-        path.write_text(text, encoding="ascii")
+        with open(path, "wb") as f:
+            for chunk in chunks:
+                f.write(chunk)
     except OSError as exc:
         raise OSError(f"failed writing {path}: {exc}") from exc
     return path
@@ -378,9 +386,12 @@ def write_csv(table: Table, path) -> Path:
 
     Returns the path written; missing parent directories are created.
     """
-    row = ",".join(["%.17g"] * len(table.columns)) + "\n"
-    header = ",".join(table.columns) + "\n"
-    return _write(path, header + (row * table.n_rows) % _cells(table))
+    # imported here, not with the package: commands that write no CSV never
+    # load the kernel or build its tables
+    from . import _csvtext
+
+    header = (",".join(table.columns) + "\n").encode("ascii")
+    return _write(path, chain([header], _csvtext.csv_body(_columns(table))))
 
 
 def _json_text(table: Table) -> str:
@@ -410,9 +421,9 @@ def emit_outputs(report, dataset: Table, path_prefix, fmt: str = "csv") -> list[
     if fmt == "csv":
         written = write_csv(dataset, target)
     else:
-        written = _write(target, _json_text(dataset))
+        written = _write(target, [_json_text(dataset).encode("ascii")])
     report_text = json.dumps(report_to_dict(report), indent=2) + "\n"
-    return [written, _write(report_path, report_text)]
+    return [written, _write(report_path, [report_text.encode("ascii")])]
 
 
 def output_paths(path_prefix, fmt: str = "csv") -> list[Path]:

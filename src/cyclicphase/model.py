@@ -259,10 +259,22 @@ def companion_amplitude(params: ModelParams, s,
 
 
 def analytic_state_pair(params: ModelParams, s) -> np.ndarray:
-    """Full doublet state (upper, lower) = (companion, phi1); unit norm."""
+    """Full doublet state (upper, lower) = (partner, phi1) in closed form; unit norm.
+
+    The partner is the amplitude ``companion_amplitude`` eliminates from the
+    Schrodinger equation, written out:
+
+        cos(2ks) sin(s) - sin(2ks) cos(s)/(2k) - i (g/2k) sin(2ks) sin(s)
+
+    so it carries no division by sin(2s).
+    """
     s = np.asarray(s, dtype=float)
-    phi1 = phi1_values(params, s)
-    return np.stack([companion_amplitude(params, s, phi1), phi1], axis=-1)
+    k, g = params.k, params.g
+    sin_2ks, sin_s = np.sin(2 * k * s), np.sin(s)
+    partner = (np.cos(2 * k * s) * sin_s
+               - sin_2ks * np.cos(s) / (2 * k)
+               - 1j * (g / (2 * k)) * sin_2ks * sin_s)
+    return np.stack([partner, phi1_values(params, s)], axis=-1)
 
 
 _FD8 = np.array([3.0, -32.0, 168.0, -672.0, 0.0, 672.0, -168.0, 32.0, -3.0]) / 840.0

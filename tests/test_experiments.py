@@ -120,6 +120,13 @@ class TestReciprocityCase:
         assert abs(report.oscillation_period - np.pi / (2 * report.k)) < 0.01
         assert report.gibbs_peak_positions is not None
 
+    def test_no_matched_peak_reports_no_offset(self):
+        # the cell-sized matching windows shrink with the grid: none matches at 65536
+        report, _ = run_reciprocity_case(fig_params("fig3"), 65536)
+        assert report.matched_peak_count == 0
+        assert report.max_peak_offset_cells is None
+        assert report.median_peak_offset_cells is None
+
     def test_fig3_statistics_grid_invariant(self):
         p = fig_params("fig3")
         r1, _ = run_reciprocity_case(p, 16384)
@@ -319,3 +326,91 @@ class TestEmissionBytes:
         table = EDGE_TABLES["one row"]
         emitted(table, tmp_path / "a" / "b", "json")
         assert (tmp_path / "a" / "b" / "t.report.json").read_text() == "{}\n"
+
+
+def value_table(values, n_cols=3):
+    """The values row after row in n_cols columns (the last row padded with 0.0)."""
+    values = list(values)
+    values += [0.0] * (-len(values) % n_cols)
+    names = tuple(f"c{j}" for j in range(n_cols))
+    return Table(names, {c: values[j::n_cols] for j, c in enumerate(names)})
+
+
+def csv_matches_oracle(table, directory):
+    write_csv(table, directory / "t.csv")
+    return (directory / "t.csv").read_bytes() == oracle_bytes(table, "csv")
+
+
+def neighbours(x, steps=2):
+    """x and the `steps` doubles on either side of it."""
+    out = [x]
+    down = up = x
+    for _ in range(steps):
+        down, up = np.nextafter(down, -np.inf), np.nextafter(up, np.inf)
+        out += [float(down), float(up)]
+    return out
+
+
+class TestCsvAtVolume:
+    """write_csv on thousands of cells per table, against f"{x:.17g}" cell by cell.
+
+    The writer formats fast cells (1e-6 < |x| < 1e16) with exact integer
+    arithmetic and every other cell with one % call per block; these tables
+    cross that boundary, the digit-count and exponent boundaries, and the
+    block boundaries (9000 cells span two blocks).
+    """
+
+    @settings(max_examples=20, deadline=None)
+    @given(seed=st.integers(0, 2 ** 64 - 1))
+    def test_uniform_bit_patterns(self, tmp_path_factory, seed):
+        bits = np.random.default_rng(seed).integers(0, 2 ** 64, size=9000, dtype=np.uint64)
+        table = value_table(bits.view(np.float64))
+        assert csv_matches_oracle(table, tmp_path_factory.mktemp("bits"))
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2 ** 64 - 1), decade=st.integers(-8, 16))
+    def test_one_decade(self, tmp_path_factory, seed, decade):
+        rng = np.random.default_rng(seed)
+        values = rng.uniform(1.0, 10.0, 4096) * 10.0 ** decade * rng.choice([-1.0, 1.0], 4096)
+        table = value_table(values)
+        assert csv_matches_oracle(table, tmp_path_factory.mktemp("decade"))
+
+    def test_powers_of_ten_and_neighbours(self, tmp_path):
+        values = [v for p in range(-323, 309) for v in neighbours(float(f"1e{p}"))]
+        values = values + [-v for v in values]
+        assert csv_matches_oracle(value_table(values), tmp_path)
+
+    def test_carry_values(self, tmp_path):
+        # 17 nines parse to the doubles at a power of ten, where 17-digit rounding may carry
+        values = [v for p in range(-330, 309)
+                  for v in neighbours(float(f"9.9999999999999999e{p}"))]
+        assert csv_matches_oracle(value_table(values + [-v for v in values]), tmp_path)
+
+    def test_exact_tie_rounds_half_to_even(self, tmp_path):
+        # 1000000000000000.25 is a double halfway between two 17-digit decimals:
+        # %.17g keeps the even one
+        table = value_table([1000000000000000.25, -1000000000000000.75, 0.5, 2.5e-6])
+        write_csv(table, tmp_path / "t.csv")
+        text = (tmp_path / "t.csv").read_text()
+        assert text.splitlines()[1] == "1000000000000000.2,-1000000000000000.8,0.5"
+        assert text == oracle_bytes(table, "csv").decode()
+
+    def test_zeros_subnormals_and_non_finite(self, tmp_path):
+        special = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308,
+                   2.2250738585072014e-308, -1e-310, np.nan, -np.nan, np.inf, -np.inf,
+                   1e-6, -1e-6, 1e16, -1e16, 1e-7, 1e17]
+        values = [v for x in special for v in ([x] if not np.isfinite(x) or x == 0.0
+                                                else neighbours(x))]
+        # the same cells in every mix: alone, among fast cells, and as whole blocks
+        mixed = values + list(np.linspace(-3.0, 3.0, 50)) + values * 300
+        assert csv_matches_oracle(value_table(mixed, n_cols=7), tmp_path)
+
+    def test_float32_and_large_integer_columns(self, tmp_path):
+        rng = np.random.default_rng(7)
+        bits = rng.integers(0, 2 ** 32, size=6000, dtype=np.uint32)
+        bits[(bits >> 23) & 0xFF == 0xFF] = 0x7FC00000   # one quiet NaN: a signalling
+        f32 = bits.view(np.float32)                      # one warns when widened
+        big = [2 ** 53 + 1, 2 ** 60 + 12345, -(2 ** 62) - 3, 10 ** 17 + 1, 99999999999999999]
+        ints = np.array(big * 1200, dtype=np.int64)
+        table = Table(("f32", "i64", "py"), {"f32": f32, "i64": ints, "py": big * 1200})
+        assert csv_matches_oracle(table, tmp_path)

@@ -148,6 +148,15 @@ class TestIntegrateOde:
                                   [[0.0, 1.0], [0.0, 1.0]])
             assert np.array_equal(model.analytic_state_pair(p, 0.0), [0.0, 1.0])
 
+    @pytest.mark.parametrize("g", [np.sqrt(3.0), np.sqrt(1155.0), np.sqrt(1100.0), 2.0])
+    def test_closed_form_partner_solves_the_row(self, g):
+        # away from sin 2s = 0, where the eliminated partner divides by it
+        p = model.derive_params(g)
+        s = offset_grid(4096)
+        s = s[np.abs(np.sin(2 * s)) >= 0.05]
+        partner = model.analytic_state_pair(p, s)[:, 0]
+        assert np.max(np.abs(partner - model.companion_amplitude(p, s))) <= 1e-12
+
     def test_large_step_reports_drift_and_returns(self):
         p = model.derive_params(np.sqrt(1155.0))
         traj = model.integrate_ode(p, np.array([0.0, 1.0], dtype=complex),
