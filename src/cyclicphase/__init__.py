@@ -11,7 +11,6 @@ from .trigpoly import (
 from .hilbert import (
     ConjugateCoefficients,
     EqualityReport,
-    PhaseModulusPair,
     UnwrapResult,
     coefficient_equality_check,
     log_coefficients,

@@ -213,27 +213,24 @@ def cmd_sweep(args) -> int:
          "omega": args.omega, "out": args.out}))
     if args.out:  # before the first k is computed
         experiments.check_writable(args.out)
-    rows = {"k": [], "g": [], "cyclic": [], "rms_phase_error": [],
-            "rms_logmod_error": [], "berry_predicted": [], "berry_measured": [],
-            "root_check_pass": []}
+    reports = []
     for params in params_list:
         report, _ = experiments.run_reciprocity_case(params, grid)
-        rows["k"].append(params.k)
-        rows["g"].append(params.g)
-        rows["cyclic"].append(float(params.cyclic))
-        rows["rms_phase_error"].append(report.rms_phase_error)
-        rows["rms_logmod_error"].append(report.rms_logmod_error)
-        rows["berry_predicted"].append(report.berry_predicted if params.cyclic else np.nan)
-        rows["berry_measured"].append(report.berry_measured if params.cyclic else np.nan)
-        rows["root_check_pass"].append(float(report.root_check_pass)
-                                       if report.root_check_pass is not None else np.nan)
+        reports.append(report)
         print(f"k={params.k:<10.6g} cyclic={params.cyclic!s:5}  "
               f"rms_phase={report.rms_phase_error:.3e}  "
               f"rms_logmod={report.rms_logmod_error:.3e}  "
               + (f"berry: {report.berry_measured:.6f}/{report.berry_predicted:.6f}"
                  if params.cyclic else "berry: n/a (non-cyclic)"))
     if args.out:
-        table = experiments.Table(tuple(rows), {c: np.asarray(v) for c, v in rows.items()})
+        # one column per report field; None (a cyclic-only field of a
+        # non-cyclic run) is written as NaN, a bool as 0/1
+        columns = ("k", "g", "cyclic", "rms_phase_error", "rms_logmod_error",
+                   "berry_predicted", "berry_measured", "root_check_pass")
+        table = experiments.Table(columns, {
+            c: np.array([np.nan if getattr(r, c) is None else float(getattr(r, c))
+                         for r in reports])
+            for c in columns})
         experiments.write_csv(table, args.out)
         print(f"wrote {args.out}")
     return 0

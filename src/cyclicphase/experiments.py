@@ -200,12 +200,22 @@ def run_reciprocity_case(params: model.ModelParams, grid_size: int,
                        gibbs_peak_positions=None)
 
     if params.cyclic:
-        n = params.n_harmonic
         lm_direct = signals.log_modulus
         ph_direct = signals.phase_chi
-        pair = hilbert.PhaseModulusPair.from_samples(s, lm_direct, ph_direct)
-        ph_rec = pair.reconstruct_phase(method, fejer_order)
-        lm_rec = pair.reconstruct_modulus(method, fejer_order)
+    else:
+        n_eff = 2 * int(round(params.k)) + 1
+        chi = np.exp(1j * n_eff * s) * signals.phi1
+        c0 = np.mean(chi)
+        if c0 == 0.0:
+            raise ValueError(f"c_0 = mean(e^(i N_eff s) phi1) vanishes for N_eff = "
+                             f"{n_eff}; log expansion undefined")
+        lm_direct = np.log(np.abs(chi / c0))
+        ph_direct, slope = _detrended_phase(np.angle(chi / c0), s)
+    ph_rec = hilbert.phase_from_modulus(lm_direct - lm_direct.mean(), method, fejer_order)
+    lm_rec = hilbert.modulus_from_phase(ph_direct - ph_direct.mean(), method, fejer_order)
+
+    if params.cyclic:
+        n = params.n_harmonic
         phase_direct_out = signals.phase_physical
         phase_rec_out = ph_rec + (params.g - n) * s
         berry_pred = model.berry_phase_predicted(params)
@@ -216,17 +226,6 @@ def run_reciprocity_case(params: model.ModelParams, grid_size: int,
         root_pass = trigpoly.root_check(signals.helicity).passed
         notes.append(f"cyclic drive: N = {n}, c_0 = {signals.c0:.12g}")
     else:
-        n_eff = 2 * int(round(params.k)) + 1
-        chi = np.exp(1j * n_eff * s) * signals.phi1
-        c0 = np.mean(chi)
-        if c0 == 0.0:
-            raise ValueError(f"c_0 = mean(e^(i N_eff s) phi1) vanishes for N_eff = "
-                             f"{n_eff}; log expansion undefined")
-        lm_direct = np.log(np.abs(chi / c0))
-        ph_direct, slope = _detrended_phase(np.angle(chi / c0), s)
-        pair = hilbert.PhaseModulusPair.from_samples(s, lm_direct, ph_direct)
-        ph_rec = pair.reconstruct_phase(method, fejer_order)
-        lm_rec = pair.reconstruct_modulus(method, fejer_order, trend_tolerance=None)
         phase_direct_out = ph_direct
         phase_rec_out = ph_rec
         notes.append(
@@ -342,7 +341,8 @@ def report_to_dict(report) -> dict:
 
 def _columns(table: Table) -> list:
     """Every column as a float64 array."""
-    return [np.asarray(table.data[c], dtype=float) for c in table.columns]
+    with np.errstate(invalid="ignore"):  # a float32 signalling NaN widens to a quiet one
+        return [np.asarray(table.data[c], dtype=float) for c in table.columns]
 
 
 def _cells(table: Table) -> tuple:

@@ -123,95 +123,34 @@ def periodic_hilbert(samples, method: str = "series",
 
 
 def phase_from_modulus(log_modulus, method: str = "series",
-                       fejer_order: int | None = None,
-                       mean_bound: float | None = None,
-                       return_mean: bool = False):
+                       fejer_order: int | None = None) -> np.ndarray:
     """Reconstruct arg(chi/c_0) from samples of log|chi/c_0|.
 
-    The input mean is subtracted first (the expansion of log(chi/c_0) has no
-    constant term); the subtracted value estimates any residual log c_0
-    normalisation error and is returned when ``return_mean`` is set.
-
-    Raises
-    ------
-    ValueError
-        If ``mean_bound`` is given and the subtracted mean exceeds it
-        (signals an inconsistent c_0 normalisation).
+    The input mean is subtracted first: the expansion of log(chi/c_0) has no
+    constant term.
     """
     f = _check_real_finite(log_modulus)
-    mean = float(f.mean())
-    if mean_bound is not None and abs(mean) > mean_bound:
-        raise ValueError(
-            f"log-modulus mean {mean:.3e} exceeds bound {mean_bound:.3e}: "
-            f"inconsistent c_0 normalisation"
-        )
-    phase = -periodic_hilbert(f - mean, method, fejer_order) / np.pi
-    return (phase, mean) if return_mean else phase
+    return -periodic_hilbert(f - f.mean(), method, fejer_order) / np.pi
 
 
 def modulus_from_phase(phase, method: str = "series",
-                       fejer_order: int | None = None,
-                       trend_tolerance: float | None = np.pi) -> np.ndarray:
+                       fejer_order: int | None = None) -> np.ndarray:
     """Reconstruct log|chi/c_0| from samples of the unwrapped arg(chi/c_0).
 
     The input must be of bounded variation over the period: a linear trend
     makes the underlying infinite-range principal-value integral diverge.
-    Trends are detected from the endpoint mismatch and rejected; pass
-    ``trend_tolerance=None`` to proceed anyway (non-cyclic pipelines do, and
-    must flag the violation themselves).
+    A trend is detected from the endpoint mismatch and rejected above pi;
+    remove it before calling (the non-cyclic pipeline detrends its phase, which
+    leaves a round-off mismatch).
     """
     f = _check_real_finite(phase)
     mismatch = float(f[-1] - f[0])
-    if trend_tolerance is not None and abs(mismatch) > trend_tolerance:
+    if abs(mismatch) > np.pi:
         raise ValueError(
-            f"phase endpoint mismatch {mismatch:.3f} rad exceeds "
-            f"{trend_tolerance:.3f}: linear trend detected; remove it before "
-            f"applying the reciprocal relation"
+            f"phase endpoint mismatch {mismatch:.3f} rad exceeds {np.pi:.3f}: "
+            f"linear trend detected; remove it before applying the reciprocal relation"
         )
     return periodic_hilbert(f - f.mean(), method, fejer_order) / np.pi
-
-
-@dataclass(frozen=True)
-class PhaseModulusPair:
-    """Matched zero-mean samples of log|chi/c_0| and unwrapped arg(chi/c_0).
-
-    Construction removes the means and records them: the log-modulus mean
-    estimates any residual log c_0 normalisation error, and the true pair has
-    no constant terms (A_0 = 0; the phase is a pure sine series).  For
-    amplitudes satisfying phi*(s) = phi(-s) the log-modulus is even and the
-    phase odd in s, which :meth:`symmetry_residuals` quantifies.
-    """
-
-    grid: np.ndarray
-    log_modulus: np.ndarray
-    phase: np.ndarray
-    log_modulus_mean: float
-    phase_mean: float
-
-    @classmethod
-    def from_samples(cls, grid, log_modulus, phase) -> "PhaseModulusPair":
-        grid = np.asarray(grid, dtype=float)
-        lm = _check_real_finite(log_modulus)
-        ph = _check_real_finite(phase)
-        if not (len(grid) == len(lm) == len(ph)):
-            raise ValueError("grid and sample arrays must share one length")
-        return cls(grid, lm - lm.mean(), ph - ph.mean(),
-                   float(lm.mean()), float(ph.mean()))
-
-    def symmetry_residuals(self) -> tuple[float, float]:
-        """(max even-symmetry defect of log-modulus, max odd defect of phase)."""
-        return (float(np.max(np.abs(self.log_modulus - self.log_modulus[::-1]))),
-                float(np.max(np.abs(self.phase + self.phase[::-1]))))
-
-    def reconstruct_phase(self, method: str = "series",
-                          fejer_order: int | None = None) -> np.ndarray:
-        return phase_from_modulus(self.log_modulus, method, fejer_order)
-
-    def reconstruct_modulus(self, method: str = "series",
-                            fejer_order: int | None = None,
-                            trend_tolerance: float | None = np.pi) -> np.ndarray:
-        return modulus_from_phase(self.phase, method, fejer_order,
-                                  trend_tolerance=trend_tolerance)
 
 
 @dataclass(frozen=True)
@@ -354,27 +293,21 @@ class EqualityReport:
     A: np.ndarray
     B: np.ndarray
     abs_diff: np.ndarray
-    relative: np.ndarray
     max_relative: float
     a0: float
 
 
-def coefficient_equality_check(coeffs: ConjugateCoefficients,
-                               n_max: int | None = None) -> EqualityReport:
+def coefficient_equality_check(coeffs: ConjugateCoefficients) -> EqualityReport:
     """Relative discrepancy |A_n - B_n| / max(|A_n|, 1e-12) for n = 1..n_max.
 
     Differences at or below ``EQUALITY_ABS_TOL`` count as equal (zero discrepancy):
     they are double-precision round-off, and dividing them by the floor would
     report noise where both coefficients vanish.
     """
-    if n_max is None:
-        n_max = coeffs.n_max
-    if n_max > coeffs.n_max:
-        raise ValueError("n_max exceeds the computed coefficient range")
-    n = np.arange(1, n_max + 1)
-    a = coeffs.A[1:n_max + 1]
-    b = coeffs.B[1:n_max + 1]
+    n = np.arange(1, coeffs.n_max + 1)
+    a = coeffs.A[1:]
+    b = coeffs.B[1:]
     diff = np.abs(a - b)
     rel = np.where(diff <= EQUALITY_ABS_TOL, 0.0, diff / np.maximum(np.abs(a), 1e-12))
-    return EqualityReport(n, a, b, diff, rel, float(np.max(rel)) if len(rel) else 0.0,
+    return EqualityReport(n, a, b, diff, float(np.max(rel)) if len(rel) else 0.0,
                           float(coeffs.A[0]))

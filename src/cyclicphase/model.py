@@ -283,7 +283,6 @@ _FD8 = np.array([3.0, -32.0, 168.0, -672.0, 0.0, 672.0, -168.0, 32.0, -3.0]) / 8
 @dataclass(frozen=True)
 class ResidualReport:
     max_residual: float
-    m_samples: int
 
 
 def solution_residual(params: ModelParams, m_samples: int = 16384) -> ResidualReport:
@@ -308,7 +307,7 @@ def solution_residual(params: ModelParams, m_samples: int = 16384) -> ResidualRe
         multiplier = np.where(np.abs(n) <= params.n_harmonic + 4, 1j * n, 0.0)
         dpartner = np.fft.ifft(np.fft.fft(partner) * multiplier)
         residual = np.abs(0.5j * dpartner - h11 * partner - h12 * phi1)
-        return ResidualReport(float(np.max(residual)), m_samples)
+        return ResidualReport(float(np.max(residual)))
     if m_samples < len(_FD8):
         raise ValueError(f"the non-cyclic residual's {len(_FD8)}-point difference stencil "
                          f"needs at least {len(_FD8)} samples; got {m_samples}")
@@ -318,7 +317,7 @@ def solution_residual(params: ModelParams, m_samples: int = 16384) -> ResidualRe
     residual = np.abs(0.5j * dpartner
                       - h11[interior] * partner[interior]
                       - h12[interior] * phi1[interior])
-    return ResidualReport(float(np.max(residual)), m_samples)
+    return ResidualReport(float(np.max(residual)))
 
 
 def berry_phase_predicted(params: ModelParams) -> float:

@@ -148,7 +148,9 @@ def rk4_reference(g, psi, s0, s1, nsteps, freeze_s=None):
 
 def rows_oracle(table):
     """Iterate the rows as tuples of Python floats (one conversion per column)."""
-    return zip(*(np.asarray(table.data[c], dtype=float).tolist() for c in table.columns))
+    with np.errstate(invalid="ignore"):  # a float32 signalling NaN widens to a quiet one
+        columns = [np.asarray(table.data[c], dtype=float).tolist() for c in table.columns]
+    return zip(*columns)
 
 
 def csv_oracle(table):

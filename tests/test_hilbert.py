@@ -14,7 +14,6 @@ from conftest import (
 )
 from cyclicphase import model
 from cyclicphase.hilbert import (
-    PhaseModulusPair,
     _quadrature_kernel_fft,
     coefficient_equality_check,
     log_coefficients,
@@ -166,54 +165,29 @@ class TestReciprocalPair:
         d = (lm_rec - lm_oracle)[mask]
         assert np.sqrt(np.mean((d - d.mean()) ** 2)) < 1e-3
 
-    def test_mean_bound_rejection(self):
-        with pytest.raises(ValueError, match="c_0"):
-            phase_from_modulus(np.cos(offset_grid(64)) + 0.5, mean_bound=0.1)
-
-    def test_reported_mean(self):
-        s = offset_grid(64)
-        _, mean = phase_from_modulus(np.cos(s) + 0.25, return_mean=True)
-        assert np.isclose(mean, 0.25, atol=1e-12)
-
     def test_trend_rejection(self):
         s = offset_grid(256)
         with pytest.raises(ValueError, match="trend"):
             modulus_from_phase(3.0 * s)
-        # explicit opt-out proceeds
-        out = modulus_from_phase(3.0 * s, trend_tolerance=None)
-        assert np.all(np.isfinite(out))
 
 
-class TestPhaseModulusPair:
-    def _model_pair(self, m=4096):
-        params = model.derive_params(np.sqrt(3.0))
-        signals = model.evaluate_model(params, m)
-        return PhaseModulusPair.from_samples(signals.grid, signals.log_modulus,
-                                             signals.phase_chi)
+class TestDirectPair:
+    """The direct curves of a cyclic run, centred as run_reciprocity_case passes them."""
 
-    def test_zero_mean_and_recorded_means(self):
-        pair = self._model_pair()
-        assert abs(pair.log_modulus.mean()) < 1e-12
-        assert abs(pair.phase.mean()) < 1e-12
-        # the direct log-modulus mean is the (small) sampled A_0 alias
-        assert abs(pair.log_modulus_mean) < 5e-3
+    def _model_signals(self, m=4096):
+        return model.evaluate_model(model.derive_params(np.sqrt(3.0)), m)
 
     def test_even_odd_symmetry(self):
-        # log-modulus even, phase odd, to discretisation tolerance
-        lm_dev, ph_dev = self._model_pair().symmetry_residuals()
-        assert lm_dev < 1e-10
-        assert ph_dev < 1e-8
+        # phi*(s) = phi(-s): log-modulus even, phase odd, to discretisation tolerance
+        signals = self._model_signals()
+        lm = signals.log_modulus - signals.log_modulus.mean()
+        ph = signals.phase_chi - signals.phase_chi.mean()
+        assert np.max(np.abs(lm - lm[::-1])) < 1e-10
+        assert np.max(np.abs(ph + ph[::-1])) < 1e-8
 
-    def test_reconstruction_delegates(self):
-        pair = self._model_pair()
-        assert np.allclose(pair.reconstruct_phase(),
-                           phase_from_modulus(pair.log_modulus), atol=1e-14)
-        assert np.allclose(pair.reconstruct_modulus(),
-                           modulus_from_phase(pair.phase), atol=1e-14)
-
-    def test_length_mismatch(self):
-        with pytest.raises(ValueError):
-            PhaseModulusPair.from_samples(np.zeros(8), np.zeros(8), np.zeros(7))
+    def test_log_modulus_mean(self):
+        # the direct log-modulus mean is the (small) sampled A_0 alias
+        assert abs(self._model_signals().log_modulus.mean()) < 5e-3
 
 
 class TestUnwrap:
@@ -392,9 +366,3 @@ class TestEqualityCheck:
         coeffs = log_coefficients(samples, 12, 4096)
         report = coefficient_equality_check(coeffs)
         assert report.max_relative > 1e-2
-
-    def test_nmax_bound(self):
-        s = offset_grid(256)
-        coeffs = log_coefficients(np.exp(np.exp(1j * s)), 5, 256)
-        with pytest.raises(ValueError):
-            coefficient_equality_check(coeffs, n_max=9)

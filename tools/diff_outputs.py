@@ -21,7 +21,8 @@ import tempfile
 from pathlib import Path
 
 #: the benchmark's commands (harmonic-scan with its seed-0 k values), then
-#: three more that write CSV from coeffs, sweep and an integer-k reciprocity run
+#: three more that write CSV from coeffs, sweep and an integer-k reciprocity
+#: run, and the Fejer-resummed and the non-cyclic quadrature reconstructions
 COMMANDS = (
     ("reciprocity", "--preset", "fig1", "--out", "{out}/fig1"),
     ("reciprocity", "--preset", "fig2", "--format", "json", "--out", "{out}/fig2"),
@@ -37,6 +38,9 @@ COMMANDS = (
     ("coeffs", "--k", "50", "--out", "{out}/coeffs-k50"),
     ("sweep", "--k-values", "1,2,3,16.59,17", "--out", "{out}/sweep-k.csv"),
     ("reciprocity", "--k", "100", "--out", "{out}/k100"),
+    ("reciprocity", "--k", "17", "--grid-size", "4096", "--fejer", "--out", "{out}/k17-fejer"),
+    ("reciprocity", "--preset", "fig3", "--grid-size", "4096", "--method", "quadrature",
+     "--format", "json", "--out", "{out}/fig3-quadrature"),
 )
 
 
