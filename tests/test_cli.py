@@ -2,7 +2,11 @@
 
 import io
 import json
+import os
+import subprocess
+import sys
 from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import csv_oracle
+import cyclicphase
 from cyclicphase import experiments, model, trigpoly
 from cyclicphase.cli import MAX_RK4_STEPS, main
 
@@ -82,6 +87,14 @@ class TestValidation:
         assert err.startswith("error:") and "c_0" in err and "vanishes" in err
         assert err.count("\n") == 1
 
+    def test_round_off_non_cyclic_c0_exits_1(self, capsys):
+        # k = 2.5: N_eff = 5 and e^{5is} phi1 has no constant term; on this
+        # grid mean(e^{5is} phi1) is 2.8e-17, not 0, and is still refused
+        code, _, err = run_cli(capsys, "reciprocity", "--k", "2.5", "--grid-size", "16384")
+        assert code == 1
+        assert err.startswith("error:") and "c_0" in err and "vanishes" in err
+        assert err.count("\n") == 1
+
     def test_non_cyclic_verify_on_8_points_exits_1(self, capsys):
         # the non-cyclic residual's 9-point difference stencil does not fit
         code, _, err = run_cli(capsys, "verify", "--k", "16.59", "--grid-size", "8",
@@ -101,6 +114,23 @@ class TestValidation:
         code, _, err = run_cli(capsys, "berry", "--k", "16.59")
         assert code == 2
         assert "cyclic" in err
+
+
+class TestImportCost:
+    def test_parser_leaves_the_dataset_kernel_unloaded(self, tmp_path):
+        # a fresh process that builds the parser (what setup_s times) does not
+        # load or build the dataset kernel; its first dataset write does
+        script = ("import sys, cyclicphase.cli\n"
+                  "cyclicphase.cli.build_parser()\n"
+                  "print('cyclicphase._tabletext' in sys.modules)\n"
+                  "from cyclicphase import experiments\n"
+                  "experiments.write_csv(experiments.Table(('a',), {'a': [0.5]}), sys.argv[1])\n"
+                  "print('cyclicphase._tabletext' in sys.modules)\n")
+        env = dict(os.environ, PYTHONPATH=str(Path(cyclicphase.__file__).parents[1]))
+        proc = subprocess.run([sys.executable, "-c", script, str(tmp_path / "a.csv")],
+                              capture_output=True, text=True, env=env, check=False, timeout=120)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, "False\nTrue\n", "")
+        assert (tmp_path / "a.csv").read_text() == "a\n0.5\n"
 
 
 class TestInputContract:

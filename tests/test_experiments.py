@@ -163,13 +163,8 @@ class TestReciprocityCase:
         assert report.method == "quadrature" and not report.cyclic
         assert all(np.all(np.isfinite(dataset.data[c])) for c in dataset.columns)
 
-    @pytest.mark.parametrize("k, m", [
-        pytest.param(k, m, marks=pytest.mark.xfail(
-            raises=ValueError, strict=True,
-            reason="half-integer k: e^(i N_eff s) phi1 has no constant term, so c_0 is "
-                   "round-off, exactly 0.0 on this grid, and the run is refused"))
-        if (k, m) == (2.5, 4096) else (k, m)
-        for k in (0.7, 2.5, 16.59, 64.59) for m in (64, 4096, 65536)])
+    @pytest.mark.parametrize("k, m", [(k, m) for k in (0.7, 2.5, 16.59, 64.59)
+                                      for m in (64, 4096, 65536)])
     def test_detrended_phase_has_no_endpoint_mismatch(self, monkeypatch, k, m):
         # modulus_from_phase rejects an endpoint mismatch above pi; the
         # non-cyclic phase it is handed is detrended, so only round-off is left
@@ -181,6 +176,13 @@ class TestReciprocityCase:
             return original(phase, *args)
 
         monkeypatch.setattr(hilbert, "modulus_from_phase", recording)
+        if k == 2.5:
+            # half-integer k: e^(i N_eff s) phi1 has no constant term, so c_0
+            # is round-off and the run is refused on every grid
+            with pytest.raises(ValueError, match="vanishes"):
+                run_reciprocity_case(model.params_from_k(k), m)
+            assert handed == []
+            return
         run_reciprocity_case(model.params_from_k(k), m)
         assert len(handed) == 1
         assert abs(handed[0][-1] - handed[0][0]) <= 1e-12
@@ -445,3 +447,106 @@ class TestCsvAtVolume:
         table = Table(("f32", "i64", "py"), {"f32": f32, "i64": ints, "py": big * 1200})
         assert csv_matches_oracle(table, tmp_path)
         assert emitted(table, tmp_path, "json") == oracle_bytes(table, "json")
+
+
+def json_matches_oracle(table, directory):
+    return emitted(table, directory, "json") == oracle_bytes(table, "json")
+
+
+def shortest_length(x):
+    """The number of significant digits in repr(x)."""
+    mantissa = repr(abs(x)).split("e")[0]
+    return len(mantissa.replace(".", "").strip("0"))
+
+
+class TestJsonAtVolume:
+    """The JSON dataset on thousands of cells per table, against json.dumps.
+
+    The writer prints a fast cell (1e-6 < |x| < 1e15, no power of two) from
+    the shortest of its 17-, 16- and 15-digit roundings that reads back to it,
+    with exact arithmetic, and every other cell with one % call per block;
+    these tables cross those boundaries, the notation boundaries and the block
+    boundaries (9000 cells span more than one block).
+    """
+
+    @settings(max_examples=20, deadline=None)
+    @given(seed=st.integers(0, 2 ** 64 - 1))
+    def test_uniform_bit_patterns(self, tmp_path_factory, seed):
+        bits = np.random.default_rng(seed).integers(0, 2 ** 64, size=9000, dtype=np.uint64)
+        table = value_table(bits.view(np.float64))
+        assert json_matches_oracle(table, tmp_path_factory.mktemp("bits"))
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2 ** 64 - 1), decade=st.integers(-8, 16))
+    def test_one_decade(self, tmp_path_factory, seed, decade):
+        rng = np.random.default_rng(seed)
+        values = rng.uniform(1.0, 10.0, 4096) * 10.0 ** decade * rng.choice([-1.0, 1.0], 4096)
+        table = value_table(values)
+        assert json_matches_oracle(table, tmp_path_factory.mktemp("decade"))
+
+    def test_powers_of_two_and_neighbours(self, tmp_path):
+        # below a power of two the rounding interval is half as wide as above it
+        values = [v for e in range(-1074, 1024) for v in neighbours(2.0 ** e)]
+        assert json_matches_oracle(value_table(values + [-v for v in values]), tmp_path)
+
+    def test_powers_of_ten_and_carry_values(self, tmp_path):
+        # 17 nines parse to the doubles at a power of ten, where a rounding may carry
+        values = [v for p in range(-330, 309)
+                  for x in (float(f"1e{p}"), float(f"9.9999999999999999e{p}"))
+                  for v in neighbours(x)]
+        assert json_matches_oracle(value_table(values + [-v for v in values]), tmp_path)
+
+    def test_ties_of_the_16_and_15_digit_rounding(self, tmp_path):
+        # n / 2^j with n odd has j decimals, the last a 5: with 17 significant
+        # digits it lies halfway between two 16-digit decimals, with 16 between
+        # two 15-digit ones; both 16-digit neighbours of 600000000000000.25
+        # read back to it
+        rng = np.random.default_rng(11)
+        values = [600000000000000.25, 600000000000000.75, -999999999999999.75]
+        for digits in (17, 16):
+            for j in range(1, digits):
+                low = 10 ** (digits - 1 - j) * 2 ** j
+                high = min(10 ** (digits - j) * 2 ** j, 2 ** 53)
+                if low < high:
+                    n = rng.integers(low, high, 40) | 1
+                    values += [v for x in n / 2.0 ** j for v in neighbours(float(x), 1)]
+        assert json_matches_oracle(value_table(values + [-v for v in values]), tmp_path)
+
+    def test_every_shortest_length(self, tmp_path):
+        rng = np.random.default_rng(12)
+        values = []
+        for length in range(1, 18):
+            digits = rng.integers(10 ** (length - 1), 10 ** length, 300)
+            digits[digits % 10 == 0] += 1
+            exponents = rng.integers(-12, 20, 300)
+            values += [float(f"{d}e{e}") for d, e in zip(digits, exponents)]
+        assert {shortest_length(v) for v in values} == set(range(1, 18))
+        assert json_matches_oracle(value_table(values + [-v for v in values]), tmp_path)
+
+    def test_integer_valued_cells(self, tmp_path):
+        # repr appends ".0" to an integer below 1e16; 15-digit ones are fast cells
+        rng = np.random.default_rng(13)
+        ints = np.concatenate([rng.integers(1, 10 ** 15, 2000),
+                               rng.integers(10 ** 14, 10 ** 15, 2000),
+                               rng.integers(1, 1000, 200)]).astype(float)
+        values = [v for x in ints for v in neighbours(float(x), 1)]
+        values += [123456789012345.0, 1e15 - 1, 1e15 - 0.5, 1e15 + 1, 2.0 ** 53 + 2]
+        assert json_matches_oracle(value_table(values + [-v for v in values]), tmp_path)
+
+    def test_notation_boundaries(self, tmp_path):
+        # repr prints exponents below 1e-4 and from 1e16; fast cells end at 1e-6 and 1e15
+        rng = np.random.default_rng(14)
+        values = [v for x in (1e-4, 1e-5, 1e-6, 1e15, 1e16) for v in neighbours(x, 3)]
+        for low, high in ((1e-6, 1e-5), (1e-5, 1e-4), (1e-4, 1e-3), (1e14, 1e15), (1e15, 1e16)):
+            values += list(rng.uniform(low, high, 1000))
+        assert json_matches_oracle(value_table(values + [-v for v in values]), tmp_path)
+
+    def test_zeros_subnormals_and_non_finite(self, tmp_path):
+        special = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308,
+                   2.2250738585072014e-308, -1e-310, np.nan, -np.nan, np.inf, -np.inf,
+                   1e-6, -1e-6, 1e15, -1e15, 1e-7, 1e17]
+        values = [v for x in special for v in ([x] if not np.isfinite(x) or x == 0.0
+                                                else neighbours(x))]
+        # the same cells in every mix: alone, among fast cells, and as whole blocks
+        mixed = values + list(np.linspace(-3.0, 3.0, 50)) + values * 300
+        assert json_matches_oracle(value_table(mixed, n_cols=7), tmp_path)

@@ -22,7 +22,8 @@ from pathlib import Path
 
 #: the benchmark's commands (harmonic-scan with its seed-0 k values), then
 #: three more that write CSV from coeffs, sweep and an integer-k reciprocity
-#: run, and the Fejer-resummed and the non-cyclic quadrature reconstructions
+#: run, the Fejer-resummed and the non-cyclic quadrature reconstructions, and
+#: the large JSON datasets of fig1 (32768 rows) and of coeffs
 COMMANDS = (
     ("reciprocity", "--preset", "fig1", "--out", "{out}/fig1"),
     ("reciprocity", "--preset", "fig2", "--format", "json", "--out", "{out}/fig2"),
@@ -41,6 +42,9 @@ COMMANDS = (
     ("reciprocity", "--k", "17", "--grid-size", "4096", "--fejer", "--out", "{out}/k17-fejer"),
     ("reciprocity", "--preset", "fig3", "--grid-size", "4096", "--method", "quadrature",
      "--format", "json", "--out", "{out}/fig3-quadrature"),
+    ("reciprocity", "--preset", "fig1", "--format", "json", "--out", "{out}/fig1-json"),
+    ("coeffs", "--preset", "fig2", "--n-max", "200", "--format", "json",
+     "--out", "{out}/coeffs-json"),
 )
 
 
