@@ -60,18 +60,25 @@ def _check_real_finite(samples) -> np.ndarray:
 
 @lru_cache(maxsize=8)
 def _quadrature_kernel_fft(m: int) -> np.ndarray:
-    # K[d] = h cot(d h / 2) on odd offsets d; interleaved-grid trapezoid weights.
+    """conj(rfft) of K[d] = h cot(d h / 2) on odd offsets d, 0 on even ones.
+
+    These are the interleaved-grid trapezoid weights of the folded kernel.
+    The kernel is real, so its m/2 + 1 bins n = 0..m/2 carry its whole
+    spectrum, and they are all that the rfft in periodic_hilbert multiplies.
+    """
     h = 2.0 * np.pi / m
-    d = np.arange(m)
-    with np.errstate(divide="ignore"):
-        kernel = np.where(d % 2 == 1, h / np.tan(d * h / 2.0), 0.0)
-    kernel[0] = 0.0
-    return np.conj(np.fft.fft(kernel))
+    kernel = np.zeros(m)
+    kernel[1::2] = h / np.tan(np.arange(1, m, 2) * h / 2.0)
+    return np.conj(np.fft.rfft(kernel))
 
 
 def periodic_hilbert(samples, method: str = "series",
                      fejer_order: int | None = None) -> np.ndarray:
     """H[f](s_j) for real samples f(s_j) on the offset grid.
+
+    Both methods are one multiplier on the real-input spectrum: an rfft of
+    the m samples, the m/2 + 1 bins n = 0..m/2 scaled in place, and an irfft
+    back to m real points.
 
     Parameters
     ----------
@@ -79,11 +86,13 @@ def periodic_hilbert(samples, method: str = "series",
         Real samples on the offset grid (length a multiple of 4).
     method : {"series", "quadrature"}
         "series" multiplies frequency n by i pi sign(n), which maps
-        cos(ns) -> -pi sin(ns), sin(ns) -> pi cos(ns), constant -> 0.
+        cos(ns) -> -pi sin(ns), sin(ns) -> pi cos(ns), constant -> 0; on the
+        rfft bins that is 0 at n = 0 and at the Nyquist bin, i pi between.
         "quadrature" evaluates the folded principal-value integral with the
         (1/2) cot((s'-s)/2) kernel on the interleaved offset sub-grid
         (spacing 2h), which places every evaluation point halfway between
-        integration nodes; its multiplier is the kernel's FFT.  That DFT is
+        integration nodes; its multiplier is the conjugate half spectrum of
+        the real kernel (:func:`_quadrature_kernel_fft`).  That DFT is
         exactly i pi sign(n) with 0 on the Nyquist bin (Kak, "The discrete
         Hilbert transform", Proc. IEEE 58, 1970), and the Nyquist bin of a
         real input adds nothing to the real output, so the quadrature is the
@@ -98,28 +107,22 @@ def periodic_hilbert(samples, method: str = "series",
     m = len(f)
     _check_grid_size(m)
     if method == "series":
-        # i pi sign(n) scaled into the bins in place: n = 0 at bin 0,
-        # n = 1..m/2-1 above it and n = -m/2..-1 from the Nyquist bin on, with
-        # the Fejer weight of |n|; scaling bin 0 by 0 and the factor -(1j pi)
-        # give the signed zeros of the product with i pi sign(n) itself
-        fft = np.fft.fft(f)
-        half = m // 2
-        weight = (None if fejer_order is None
-                  else np.maximum(0.0, 1.0 - np.arange(half + 1) / (fejer_order + 1.0)))
-        fft[0] *= 0
-        for bins, factor, n_abs in ((slice(1, half), 1j * np.pi, slice(1, half)),
-                                    (slice(half, m), -(1j * np.pi), slice(half, 0, -1))):
-            fft[bins] *= factor if weight is None else factor * weight[n_abs]
+        # i pi sign(n) on the rfft bins n = 0..m/2, with 0 on the Nyquist bin
+        multiplier = np.zeros(m // 2 + 1, dtype=complex)
+        multiplier[1:-1] = 1j * np.pi
+        if fejer_order is not None:
+            multiplier *= np.maximum(0.0, 1.0 - np.arange(m // 2 + 1) / (fejer_order + 1.0))
     elif method == "quadrature":
         if fejer_order is not None:
             raise ValueError("fejer_order applies to the series method only")
         # circular cross-correlation g_i = sum_j f_j K[(j - i) mod m]; the
-        # kernel is built before the FFT of f is held, which bounds the peak
-        kernel = _quadrature_kernel_fft(m)
-        fft = np.fft.fft(f) * kernel
+        # kernel is built before the spectrum of f is held, which bounds the peak
+        multiplier = _quadrature_kernel_fft(m)
     else:
         raise ValueError(f"unknown method {method!r}")
-    return np.fft.ifft(fft).real
+    spectrum = np.fft.rfft(f)
+    spectrum *= multiplier
+    return np.fft.irfft(spectrum, m)
 
 
 def phase_from_modulus(log_modulus, method: str = "series",
@@ -171,8 +174,14 @@ def unwrap(phase_raw, zeros=None, grid=None) -> UnwrapResult:
     than pi/2 is recorded as well.
     """
     raw = _check_real_finite(phase_raw)
+    # (d + pi) % 2pi - pi, with the remainder taken only where it moves
+    # d + pi: in [0, 2pi) np.remainder returns its argument exactly
     d = np.diff(raw)
-    d = (d + np.pi) % (2.0 * np.pi) - np.pi
+    d += np.pi
+    wrap = d < 0.0
+    wrap |= d >= 2.0 * np.pi
+    np.remainder(d, 2.0 * np.pi, out=d, where=wrap)
+    d -= np.pi
     jumps: list[tuple[int, float]] = []
     if zeros:
         if grid is None:

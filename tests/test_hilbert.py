@@ -94,16 +94,55 @@ class TestPeriodicHilbert:
            fejer_order=st.none() | st.integers(0, 5000),
            seed=st.integers(0, 2 ** 32 - 1))
     def test_series_multiplier_bit_for_bit(self, m, fejer_order, seed):
-        # the in-place slices against the explicit multiplier array, byte for byte
+        # the transform against the explicit multiplier on the rfft bins
+        # n = 0..m/2, byte for byte
         f = np.random.default_rng(seed).standard_normal(m)
-        n = frequencies(m)
+        n = np.arange(m // 2 + 1)
         multiplier = 1j * np.pi * np.sign(n)
+        multiplier[m // 2] = 0.0
         if fejer_order is not None:
-            multiplier *= np.maximum(0.0, 1.0 - np.abs(n) / (fejer_order + 1.0))
-        expected = np.fft.ifft(np.fft.fft(f) * multiplier).real
+            multiplier *= np.maximum(0.0, 1.0 - n / (fejer_order + 1.0))
+        expected = np.fft.irfft(np.fft.rfft(f) * multiplier, m)
         out = periodic_hilbert(f, "series", fejer_order)
         assert np.array_equal(out, expected)
         assert out.tobytes() == expected.tobytes()  # signed zeros included
+
+    @settings(max_examples=60, deadline=None)
+    @given(m=st.integers(1, 1024).map(lambda q: 4 * q),
+           method=st.sampled_from(METHODS),
+           fejer_order=st.none() | st.integers(0, 5000),
+           kind=st.sampled_from(["normal", "spike", "decades"]),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_real_fft_agrees_with_complex_fft(self, m, method, fejer_order, kind, seed):
+        # against ifft(fft(f) * multiplier).real on all m bins: series with
+        # i pi sign(n) (times the Fejer weight of |n|), quadrature with the
+        # conjugate full DFT of the cot kernel.  Both are one forward and one
+        # inverse FFT, so they agree to c log2(m) eps max|f|; measured
+        # c <= 2.3 over 3000 inputs of these kinds up to m = 262144.
+        if method == "quadrature":
+            fejer_order = None  # Fejer weights apply to the series method only
+        rng = np.random.default_rng(seed)
+        if kind == "normal":
+            f = rng.standard_normal(m)
+        elif kind == "spike":
+            f = np.zeros(m)
+            f[rng.integers(m)] = 1.0
+        else:
+            f = rng.uniform(-1.0, 1.0, m) * 10.0 ** rng.integers(-5, 5, m)
+        n = frequencies(m)
+        if method == "series":
+            multiplier = 1j * np.pi * np.sign(n)
+            if fejer_order is not None:
+                multiplier *= np.maximum(0.0, 1.0 - np.abs(n) / (fejer_order + 1.0))
+        else:
+            h = 2.0 * np.pi / m
+            kernel = np.zeros(m)
+            kernel[1::2] = h / np.tan(np.arange(1, m, 2) * h / 2.0)
+            multiplier = np.conj(np.fft.fft(kernel))
+        expected = np.fft.ifft(np.fft.fft(f) * multiplier).real
+        out = periodic_hilbert(f, method, fejer_order)
+        bound = 8 * np.log2(m) * np.finfo(float).eps * np.max(np.abs(f))
+        assert np.max(np.abs(out - expected)) <= bound
 
     @pytest.mark.parametrize("m", [16, 4096, 262144])
     def test_quadrature_kernel_is_the_series_multiplier(self, m):
@@ -113,12 +152,13 @@ class TestPeriodicHilbert:
         # O(m eps): cot(d h / 2) for odd d near m is taken at arguments near pi,
         # where the rounding of d h / 2 (~ pi eps) is amplified by
         # |cot'| = 1/sin^2 ~ 4/h^2, so h cot carries ~ 2 m eps; measured
-        # 3.8e-15, 5.6e-13 and 1.9e-11 (<= 1.1 m eps).
-        n = frequencies(m)
-        exact = 1j * np.pi * np.sign(n)
-        exact[m // 2] = 0.0
-        gap = np.max(np.abs(_quadrature_kernel_fft(m) - exact))
-        assert gap <= 4 * m * np.finfo(float).eps
+        # 3.8e-15, 5.7e-13 and 1.9e-11 (<= 1.07 m eps).  The kernel holds the
+        # rfft bins n = 0..m/2 only.
+        exact = np.zeros(m // 2 + 1, dtype=complex)
+        exact[1:-1] = 1j * np.pi
+        kernel = _quadrature_kernel_fft(m)
+        assert kernel.shape == exact.shape
+        assert np.max(np.abs(kernel - exact)) <= 4 * m * np.finfo(float).eps
 
     def test_rejects_bad_input(self):
         with pytest.raises(ValueError):
@@ -190,7 +230,39 @@ class TestDirectPair:
         assert abs(self._model_signals().log_modulus.mean()) < 5e-3
 
 
+def _unwrap_every_difference(raw, zeros, grid):
+    # unwrap with (d + pi) % 2pi - pi taken on every difference: the form
+    # the masked remainder in hilbert.unwrap must reproduce byte for byte
+    d = (np.diff(raw) + np.pi) % (2.0 * np.pi) - np.pi
+    jumps = []
+    for loc, mult in zeros:
+        j = int(np.searchsorted(grid, loc)) - 1
+        if 0 <= j < len(d):
+            d[j] += 2.0 * np.pi * np.round((-np.pi * mult - d[j]) / (2.0 * np.pi))
+            jumps.append((j, float(d[j])))
+    marked = {j for j, _ in jumps}
+    jumps += [(int(j), float(d[j])) for j in np.where(np.abs(d) > np.pi / 2)[0]
+              if int(j) not in marked]
+    return raw[0] + np.concatenate(([0.0], np.cumsum(d))), sorted(jumps)
+
+
+#: samples whose differences hit the wrap's edges: exactly +-pi, +-2pi, +-3pi
+EDGE_SAMPLES = (0.0, np.pi, -np.pi, 2 * np.pi, 3 * np.pi, -3 * np.pi, np.pi / 2)
+
+
 class TestUnwrap:
+    @settings(max_examples=300, deadline=None)
+    @given(raw=st.lists(st.sampled_from(EDGE_SAMPLES) | st.floats(-20.0, 20.0)
+                        | st.floats(-1e6, 1e6), min_size=2, max_size=64),
+           zeros=st.lists(st.tuples(st.floats(-1.2, 1.2), st.integers(1, 3)), max_size=3))
+    def test_masked_remainder_bit_for_bit(self, raw, zeros):
+        raw = np.array(raw)
+        grid = np.linspace(-1.0, 1.0, len(raw))
+        phase, jumps = _unwrap_every_difference(raw, zeros, grid)
+        res = unwrap(raw, zeros, grid)
+        assert res.phase.tobytes() == phase.tobytes()
+        assert repr(res.jumps) == repr(jumps)  # signed zeros included
+
     def test_pure_winding(self):
         s = offset_grid(128)
         wrapped = np.angle(np.exp(3j * s))

@@ -8,17 +8,27 @@ command runs as ``python -m cyclicphase.cli ...`` in its own subprocess, with
 directory.  The exit code, stdout, stderr (the temporary directory replaced by
 ``$OUT``) and every written file are compared.  Prints one line per command
 and exits 1 if anything differs, 0 if every command matched.
+
+A difference is sized as well as shown.  For a dataset file (CSV, or JSON
+with ``columns`` and ``rows``) the line gives the largest |change| of each
+column.  For a JSON report file, and for the JSON documents in stdout, it
+gives the largest relative change of each float field and flags every other
+field (count, boolean, string, null) that changed.  Text outside the JSON
+documents of a stream is shown as a unified diff when it differs.
 """
 
 from __future__ import annotations
 
 import argparse
 import difflib
+import json
 import os
 import subprocess
 import sys
 import tempfile
 from pathlib import Path
+
+import numpy as np
 
 #: the benchmark's commands (harmonic-scan with its seed-0 k values), then
 #: three more that write CSV from coeffs, sweep and an integer-k reciprocity
@@ -61,20 +71,120 @@ def run(src: Path, argv: tuple) -> dict:
             "stderr": proc.stderr.replace(out, "$OUT"), "files": files}
 
 
+def json_documents(text: str) -> tuple[list, str]:
+    """The top-level JSON objects in ``text``, and the text with each one replaced by {...}."""
+    decoder = json.JSONDecoder()
+    docs, rest, done = [], [], 0
+    start = text.find("{")
+    while start != -1:
+        try:
+            doc, end = decoder.raw_decode(text, start)
+        except ValueError:
+            start = text.find("{", start + 1)
+            continue
+        docs.append(doc)
+        rest.append(text[done:start] + "{...}")
+        done = end
+        start = text.find("{", end)
+    return docs, "".join(rest) + text[done:]
+
+
+def leaves(doc, path=""):
+    """(path, value) of every leaf of a JSON document; list indices become []."""
+    if isinstance(doc, dict):
+        for key, value in doc.items():
+            yield from leaves(value, f"{path}.{key}" if path else key)
+    elif isinstance(doc, list):
+        for value in doc:
+            yield from leaves(value, path + "[]")
+    else:
+        yield path, doc
+
+
+def relative_change(a: float, b: float) -> float:
+    if a == b or (a != a and b != b):
+        return 0.0
+    return abs(a - b) / max(abs(a), abs(b))
+
+
+def field_sizes(parent_doc, change_doc) -> str:
+    """Largest relative change of each float field and the other fields that changed."""
+    parent, change = list(leaves(parent_doc)), list(leaves(change_doc))
+    if [key for key, _ in parent] != [key for key, _ in change]:
+        return "fields differ"
+    largest, changed = {}, []
+    for (key, a), (_, b) in zip(parent, change):
+        if type(a) is float and type(b) is float:
+            largest[key] = max(largest.get(key, 0.0), relative_change(a, b))
+        elif (type(a), a) != (type(b), b) and key not in changed:
+            changed.append(key)
+    sizes = [f"{key} rel {r:.2g}" for key, r in largest.items() if r]
+    sizes += [f"{key} CHANGED" for key in changed]
+    return ", ".join(sizes) or "no field changed"
+
+
+def dataset_columns(name: str, data: bytes) -> dict | None:
+    """Column name -> float array of a CSV or JSON dataset file; None for other files."""
+    if name.endswith(".csv"):
+        header, *rows = data.decode().splitlines()
+        names, cells = header.split(","), [row.split(",") for row in rows]
+    elif name.endswith(".json"):
+        doc = json.loads(data)
+        if not (isinstance(doc, dict) and doc.keys() == {"columns", "rows"}):
+            return None
+        names, cells = doc["columns"], doc["rows"]
+    else:
+        return None
+    return dict(zip(names, np.array(cells, dtype=float).reshape(len(cells), len(names)).T))
+
+
+def column_sizes(parent: dict, change: dict) -> str:
+    """Largest |change| of each column of two datasets."""
+    if (list(parent) != list(change)
+            or any(len(parent[key]) != len(change[key]) for key in parent)):
+        return "columns or row counts differ"
+    sizes = []
+    for key, a in parent.items():
+        b = change[key]
+        with np.errstate(invalid="ignore"):
+            delta = np.where((a == b) | (np.isnan(a) & np.isnan(b)), 0.0, np.abs(a - b))
+        sizes.append(f"{key} {np.max(delta, initial=0.0):.2g}")
+    return "max |change| " + ", ".join(sizes)
+
+
+def file_sizes(name: str, parent: bytes | None, change: bytes | None) -> str:
+    if parent is None or change is None:
+        return "only in " + ("change" if parent is None else "parent")
+    columns = dataset_columns(name, parent), dataset_columns(name, change)
+    if None not in columns:
+        return column_sizes(*columns)
+    if name.endswith(".json"):
+        return field_sizes(json.loads(parent), json.loads(change))
+    return "differs"
+
+
 def differences(parent: dict, change: dict) -> list[str]:
     """Readable lines for every field in which the two runs differ."""
     lines = []
     if parent["exit code"] != change["exit code"]:
         lines.append(f"  exit code {parent['exit code']} -> {change['exit code']}")
     for stream in ("stdout", "stderr"):
-        if parent[stream] != change[stream]:
-            lines.append(f"  {stream}:")
+        if parent[stream] == change[stream]:
+            continue
+        lines.append(f"  {stream}:")
+        (parent_docs, parent_text), (change_docs, change_text) = (
+            json_documents(parent[stream]), json_documents(change[stream]))
+        if parent_text != change_text or len(parent_docs) != len(change_docs):
             lines.extend("    " + d for d in difflib.unified_diff(
                 parent[stream].splitlines(), change[stream].splitlines(),
                 "parent", "change", n=0, lineterm="") if d[:3] not in ("---", "+++"))
+        else:
+            lines.extend(f"    JSON document {i + 1}: {field_sizes(a, b)}"
+                         for i, (a, b) in enumerate(zip(parent_docs, change_docs)) if a != b)
     for name in sorted(parent["files"].keys() | change["files"].keys()):
-        if parent["files"].get(name) != change["files"].get(name):
-            lines.append(f"  file {name} differs")
+        a, b = parent["files"].get(name), change["files"].get(name)
+        if a != b:
+            lines.append(f"  file {name}: {file_sizes(name, a, b)}")
     return lines
 
 
