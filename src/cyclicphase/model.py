@@ -15,7 +15,10 @@ k = K/w = sqrt(g^2 + 1)/2:
 phi1 occupies the *second* slot of the doublet: phi1(0) = 1 and the +G/2
 eigenvector of H(0) is (0, 1).  For integer k the state is cyclic with
 highest harmonic N = 2k + 1 and amplitude zeros of order two at s = +-pi/2
-(t = +-pi/w).
+(t = +-pi/w).  The first slot is written out in closed form as well
+(``analytic_state_pair``), and so is the doublet's derivative
+(``state_pair_derivative``); ``solution_residual`` checks the Schrodinger
+equation with both, on both rows.
 """
 
 from __future__ import annotations
@@ -84,15 +87,6 @@ def phi1_values(params: ModelParams, s) -> np.ndarray:
     return (np.cos(two_ks) * cos_s
             + sin_2ks * np.sin(s) / (2 * k)
             - 1j * (g / (2 * k)) * sin_2ks * cos_s)
-
-
-def phi1_derivative(params: ModelParams, s) -> np.ndarray:
-    """d phi1 / ds, differentiated analytically."""
-    s = np.asarray(s, dtype=float)
-    k, g = params.k, params.g
-    return ((1.0 / (2 * k) - 2 * k) * np.sin(2 * k * s) * np.cos(s)
-            - 1j * g * (np.cos(2 * k * s) * np.cos(s)
-                        - np.sin(2 * k * s) * np.sin(s) / (2 * k)))
 
 
 @dataclass(frozen=True)
@@ -234,50 +228,42 @@ def integrate_ode(params: ModelParams, initial, s_span=(-np.pi, np.pi),
     return Trajectory(s_out, states, drift)
 
 
-def companion_amplitude(params: ModelParams, s,
-                        phi1: np.ndarray | None = None,
-                        dphi1: np.ndarray | None = None) -> np.ndarray:
-    """The partner amplitude eliminated from the row of H that couples to phi1.
+def _doublet_factors(params: ModelParams, s):
+    """C = cos 2ks, S = sin 2ks and the slot factors u, v of the closed-form doublet.
 
-    phi1 is the lower doublet component, so row two of the Schrodinger
-    equation gives psi_upper = (i dphi1/dt - H22 phi1) / H21 with
-    d/dt = (1/2) d/ds.  Valid off the zeros of sin(2s); the offset grid
-    avoids them.  In floating point sin(2s) vanishes only at s = 0, where the
-    row says nothing about the partner; the model state's partner there, 0
-    (phi1(0) = 1 holds the whole norm), is returned.
+    Each slot of the doublet is C u + S v/(2k) - i (g/2k) S u, with
+    (u, v) = (sin s, -cos s) in the upper slot and (cos s, sin s) in the lower
+    (phi1); the slots run along a new last axis, which C and S broadcast over.
     """
-    s = np.asarray(s, dtype=float)
-    if phi1 is None:
-        phi1 = phi1_values(params, s)
-    if dphi1 is None:
-        dphi1 = phi1_derivative(params, s)
-    g = params.g
-    h21 = 0.5 * g * np.sin(2 * s)
-    h22 = 0.5 * g * np.cos(2 * s)
-    return np.divide(0.5j * dphi1 - h22 * phi1, h21, where=h21 != 0.0,
-                     out=np.zeros(s.shape, dtype=complex))
+    s = np.asarray(s, dtype=float)[..., None]
+    two_ks, sin_s, cos_s = 2 * params.k * s, np.sin(s), np.cos(s)
+    u = np.concatenate([sin_s, cos_s], axis=-1)
+    v = np.concatenate([-cos_s, sin_s], axis=-1)
+    return np.cos(two_ks), np.sin(two_ks), u, v
 
 
 def analytic_state_pair(params: ModelParams, s) -> np.ndarray:
     """Full doublet state (upper, lower) = (partner, phi1) in closed form; unit norm.
 
-    The partner is the amplitude ``companion_amplitude`` eliminates from the
-    Schrodinger equation, written out:
-
-        cos(2ks) sin(s) - sin(2ks) cos(s)/(2k) - i (g/2k) sin(2ks) sin(s)
-
-    so it carries no division by sin(2s).
+    The partner cos(2ks) sin(s) - sin(2ks) cos(s)/(2k) - i (g/2k) sin(2ks) sin(s)
+    is written out, not eliminated from the Schrodinger equation through a
+    division by sin(2s).
     """
-    s = np.asarray(s, dtype=float)
     k, g = params.k, params.g
-    sin_2ks, sin_s = np.sin(2 * k * s), np.sin(s)
-    partner = (np.cos(2 * k * s) * sin_s
-               - sin_2ks * np.cos(s) / (2 * k)
-               - 1j * (g / (2 * k)) * sin_2ks * sin_s)
-    return np.stack([partner, phi1_values(params, s)], axis=-1)
+    cos_2ks, sin_2ks, u, v = _doublet_factors(params, s)
+    return cos_2ks * u + sin_2ks * v / (2 * k) - 1j * (g / (2 * k)) * sin_2ks * u
 
 
-_FD8 = np.array([3.0, -32.0, 168.0, -672.0, 0.0, 672.0, -168.0, 32.0, -3.0]) / 840.0
+def state_pair_derivative(params: ModelParams, s) -> np.ndarray:
+    """d/ds of ``analytic_state_pair``, differentiated analytically.
+
+    Per slot: (1/(2k) - 2k) S u - i g (C u - S v/(2k)), so the partner's is
+    (1/(2k) - 2k) sin(2ks) sin(s) - i g (cos(2ks) sin(s) + sin(2ks) cos(s)/(2k)).
+    """
+    k, g = params.k, params.g
+    cos_2ks, sin_2ks, u, v = _doublet_factors(params, s)
+    return ((1.0 / (2 * k) - 2 * k) * sin_2ks * u
+            - 1j * g * (cos_2ks * u - sin_2ks * v / (2 * k)))
 
 
 @dataclass(frozen=True)
@@ -286,37 +272,19 @@ class ResidualReport:
 
 
 def solution_residual(params: ModelParams, m_samples: int = 16384) -> ResidualReport:
-    """Verify that the closed-form amplitude solves the Schrodinger equation.
+    """Verify that the closed-form doublet solves the Schrodinger equation.
 
-    The partner component is reconstructed algebraically from the row of the
-    equation containing d phi1/dt (with the analytic derivative), then the
-    other row's residual |i dpsi/dt - (H Psi)_row| is evaluated on the grid.
-    The partner derivative is spectral for cyclic drives (band-limited to the
-    known harmonic content, which keeps round-off from the near-singular
-    columns out of the spectrum) and an 8th-order central difference on the
-    interior for non-cyclic ones.
+    Returns the largest |(i/2) dPsi/ds - H(2s) Psi| over the offset grid and
+    over both rows (i dPsi/dt = H Psi with t = 2s), with Psi and dPsi/ds both
+    in closed form.  Nothing is differentiated numerically, so the residual is
+    round-off, of order g times the machine epsilon, for every drive and grid.
     """
     grid = trigpoly.offset_grid(m_samples)
-    phi1 = phi1_values(params, grid)
-    partner = companion_amplitude(params, grid, phi1)
-    g = params.g
-    h11 = -0.5 * g * np.cos(2 * grid)
-    h12 = 0.5 * g * np.sin(2 * grid)
-    if params.cyclic:
-        n = trigpoly.frequencies(m_samples)
-        multiplier = np.where(np.abs(n) <= params.n_harmonic + 4, 1j * n, 0.0)
-        dpartner = np.fft.ifft(np.fft.fft(partner) * multiplier)
-        residual = np.abs(0.5j * dpartner - h11 * partner - h12 * phi1)
-        return ResidualReport(float(np.max(residual)))
-    if m_samples < len(_FD8):
-        raise ValueError(f"the non-cyclic residual's {len(_FD8)}-point difference stencil "
-                         f"needs at least {len(_FD8)} samples; got {m_samples}")
-    h = grid[1] - grid[0]
-    interior = slice(4, m_samples - 4)
-    dpartner = np.convolve(partner, _FD8[::-1], mode="valid") / h
-    residual = np.abs(0.5j * dpartner
-                      - h11[interior] * partner[interior]
-                      - h12[interior] * phi1[interior])
+    psi = analytic_state_pair(params, grid)
+    h_diag, h_off = 0.5 * params.g * np.cos(2 * grid), 0.5 * params.g * np.sin(2 * grid)
+    h_psi = np.stack([-h_diag * psi[:, 0] + h_off * psi[:, 1],
+                      h_off * psi[:, 0] + h_diag * psi[:, 1]], axis=-1)
+    residual = np.abs(0.5j * state_pair_derivative(params, grid) - h_psi)
     return ResidualReport(float(np.max(residual)))
 
 

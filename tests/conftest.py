@@ -15,6 +15,9 @@ The oracles here deliberately avoid the code paths they are used to check:
   reversed polynomial (no sampling, no Fourier analysis).
 * ``rk4_reference``   classic RK4 for the driven two-level equation, one
   right-hand-side evaluation at a time (no precomputed step matrices).
+* ``eliminated_partner``   the upper doublet component eliminated from row two
+  of the Schrodinger equation through a division by sin 2s, with phi1 and its
+  derivative written out here (no closed-form partner, no package code).
 * ``csv_oracle`` / ``json_oracle``   the dataset bytes written cell by cell:
   one ``f"{x:.17g}"`` per CSV cell, and ``json.dumps(..., indent=2)`` of the
   ``columns``/``rows`` payload (no row template, no token renaming).
@@ -144,6 +147,16 @@ def rk4_reference(g, psi, s0, s1, nsteps, freeze_s=None):
         states[i + 1] = psi
     drift = float(np.max(np.abs(np.sum(np.abs(states) ** 2, axis=1) - 1.0)))
     return states, drift
+
+
+def eliminated_partner(g, s):
+    """(i dphi1/dt - H22 phi1) / H21 with d/dt = (1/2) d/ds; valid off sin 2s = 0."""
+    k = 0.5 * np.sqrt(g * g + 1.0)
+    c2k, s2k, c, sn = np.cos(2 * k * s), np.sin(2 * k * s), np.cos(s), np.sin(s)
+    phi1 = c2k * c + s2k * sn / (2 * k) - 1j * (g / (2 * k)) * s2k * c
+    dphi1 = ((1 / (2 * k) - 2 * k) * s2k * c
+             - 1j * g * (c2k * c - s2k * sn / (2 * k)))
+    return (0.5j * dphi1 - 0.5 * g * np.cos(2 * s) * phi1) / (0.5 * g * np.sin(2 * s))
 
 
 def rows_oracle(table):

@@ -95,13 +95,13 @@ class TestValidation:
         assert err.startswith("error:") and "c_0" in err and "vanishes" in err
         assert err.count("\n") == 1
 
-    def test_non_cyclic_verify_on_8_points_exits_1(self, capsys):
-        # the non-cyclic residual's 9-point difference stencil does not fit
-        code, _, err = run_cli(capsys, "verify", "--k", "16.59", "--grid-size", "8",
-                               "--rk4-steps", "50")
-        assert code == 1
-        assert err.startswith("error:") and "stencil" in err
-        assert err.count("\n") == 1
+    def test_non_cyclic_verify_on_8_points_passes_the_residual(self, capsys):
+        # the closed-form residual needs no stencil; 50 RK4 steps still fail
+        code, out, err = run_cli(capsys, "verify", "--k", "16.59", "--grid-size", "8",
+                                 "--rk4-steps", "50")
+        assert code == 1 and err == ""
+        assert "PASS  solution residual < 1e-8" in out
+        assert "FAIL  RK4 vs analytic" in out
 
     def test_rk4_sample_at_s0_compares_quietly(self, capsys):
         # 50 steps over the 64-point grid's span put a sample exactly at s = 0
@@ -218,6 +218,12 @@ class TestOtherCommands:
                                "--grid-size", "4096", "--rk4-steps", "10000")
         assert code == 0
         assert "PASS  solution residual" in out
+        assert "FAIL" not in out
+
+    def test_verify_non_cyclic_coarse_grid(self, capsys):
+        code, out, _ = run_cli(capsys, "verify", "--k", "16.59", "--grid-size", "64")
+        assert code == 0
+        assert "PASS  solution residual < 1e-8" in out
         assert "FAIL" not in out
 
     def test_verify_rk4_drift_fails_quietly(self, capsys):

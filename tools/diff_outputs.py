@@ -33,7 +33,8 @@ import numpy as np
 #: the benchmark's commands (harmonic-scan with its seed-0 k values), then
 #: three more that write CSV from coeffs, sweep and an integer-k reciprocity
 #: run, the Fejer-resummed and the non-cyclic quadrature reconstructions, and
-#: the large JSON datasets of fig1 (32768 rows) and of coeffs
+#: the large JSON datasets of fig1 (32768 rows) and of coeffs, and two
+#: non-cyclic verify runs, on a coarse grid and at large k
 COMMANDS = (
     ("reciprocity", "--preset", "fig1", "--out", "{out}/fig1"),
     ("reciprocity", "--preset", "fig2", "--format", "json", "--out", "{out}/fig2"),
@@ -55,6 +56,8 @@ COMMANDS = (
     ("reciprocity", "--preset", "fig1", "--format", "json", "--out", "{out}/fig1-json"),
     ("coeffs", "--preset", "fig2", "--n-max", "200", "--format", "json",
      "--out", "{out}/coeffs-json"),
+    ("verify", "--k", "16.59", "--grid-size", "64"),
+    ("verify", "--k", "200.3"),
 )
 
 
