@@ -18,8 +18,12 @@ from . import experiments, hilbert, model, trigpoly
 from .experiments import PRESETS
 
 
-#: --rk4-steps ceiling (50x the default); the trajectory holds steps + 1 states
+#: --rk4-steps ceiling (50x the least default); the trajectory holds steps + 1 states
 MAX_RK4_STEPS = 1_000_000
+
+#: RK4 steps of verify up to g = RK4_STEPS_G (all three presets)
+RK4_STEPS = 20_000
+RK4_STEPS_G = 34.0
 
 
 class ConfigError(Exception):
@@ -143,13 +147,25 @@ def cmd_coeffs(args) -> int:
     return 0
 
 
+def default_rk4_steps(g: float) -> int:
+    """verify's RK4 step count: RK4_STEPS, raised as g^(3/2) above RK4_STEPS_G.
+
+    The norm drift of the fixed-step RK4 goes as g^6 / steps^4, so this keeps
+    it at fig2's ~4e-10 for every g, up to the MAX_RK4_STEPS ceiling
+    (reached near k = 230).
+    """
+    scaled = int(np.ceil(RK4_STEPS * (g / RK4_STEPS_G) ** 1.5))
+    return min(max(RK4_STEPS, scaled), MAX_RK4_STEPS)
+
+
 def cmd_verify(args) -> int:
     params, default_grid = resolve_params(args)
     grid = _resolve_grid(args, min(default_grid, 16384))
-    if not 1 <= args.rk4_steps <= MAX_RK4_STEPS:
+    steps = args.rk4_steps if args.rk4_steps is not None else default_rk4_steps(params.g)
+    if not 1 <= steps <= MAX_RK4_STEPS:
         raise ConfigError(f"--rk4-steps must be between 1 and {MAX_RK4_STEPS}, "
-                          f"got {args.rk4_steps}")
-    _print_config("verify", params, {"grid_size": grid, "rk4_steps": args.rk4_steps})
+                          f"got {steps}")
+    _print_config("verify", params, {"grid_size": grid, "rk4_steps": steps})
     checks = []
 
     res = model.solution_residual(params, grid)
@@ -159,7 +175,7 @@ def cmd_verify(args) -> int:
     s = trigpoly.offset_grid(min(grid, 4096))
     pair = model.analytic_state_pair(params, s)
     traj = model.integrate_ode(params, pair[0], (s[0], s[-1]),
-                               step=(s[-1] - s[0]) / args.rk4_steps)
+                               step=(s[-1] - s[0]) / steps)
     ref = model.analytic_state_pair(params, traj.s)
     rk4_err = float(np.max(np.abs(traj.states - ref)))
     checks.append(("RK4 vs analytic < 1e-6", rk4_err < 1e-6, f"{rk4_err:.3e}"))
@@ -267,7 +283,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="solution residual, RK4 cross-check, zero gate")
     _add_model_arguments(p)
     p.add_argument("--grid-size", type=int, default=None)
-    p.add_argument("--rk4-steps", type=int, default=20000)
+    p.add_argument("--rk4-steps", type=int, default=None,
+                   help=f"RK4 steps (default {RK4_STEPS}, raised as g^1.5 above "
+                        f"g = {RK4_STEPS_G:g})")
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("berry", help="measured vs predicted geometric phase")

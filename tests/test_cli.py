@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from conftest import csv_oracle
 import cyclicphase
-from cyclicphase import experiments, model, trigpoly
+from cyclicphase import cli, experiments, model, trigpoly
 from cyclicphase.cli import MAX_RK4_STEPS, main
 
 
@@ -225,6 +225,28 @@ class TestOtherCommands:
         assert code == 0
         assert "PASS  solution residual < 1e-8" in out
         assert "FAIL" not in out
+
+    def test_verify_k50_passes_at_the_default_steps(self, capsys):
+        # 20,000 steps left a norm drift of 2.7e-7 here; the g^1.5 default passes
+        code, out, _ = run_cli(capsys, "verify", "--k", "50", "--grid-size", "4096")
+        assert code == 0
+        assert '"rk4_steps": 100874' in out
+        assert "FAIL" not in out
+
+    @pytest.mark.parametrize("preset", ["fig1", "fig2", "fig3"])
+    def test_presets_keep_20000_rk4_steps(self, preset):
+        params = model.derive_params(experiments.PRESETS[preset]["g"])
+        assert cli.default_rk4_steps(params.g) == 20000
+
+    def test_rk4_default_reaches_the_ceiling(self):
+        assert cli.default_rk4_steps(model.params_from_k(200.3).g) == 808865
+        assert cli.default_rk4_steps(model.params_from_k(1000).g) == MAX_RK4_STEPS
+
+    def test_explicit_rk4_steps_honoured(self, capsys):
+        code, out, _ = run_cli(capsys, "verify", "--k", "50", "--grid-size", "4096",
+                               "--rk4-steps", "20000")
+        assert code == 1
+        assert '"rk4_steps": 20000' in out and "FAIL  norm drift" in out
 
     def test_verify_rk4_drift_fails_quietly(self, capsys):
         code, out, err = run_cli(capsys, "verify", "--preset", "fig2",

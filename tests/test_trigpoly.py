@@ -439,3 +439,121 @@ class TestRootCheck:
         dist = np.abs(rest[:, None] - simple[None, :])
         assert sorted(np.argmin(dist, axis=1)) == list(range(len(simple)))
         assert np.max(np.min(dist, axis=1)) < 1e-9
+
+
+def matched_distances(roots, reference):
+    """|roots[i] - reference[j]| over a matching that uses each reference root once.
+
+    Roots take their nearest unused reference root, the closest first, so a
+    root set that holds one root twice and misses another shows a distance
+    to the missing one.
+    """
+    dist = np.abs(roots[:, None] - reference[None, :])
+    out = np.empty(len(roots))
+    for i in np.argsort(dist.min(axis=1)):
+        j = np.argmin(dist[i])
+        out[i] = dist[i, j]
+        dist[:, j] = np.inf
+    return out
+
+
+def model_series(k):
+    params = model.params_from_k(k)
+    return model.evaluate_model(params, 4 * params.n_harmonic + 4).helicity.c
+
+
+def aberth_roots(monkeypatch, c):
+    """polynomial_roots(c) with the four-term path switched off."""
+    with monkeypatch.context() as patch:
+        patch.setattr(trigpoly, "_model_roots", lambda c: None)
+        return polynomial_roots(c)
+
+
+@pytest.fixture
+def aberth_calls(monkeypatch):
+    calls = []
+    original = trigpoly._aberth
+
+    def counting(q):
+        calls.append(len(q) - 1)
+        return original(q)
+
+    monkeypatch.setattr(trigpoly, "_aberth", counting)
+    return calls
+
+
+def off_circle_min(roots):
+    moduli = np.abs(roots)
+    return np.min(moduli[moduli > 1.0 + hilbert.UNIT_ROOT_TOL])
+
+
+class TestModelRoots:
+    """The four-term branch solver that polynomial_roots runs on model series."""
+
+    def check_model_roots(self, c, roots):
+        d = len(c) - 1
+        assert len(roots) == d
+        for unit in (1j, -1j):  # exact double roots
+            assert np.count_nonzero(roots == unit) == 2
+        assert np.array_equal(np.sort_complex(roots), np.sort_complex(roots.conj()))
+        if d <= 602:  # k <= 150
+            oracle = companion_roots(c)
+            assert np.max(matched_distances(roots, oracle)
+                          / np.maximum(1.0, np.abs(roots))) <= 1e-12
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 17, 32, 100, 400])
+    def test_matches_the_oracle_and_aberth(self, monkeypatch, aberth_calls, k):
+        c = model_series(k)
+        roots = polynomial_roots(c)
+        assert aberth_calls == []  # the branch solver took the series
+        self.check_model_roots(c, roots)
+        aberth = aberth_roots(monkeypatch, c)
+        assert abs(np.min(np.abs(roots)) - np.min(np.abs(aberth))) <= 1e-14
+        assert np.min(np.abs(roots)) == 1.0
+        assert abs(off_circle_min(roots) - off_circle_min(aberth)) <= 1e-14
+
+    @settings(max_examples=6, deadline=None)
+    @given(k=st.integers(1, 150))
+    def test_integer_k_property(self, k):
+        c = model_series(k)
+        self.check_model_roots(c, polynomial_roots(c))
+
+    def test_k1000_meets_the_gate(self):
+        c = model_series(1000)
+        roots = polynomial_roots(c)
+        d = len(c) - 1
+        assert len(roots) == 4002
+        assert np.max(backward_error(c, roots)) <= 4 * d * np.finfo(float).eps
+
+    @staticmethod
+    def boundary_cases():
+        c = model_series(17)
+        d = len(c) - 1
+        kept = [0, 2, d - 2, d]
+        four_term = np.zeros_like(c)
+        four_term[kept] = c[kept]
+        four_term[0] *= 1.001  # P(-1) != 0: no double root at z = +-i
+        extra = c.copy()
+        extra[35] = 1e-8 * np.max(np.abs(c))
+        degree_68 = np.zeros(69)  # d = 0 (mod 4)
+        degree_68[[0, 2, 66, 68]] = c[kept]
+        return {"four_term_without_double_root": four_term,
+                "extra_coefficient": extra, "degree_0_mod_4": degree_68}
+
+    @pytest.mark.parametrize("case", ["four_term_without_double_root",
+                                      "extra_coefficient", "degree_0_mod_4"])
+    def test_other_series_take_the_aberth_path(self, aberth_calls, case):
+        c = self.boundary_cases()[case]
+        roots = polynomial_roots(c)
+        assert aberth_calls == [len(c) - 1]
+        assert len(roots) == len(c) - 1
+        assert np.max(matched_distances(roots, companion_roots(c))
+                      / np.maximum(1.0, np.abs(roots))) <= 1e-12
+
+    def test_branch_solver_capped_at_one_sweep_raises(self, monkeypatch):
+        monkeypatch.setattr(trigpoly, "MAX_SWEEPS", 1)
+        c = model_series(17)
+        assert trigpoly._model_roots(c) is None  # gives up, then Aberth fails too
+        with pytest.raises(ValueError, match=r"^root finder did not converge for the "
+                                             r"degree-70 polynomial in 1 sweeps$"):
+            polynomial_roots(c)

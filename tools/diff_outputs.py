@@ -33,8 +33,10 @@ import numpy as np
 #: the benchmark's commands (harmonic-scan with its seed-0 k values), then
 #: three more that write CSV from coeffs, sweep and an integer-k reciprocity
 #: run, the Fejer-resummed and the non-cyclic quadrature reconstructions, and
-#: the large JSON datasets of fig1 (32768 rows) and of coeffs, and two
-#: non-cyclic verify runs, on a coarse grid and at large k
+#: the large JSON datasets of fig1 (32768 rows) and of coeffs, two
+#: non-cyclic verify runs, on a coarse grid and at large k, and the k = 400
+#: root pass (reciprocity and coeffs) and a verify run whose RK4 steps
+#: scale with g
 COMMANDS = (
     ("reciprocity", "--preset", "fig1", "--out", "{out}/fig1"),
     ("reciprocity", "--preset", "fig2", "--format", "json", "--out", "{out}/fig2"),
@@ -58,6 +60,9 @@ COMMANDS = (
      "--out", "{out}/coeffs-json"),
     ("verify", "--k", "16.59", "--grid-size", "64"),
     ("verify", "--k", "200.3"),
+    ("reciprocity", "--k", "400", "--grid-size", "16384", "--out", "{out}/k400"),
+    ("coeffs", "--k", "400", "--n-max", "200", "--out", "{out}/coeffs-k400"),
+    ("verify", "--k", "50"),
 )
 
 
