@@ -143,30 +143,64 @@ class Trajectory:
     norm_drift: float
 
 
-#: steps whose increment matrices are built together; bounds the temporaries
-RK4_CHUNK = 256
+#: steps whose increments are built and scanned together; bounds the temporaries
+RK4_CHUNK = 4096
+
+#: steps per block of the scan (RK4_CHUNK is a multiple): one scalar step per block
+RK4_BLOCK = 16
 
 
-def _times_one_plus(a, k, f):
-    """A (I + f K) for stacks of 2x2 matrices held as entry tuples (a, b, c, d)."""
-    p, q, r, t = 1 + f * k[0], f * k[1], f * k[2], 1 + f * k[3]
-    return (a[0] * p + a[1] * r, a[0] * q + a[1] * t,
-            a[2] * p + a[3] * r, a[2] * q + a[3] * t)
+def _rk4_increments(g: float, phase: np.ndarray, h: float, d: float):
+    """(alpha, beta) of D_n = (h/6)(K1 + 2 K2 + 2 K3 + K4), one per step.
 
+    ``phase`` is the drive phase 2s at the midpoint of each step and ``d`` its
+    advance over half a step (h, or 0 with the Hamiltonian frozen).  With
+    A(s) = -ig(-cos 2s sigma_z + sin 2s sigma_x), every A(s)^2 = -g^2 I and
+    A(s) A(s') = -g^2 (cos(2s - 2s') I + sin(2s - 2s') J), J = i sigma_y, so
+    the RK4 stages collapse to
 
-def _rk4_increments(g: float, phase: np.ndarray, h: float):
-    """Entries (a, b, c, d) of D_n = (h/6)(K1 + 2 K2 + 2 K3 + K4), one per step.
+        D_n = (h/6) [4 + (2 - g^2 h^2) cos d] A(s_n + h/2)
+              - (g^2 h^2/6) [(1 + 2 cos d) I + 2 sin d J]
+              + (g^4 h^4/24) [cos 2d I + sin 2d J].
 
-    ``phase`` has shape (3, n): the drive phase 2s at the start, midpoint and
-    end of each step, where A = -ig(-cos 2s sigma_z + sin 2s sigma_x).
+    A, I and J are all [[alpha, beta], [-conj(beta), conj(alpha)]]: two
+    entries hold D_n, and each step costs one cosine and one sine.
     """
-    igc, igs = 1j * g * np.cos(phase), -1j * g * np.sin(phase)
-    a1, a2, a3 = ((c, sn, sn, -c) for c, sn in zip(igc, igs))
-    k2 = _times_one_plus(a2, a1, h / 2)
-    k3 = _times_one_plus(a2, k2, h / 2)
-    k4 = _times_one_plus(a3, k3, h)
-    return tuple((h / 6) * (e1 + 2 * e2 + 2 * e3 + e4)
-                 for e1, e2, e3, e4 in zip(a1, k2, k3, k4))
+    gh2, cos_d = (g * h) ** 2, np.cos(d)
+    p = (g * h / 6) * (4 + (2 - gh2) * cos_d)
+    c_i = -(gh2 / 6) * (1 + 2 * cos_d) + (gh2 * gh2 / 24) * np.cos(2 * d)
+    c_j = -(gh2 / 3) * np.sin(d) + (gh2 * gh2 / 24) * np.sin(2 * d)
+    return c_i + 1j * p * np.cos(phase), c_j - 1j * p * np.sin(phase)
+
+
+def _scan_chunk(da: np.ndarray, db: np.ndarray, u: complex, v: complex):
+    """States after each step Psi <- Psi + D_n Psi of one chunk, from Psi = (u, v).
+
+    Returns the upper and lower components, one per step.  The steps are cut
+    into blocks of RK4_BLOCK; the last is padded with zero increments.
+    """
+    n = da.size
+    nb = -(-n // RK4_BLOCK)
+    # column j becomes E_j = S_j ... S_0 - I of its block, S = I + D, formed as
+    # (I + D_j)(I + E_{j-1}) - I = D_j + D_j E_{j-1} + E_{j-1}; each matrix is
+    # [[a, b], [-conj(b), conj(a)]], held as its pair (a, b)
+    blocks = np.zeros((2, nb * RK4_BLOCK), dtype=complex)
+    blocks[:, :n] = da, db
+    ea, eb = blocks.reshape(2, nb, RK4_BLOCK)
+    for j in range(1, RK4_BLOCK):
+        xa, xb, ya, yb = ea[:, j], eb[:, j], ea[:, j - 1], eb[:, j - 1]
+        pa, pb = xa * ya - xb * np.conj(yb), xa * yb + xb * np.conj(ya)
+        ea[:, j], eb[:, j] = xa + pa + ya, xb + pb + yb
+    # one step per block carries the block's start state: Psi <- Psi + E Psi
+    us, vs = [], []
+    for a, b in zip(ea[:, -1].tolist(), eb[:, -1].tolist()):
+        us.append(u)
+        vs.append(v)
+        u, v = u + (a * u + b * v), v + (a.conjugate() * v - b.conjugate() * u)
+    u0, v0 = np.array(us)[:, None], np.array(vs)[:, None]
+    upper = u0 + (ea * u0 + eb * v0)
+    lower = v0 + (np.conj(ea) * v0 - np.conj(eb) * u0)
+    return upper.ravel()[:n], lower.ravel()[:n]
 
 
 def integrate_ode(params: ModelParams, initial, s_span=(-np.pi, np.pi),
@@ -179,18 +213,23 @@ def integrate_ode(params: ModelParams, initial, s_span=(-np.pi, np.pi),
     Hamiltonian at a fixed time (useful for checking against the constant-H
     matrix exponential).  The norm drift over the run is reported in
     ``norm_drift`` for the caller to judge; a large drift does not stop the
-    run.
+    run.  The span may run backward (s1 < s0); the step count is
+    ceil(|s1 - s0|/step).
 
     The equation is linear, so one RK4 step is exactly Psi <- Psi + D_n Psi
     with D_n = (h/6)(K1 + 2 K2 + 2 K3 + K4), K1 = A(s_n),
     K2 = A(s_n + h/2)(I + (h/2) K1), K3 = A(s_n + h/2)(I + (h/2) K2) and
-    K4 = A(s_n + h)(I + h K3).  The entries of D_n are built with numpy,
-    RK4_CHUNK steps at a time, and applied in step order by one scalar loop.
-    The increment is added to Psi rather than applying S_n = I + D_n: the
-    O(1) diagonal of S_n rounds away the low bits of the O(h) increment, which
-    raised the fig1 norm drift from 9.1e-15 to 8.3e-13 in trials, and a
-    prefix-product scan of the S_n (1.0e-12) did the same.  The increment form
-    reproduces the per-step loop to round-off.
+    K4 = A(s_n + h)(I + h K3); ``_rk4_increments`` writes D_n in closed form.
+    The steps then compose like a prefix scan, RK4_CHUNK steps at a time:
+    numpy forms the prefixes E_j = S_j ... S_0 - I (S_n = I + D_n) of every
+    RK4_BLOCK-step block at once, one scalar step Psi <- Psi + E Psi per
+    block carries the state to the next block, and one multiply expands each
+    block's states from its start state.  Maps compose in increment form,
+    (I + X)(I + Y) = I + (X + Y + XY), never as products of the S_n: the O(1)
+    diagonal of S_n rounds away the low bits of the O(h) increment, and a
+    prefix product of the S_n raised the fig1 norm drift from 9.1e-15 to
+    1.0e-12 in trials.  The increment form reproduces the per-step loop to
+    round-off.
     """
     psi = np.asarray(initial, dtype=complex)
     if psi.shape != (2,):
@@ -199,32 +238,34 @@ def integrate_ode(params: ModelParams, initial, s_span=(-np.pi, np.pi),
     if abs(nrm - 1.0) > 1e-8:
         raise ValueError(f"initial state must be normalised, |Psi| = {nrm:.6f}")
     s0, s1 = map(float, s_span)
+    if not np.isfinite(s1 - s0):
+        raise ValueError(f"s_span must be a finite interval, got ({s0}, {s1})")
     if step is None:
         step = 2.0 * np.pi / 10_000
     if not (step > 0.0):
         raise ValueError("step must be positive")
-    nsteps = max(1, int(np.ceil((s1 - s0) / step)))
+    nsteps = max(1, int(np.ceil(abs(s1 - s0) / step)))
     h = (s1 - s0) / nsteps
 
     s_out = s0 + h * np.arange(nsteps + 1)
     states = np.empty((nsteps + 1, 2), dtype=complex)
     states[0] = psi
     u, v = complex(psi[0]), complex(psi[1])
-    offsets = np.array([[0.0], [h / 2], [h]])
-    for i0 in range(0, nsteps, RK4_CHUNK):
-        i1 = min(i0 + RK4_CHUNK, nsteps)
-        if freeze_s is None:
-            phase = 2.0 * (s_out[i0:i1] + offsets)
-        else:
-            phase = np.full((3, i1 - i0), 2.0 * freeze_s)
-        us, vs = [], []
-        for a, b, c, d in zip(*(e.tolist() for e in _rk4_increments(params.g, phase, h))):
-            u, v = u + (a * u + b * v), v + (c * u + d * v)
-            us.append(u)
-            vs.append(v)
-        states[i0 + 1:i1 + 1, 0] = us
-        states[i0 + 1:i1 + 1, 1] = vs
-    drift = float(np.max(np.abs(np.sum(np.abs(states) ** 2, axis=1) - 1.0)))
+    d = h if freeze_s is None else 0.0
+    # a step too coarse for g makes RK4 blow up: the states overflow quietly
+    # and the drift reads inf or nan
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i0 in range(0, nsteps, RK4_CHUNK):
+            i1 = min(i0 + RK4_CHUNK, nsteps)
+            if freeze_s is None:
+                phase = 2.0 * (s_out[i0:i1] + h / 2)
+            else:
+                phase = np.full(i1 - i0, 2.0 * freeze_s)
+            upper, lower = _scan_chunk(*_rk4_increments(params.g, phase, h, d), u, v)
+            states[i0 + 1:i1 + 1, 0] = upper
+            states[i0 + 1:i1 + 1, 1] = lower
+            u, v = complex(upper[-1]), complex(lower[-1])
+        drift = float(np.max(np.abs(np.sum(np.abs(states) ** 2, axis=1) - 1.0)))
     return Trajectory(s_out, states, drift)
 
 

@@ -255,6 +255,16 @@ class TestOtherCommands:
         assert "FAIL  RK4" in out
         assert err == ""
 
+    def test_verify_zero_gate_beyond_the_dataset_grid(self, capsys):
+        # N = 2001 needs 8008 samples, more than the 4096-point grid: the gate
+        # samples the series on its own grid.  300 RK4 steps at g = 2000 blow
+        # up, which fails the RK4 lines without a warning.
+        code, out, err = run_cli(capsys, "verify", "--k", "1000", "--grid-size", "4096",
+                                 "--rk4-steps", "300")
+        assert code == 1 and err == ""
+        assert "PASS  all helicity zeros |z| >= 1  (min |z| = 1.000000000000)" in out
+        assert "FAIL  norm drift < 1e-8  (nan)" in out
+
     def test_coeffs_stdout_bytes(self, capsys):
         # the table lines as formatted cell by numpy cell, after the report
         code, out, _ = run_cli(capsys, "coeffs", "--g", "1.7320508075688772",

@@ -212,6 +212,84 @@ class TestIntegrateOdeMatchesLoop:
                                    (-np.pi, np.pi), 40)
         assert traj.norm_drift > 1e-6
 
+    @pytest.mark.parametrize("offset", [-1, 0, 1])
+    def test_block_step_counts(self, offset):
+        self.assert_matches(np.sqrt(1155.0), np.array([0.6, 0.8j]),
+                            (-np.pi, np.pi), model.RK4_BLOCK + offset)
+
+    def test_chunk_ending_in_a_partial_block(self):
+        assert model.RK4_CHUNK % model.RK4_BLOCK == 0
+        nsteps = 2 * model.RK4_CHUNK + model.RK4_BLOCK // 2 + 1
+        self.assert_matches(np.sqrt(1100.0), np.array([0.6, 0.8j]), (-np.pi, np.pi), nsteps)
+
+    def test_frozen_hamiltonian_across_blocks(self):
+        self.assert_matches(2.0, np.array([0.6, 0.8j]), (0.0, 3.0),
+                            3 * model.RK4_BLOCK + 5, freeze_s=0.3)
+
+    def test_reversed_span(self):
+        # a step of 2^-9 divides the span exactly: 3072 steps from s = 3 down to -3
+        g, psi0 = np.sqrt(1155.0), np.array([0.6, 0.8j])
+        traj = model.integrate_ode(model.derive_params(g), psi0, (3.0, -3.0), step=2.0 ** -9)
+        states, drift = rk4_reference(g, psi0, 3.0, -3.0, 3072)
+        assert traj.s[0] == 3.0 and traj.s[-1] == -3.0
+        assert np.max(np.abs(traj.states - states)) <= 1e-12
+        assert traj.norm_drift == pytest.approx(drift, rel=1e-3)
+
+    def test_reversed_span_keeps_the_default_step(self):
+        # the step count is ceil(|s1 - s0|/step) backward too, not a single step of -1
+        p, psi0 = model.params_from_k(1), np.array([0.0, 1.0], dtype=complex)
+        traj = model.integrate_ode(p, psi0, (1.0, 0.0))
+        nsteps = int(np.ceil(1.0 / (2.0 * np.pi / 10_000)))
+        states, _ = rk4_reference(p.g, psi0, 1.0, 0.0, nsteps)
+        assert traj.states.shape == (nsteps + 1, 2)
+        assert np.max(np.abs(traj.states - states)) <= 1e-12
+        assert traj.norm_drift < 1e-13
+
+    @pytest.mark.parametrize("s_span", [(0.0, np.inf), (np.nan, 1.0), (-np.inf, np.inf),
+                                        (-1e308, 1e308)])
+    def test_non_finite_span_rejected(self, s_span):
+        with pytest.raises(ValueError, match="s_span must be a finite interval"):
+            model.integrate_ode(model.params_from_k(1), np.array([0.0, 1.0]), s_span)
+
+    def test_blow_up_is_quiet(self):
+        # 2000 steps at g = 1e4 are far outside RK4's stability region
+        traj = model.integrate_ode(model.params_from_k(5000), np.array([0.0, 1.0]),
+                                   step=2.0 * np.pi / 2000)
+        assert not np.isfinite(traj.norm_drift)
+
+    def test_fig1_accuracy(self):
+        # verify's fig1 run: the increment form keeps round-off at the per-step
+        # level, where plain products of the I + D_n read a drift of 8.3e-13
+        p = model.derive_params(np.sqrt(3.0))
+        s = offset_grid(4096)
+        traj = model.integrate_ode(p, model.analytic_state_pair(p, s[0]), (s[0], s[-1]),
+                                   step=(s[-1] - s[0]) / 20_000)
+        assert traj.states.shape == (20_001, 2)
+        assert traj.norm_drift <= 1e-14
+        assert np.max(np.abs(traj.states - model.analytic_state_pair(p, traj.s))) <= 1e-14
+
+    @pytest.mark.parametrize("frozen", [False, True])
+    def test_increments_match_the_rk4_stages(self, frozen):
+        # D_n from the K stages as full 2x2 matrix products equals
+        # [[alpha, beta], [-conj(beta), conj(alpha)]] to round-off
+        g, h = np.sqrt(1155.0), 0.01
+        s = np.linspace(-np.pi, np.pi, 257)
+        phase = 2.0 * (s + np.array([[0.0], [h / 2], [h]]))
+        if frozen:
+            phase[:] = phase[1]
+        alpha, beta = model._rk4_increments(g, phase[1], h, 0.0 if frozen else h)
+        c, sn = np.cos(phase), np.sin(phase)
+        a = -1j * g * np.stack([np.stack([-c, sn], -1), np.stack([sn, c], -1)], -2)
+        eye = np.eye(2)
+        k1 = a[0]
+        k2 = a[1] @ (eye + (h / 2) * k1)
+        k3 = a[1] @ (eye + (h / 2) * k2)
+        k4 = a[2] @ (eye + h * k3)
+        full = (h / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
+        two_entry = np.stack([np.stack([alpha, beta], -1),
+                              np.stack([-np.conj(beta), np.conj(alpha)], -1)], -2)
+        assert np.max(np.abs(two_entry - full)) <= 4 * np.finfo(float).eps * np.max(np.abs(full))
+
 
 class TestSolutionResidual:
     @pytest.mark.parametrize("k", [1, 17])

@@ -35,8 +35,9 @@ import numpy as np
 #: run, the Fejer-resummed and the non-cyclic quadrature reconstructions, and
 #: the large JSON datasets of fig1 (32768 rows) and of coeffs, two
 #: non-cyclic verify runs, on a coarse grid and at large k, and the k = 400
-#: root pass (reciprocity and coeffs) and a verify run whose RK4 steps
-#: scale with g
+#: root pass (reciprocity and coeffs), a verify run whose RK4 steps scale
+#: with g, one at the 1e6-step ceiling, and one whose step count leaves a
+#: partial block in the RK4 scan
 COMMANDS = (
     ("reciprocity", "--preset", "fig1", "--out", "{out}/fig1"),
     ("reciprocity", "--preset", "fig2", "--format", "json", "--out", "{out}/fig2"),
@@ -63,6 +64,8 @@ COMMANDS = (
     ("reciprocity", "--k", "400", "--grid-size", "16384", "--out", "{out}/k400"),
     ("coeffs", "--k", "400", "--n-max", "200", "--out", "{out}/coeffs-k400"),
     ("verify", "--k", "50"),
+    ("verify", "--k", "1000"),
+    ("verify", "--preset", "fig2", "--rk4-steps", "20001"),
 )
 
 
