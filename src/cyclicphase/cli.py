@@ -148,14 +148,15 @@ def cmd_coeffs(args) -> int:
 
 
 def default_rk4_steps(g: float) -> int:
-    """verify's RK4 step count: RK4_STEPS, raised as g^(3/2) above RK4_STEPS_G.
+    """verify's RK4 step count: RK4_STEPS, raised as g^(6/5) above RK4_STEPS_G.
 
-    The norm drift of the fixed-step RK4 goes as g^6 / steps^4, so this keeps
-    it at fig2's ~4e-10 for every g, up to the MAX_RK4_STEPS ceiling
-    (reached near k = 230).  From k = 753.6 on, the capped run's drift exceeds
+    RK4's stability function has |R(iy)|^2 = 1 - y^6/72 + ..., so the norm
+    drift over a fixed span goes as g^6 / steps^5, and this keeps it at
+    fig2's ~4.1e-10 for every g, up to the MAX_RK4_STEPS ceiling (reached
+    near k = 442.9).  From k = 753.6 on, the capped run's drift exceeds
     verify's 1e-8, and the default verify exits 1.
     """
-    scaled = int(np.ceil(RK4_STEPS * (g / RK4_STEPS_G) ** 1.5))
+    scaled = int(np.ceil(RK4_STEPS * (g / RK4_STEPS_G) ** 1.2))
     return min(max(RK4_STEPS, scaled), MAX_RK4_STEPS)
 
 
@@ -286,7 +287,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_model_arguments(p)
     p.add_argument("--grid-size", type=int, default=None)
     p.add_argument("--rk4-steps", type=int, default=None,
-                   help=f"RK4 steps (default {RK4_STEPS}, raised as g^1.5 above "
+                   help=f"RK4 steps (default {RK4_STEPS}, raised as g^1.2 above "
                         f"g = {RK4_STEPS_G:g})")
     p.set_defaults(func=cmd_verify)
 

@@ -143,17 +143,14 @@ class Trajectory:
     norm_drift: float
 
 
-#: steps whose increments are built and scanned together; bounds the temporaries
+#: states computed together; bounds the temporaries
 RK4_CHUNK = 4096
 
-#: steps per block of the scan (RK4_CHUNK is a multiple): one scalar step per block
-RK4_BLOCK = 16
 
+def _rk4_increments(g: float, phase, h: float, d: float):
+    """(alpha, beta) of D_n = (h/6)(K1 + 2 K2 + 2 K3 + K4), one per drive phase.
 
-def _rk4_increments(g: float, phase: np.ndarray, h: float, d: float):
-    """(alpha, beta) of D_n = (h/6)(K1 + 2 K2 + 2 K3 + K4), one per step.
-
-    ``phase`` is the drive phase 2s at the midpoint of each step and ``d`` its
+    ``phase`` is the drive phase 2s at the midpoint of a step and ``d`` its
     advance over half a step (h, or 0 with the Hamiltonian frozen).  With
     A(s) = -ig(-cos 2s sigma_z + sin 2s sigma_x), every A(s)^2 = -g^2 I and
     A(s) A(s') = -g^2 (cos(2s - 2s') I + sin(2s - 2s') J), J = i sigma_y, so
@@ -164,43 +161,13 @@ def _rk4_increments(g: float, phase: np.ndarray, h: float, d: float):
               + (g^4 h^4/24) [cos 2d I + sin 2d J].
 
     A, I and J are all [[alpha, beta], [-conj(beta), conj(alpha)]]: two
-    entries hold D_n, and each step costs one cosine and one sine.
+    entries hold D_n, at one cosine and one sine per phase.
     """
     gh2, cos_d = (g * h) ** 2, np.cos(d)
     p = (g * h / 6) * (4 + (2 - gh2) * cos_d)
     c_i = -(gh2 / 6) * (1 + 2 * cos_d) + (gh2 * gh2 / 24) * np.cos(2 * d)
     c_j = -(gh2 / 3) * np.sin(d) + (gh2 * gh2 / 24) * np.sin(2 * d)
     return c_i + 1j * p * np.cos(phase), c_j - 1j * p * np.sin(phase)
-
-
-def _scan_chunk(da: np.ndarray, db: np.ndarray, u: complex, v: complex):
-    """States after each step Psi <- Psi + D_n Psi of one chunk, from Psi = (u, v).
-
-    Returns the upper and lower components, one per step.  The steps are cut
-    into blocks of RK4_BLOCK; the last is padded with zero increments.
-    """
-    n = da.size
-    nb = -(-n // RK4_BLOCK)
-    # column j becomes E_j = S_j ... S_0 - I of its block, S = I + D, formed as
-    # (I + D_j)(I + E_{j-1}) - I = D_j + D_j E_{j-1} + E_{j-1}; each matrix is
-    # [[a, b], [-conj(b), conj(a)]], held as its pair (a, b)
-    blocks = np.zeros((2, nb * RK4_BLOCK), dtype=complex)
-    blocks[:, :n] = da, db
-    ea, eb = blocks.reshape(2, nb, RK4_BLOCK)
-    for j in range(1, RK4_BLOCK):
-        xa, xb, ya, yb = ea[:, j], eb[:, j], ea[:, j - 1], eb[:, j - 1]
-        pa, pb = xa * ya - xb * np.conj(yb), xa * yb + xb * np.conj(ya)
-        ea[:, j], eb[:, j] = xa + pa + ya, xb + pb + yb
-    # one step per block carries the block's start state: Psi <- Psi + E Psi
-    us, vs = [], []
-    for a, b in zip(ea[:, -1].tolist(), eb[:, -1].tolist()):
-        us.append(u)
-        vs.append(v)
-        u, v = u + (a * u + b * v), v + (a.conjugate() * v - b.conjugate() * u)
-    u0, v0 = np.array(us)[:, None], np.array(vs)[:, None]
-    upper = u0 + (ea * u0 + eb * v0)
-    lower = v0 + (np.conj(ea) * v0 - np.conj(eb) * u0)
-    return upper.ravel()[:n], lower.ravel()[:n]
 
 
 def integrate_ode(params: ModelParams, initial, s_span=(-np.pi, np.pi),
@@ -216,20 +183,19 @@ def integrate_ode(params: ModelParams, initial, s_span=(-np.pi, np.pi),
     run.  The span may run backward (s1 < s0); the step count is
     ceil(|s1 - s0|/step).
 
-    The equation is linear, so one RK4 step is exactly Psi <- Psi + D_n Psi
-    with D_n = (h/6)(K1 + 2 K2 + 2 K3 + K4), K1 = A(s_n),
+    The equation is linear, so one RK4 step is exactly Psi <- S_n Psi with
+    S_n = I + D_n, D_n = (h/6)(K1 + 2 K2 + 2 K3 + K4), K1 = A(s_n),
     K2 = A(s_n + h/2)(I + (h/2) K1), K3 = A(s_n + h/2)(I + (h/2) K2) and
     K4 = A(s_n + h)(I + h K3); ``_rk4_increments`` writes D_n in closed form.
-    The steps then compose like a prefix scan, RK4_CHUNK steps at a time:
-    numpy forms the prefixes E_j = S_j ... S_0 - I (S_n = I + D_n) of every
-    RK4_BLOCK-step block at once, one scalar step Psi <- Psi + E Psi per
-    block carries the state to the next block, and one multiply expands each
-    block's states from its start state.  Maps compose in increment form,
-    (I + X)(I + Y) = I + (X + Y + XY), never as products of the S_n: the O(1)
-    diagonal of S_n rounds away the low bits of the O(h) increment, and a
-    prefix product of the S_n raised the fig1 norm drift from 9.1e-15 to
-    1.0e-12 in trials.  The increment form reproduces the per-step loop to
-    round-off.
+    The drive rotates uniformly: U A(s) U^-1 = A(s + d) for U = e^{i d sigma_y},
+    so S_n = U^n S_0 U^-n with d = h (d = 0 frozen), and the states are
+    Psi_n = U^n M^n Psi_0 for the one map M = U^-1 S_0.  M is
+    [[a, b], [-conj(b), conj(a)]], that is mu (cos theta I + sin theta K) with
+    K^2 = -I, so M^n = mu^n (cos n theta I + sin n theta K) and every state
+    follows from mu^n e^{i n theta} and e^{i n d}, RK4_CHUNK states at a time.
+    E = M - I is formed in increment form (cos d - 1 = -2 sin^2(d/2)) and
+    mu, theta are read from E, so that n theta and mu^n keep the relative
+    precision of the per-step loop's increments.
     """
     psi = np.asarray(initial, dtype=complex)
     if psi.shape != (2,):
@@ -250,21 +216,30 @@ def integrate_ode(params: ModelParams, initial, s_span=(-np.pi, np.pi),
     s_out = s0 + h * np.arange(nsteps + 1)
     states = np.empty((nsteps + 1, 2), dtype=complex)
     states[0] = psi
-    u, v = complex(psi[0]), complex(psi[1])
+    u, v = psi
     d = h if freeze_s is None else 0.0
+    phase = 2.0 * (s0 + h / 2 if freeze_s is None else freeze_s)
     # a step too coarse for g makes RK4 blow up: the states overflow quietly
     # and the drift reads inf or nan
     with np.errstate(over="ignore", invalid="ignore"):
-        for i0 in range(0, nsteps, RK4_CHUNK):
-            i1 = min(i0 + RK4_CHUNK, nsteps)
-            if freeze_s is None:
-                phase = 2.0 * (s_out[i0:i1] + h / 2)
-            else:
-                phase = np.full(i1 - i0, 2.0 * freeze_s)
-            upper, lower = _scan_chunk(*_rk4_increments(params.g, phase, h, d), u, v)
-            states[i0 + 1:i1 + 1, 0] = upper
-            states[i0 + 1:i1 + 1, 1] = lower
-            u, v = complex(upper[-1]), complex(lower[-1])
+        alpha, beta = _rk4_increments(params.g, phase, h, d)
+        # E = U^-1 (I + D_0) - I with U^-1 = cos d I - sin d J, as the pair (e, f)
+        cos_d, sin_d = np.cos(d), np.sin(d)
+        e = -2.0 * np.sin(d / 2) ** 2 + cos_d * alpha + sin_d * np.conj(beta)
+        f = -sin_d + cos_d * beta - sin_d * np.conj(alpha)
+        # M = (1 + Re e) I + nu K, where nu K = [[i Im e, f], [-conj(f), -i Im e]]
+        nu = np.hypot(e.imag, np.abs(f))
+        theta = np.arctan2(nu, 1.0 + e.real)
+        log_mu = 0.5 * np.log1p(e.real * (2.0 + e.real) + nu * nu)
+        ku = (1j * e.imag * u + f * v) / nu
+        kv = (-np.conj(f) * u - 1j * e.imag * v) / nu
+        for i0 in range(1, nsteps + 1, RK4_CHUNK):
+            n = np.arange(i0, min(i0 + RK4_CHUNK, nsteps + 1), dtype=float)
+            w = np.exp(n * complex(log_mu, theta))  # mu^n e^{i n theta}
+            x0, x1 = w.real * u + w.imag * ku, w.real * v + w.imag * kv
+            z = np.exp(1j * d * n)  # U^n = cos nd I + sin nd J
+            states[i0:i0 + n.size, 0] = z.real * x0 + z.imag * x1
+            states[i0:i0 + n.size, 1] = z.real * x1 - z.imag * x0
         drift = float(np.max(np.abs(np.sum(np.abs(states) ** 2, axis=1) - 1.0)))
     return Trajectory(s_out, states, drift)
 

@@ -227,10 +227,10 @@ class TestOtherCommands:
         assert "FAIL" not in out
 
     def test_verify_k50_passes_at_the_default_steps(self, capsys):
-        # 20,000 steps left a norm drift of 2.7e-7 here; the g^1.5 default passes
+        # 20,000 steps left a norm drift of 2.7e-7 here; the g^1.2 default passes
         code, out, _ = run_cli(capsys, "verify", "--k", "50", "--grid-size", "4096")
         assert code == 0
-        assert '"rk4_steps": 100874' in out
+        assert '"rk4_steps": 72985' in out
         assert "FAIL" not in out
 
     @pytest.mark.parametrize("preset", ["fig1", "fig2", "fig3"])
@@ -239,8 +239,21 @@ class TestOtherCommands:
         assert cli.default_rk4_steps(params.g) == 20000
 
     def test_rk4_default_reaches_the_ceiling(self):
-        assert cli.default_rk4_steps(model.params_from_k(200.3).g) == 808865
+        assert cli.default_rk4_steps(model.params_from_k(200.3).g) == 385929
         assert cli.default_rk4_steps(model.params_from_k(1000).g) == MAX_RK4_STEPS
+
+    def test_rk4_default_holds_the_fig2_drift(self):
+        # the drift goes as g^6 / steps^5, so the default steps keep fig2's drift
+        s = trigpoly.offset_grid(4096)
+
+        def drift(params):
+            psi0 = model.analytic_state_pair(params, s[0])
+            step = (s[-1] - s[0]) / cli.default_rk4_steps(params.g)
+            return model.integrate_ode(params, psi0, (s[0], s[-1]), step=step).norm_drift
+
+        fig2 = drift(model.derive_params(experiments.PRESETS["fig2"]["g"]))
+        for k in (50, 100, 200.3):
+            assert drift(model.params_from_k(k)) == pytest.approx(fig2, rel=0.05)
 
     def test_explicit_rk4_steps_honoured(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "--k", "50", "--grid-size", "4096",

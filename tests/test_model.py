@@ -173,7 +173,7 @@ class TestIntegrateOde:
 
 
 class TestIntegrateOdeMatchesLoop:
-    """The chunked increment form against the per-step RK4 oracle."""
+    """The closed-form powers of the step map against the per-step RK4 oracle."""
 
     @staticmethod
     def assert_matches(g, psi0, s_span, nsteps, freeze_s=None):
@@ -197,11 +197,17 @@ class TestIntegrateOdeMatchesLoop:
         s = offset_grid(4096)
         self.assert_matches(g, model.analytic_state_pair(p, s[0]), (s[0], s[-1]), 3000)
 
-    @pytest.mark.parametrize("nsteps", [1, model.RK4_CHUNK - 1, model.RK4_CHUNK + 1,
-                                        20_000])
-    def test_step_counts(self, nsteps):
-        self.assert_matches(np.sqrt(1155.0), np.array([0.6, 0.8j]),
-                            (-np.pi, np.pi), nsteps)
+    @pytest.mark.parametrize("nsteps, g, freeze_s", [
+        *(pytest.param(n, np.sqrt(1155.0), None, id=str(n))
+          for n in (1, 15, 16, 17, model.RK4_CHUNK - 1, model.RK4_CHUNK + 1, 20_000)),
+        pytest.param(8201, np.sqrt(1100.0), None, id="fig3-8201"),
+        # n theta reaches ~1,260 rad: the closed-form powers keep their phase
+        pytest.param(20_000, np.sqrt(39999.0), None, id="k100-20000"),
+        pytest.param(53, 2.0, 0.3, id="frozen-53"),
+    ])
+    def test_step_counts(self, nsteps, g, freeze_s):
+        s_span = (-np.pi, np.pi) if freeze_s is None else (0.0, 3.0)
+        self.assert_matches(g, np.array([0.6, 0.8j]), s_span, nsteps, freeze_s)
 
     def test_frozen_hamiltonian(self):
         self.assert_matches(2.0, np.array([0.6, 0.8j]), (0.0, 3.0),
@@ -211,20 +217,6 @@ class TestIntegrateOdeMatchesLoop:
         traj = self.assert_matches(np.sqrt(1155.0), np.array([0.0, 1.0], dtype=complex),
                                    (-np.pi, np.pi), 40)
         assert traj.norm_drift > 1e-6
-
-    @pytest.mark.parametrize("offset", [-1, 0, 1])
-    def test_block_step_counts(self, offset):
-        self.assert_matches(np.sqrt(1155.0), np.array([0.6, 0.8j]),
-                            (-np.pi, np.pi), model.RK4_BLOCK + offset)
-
-    def test_chunk_ending_in_a_partial_block(self):
-        assert model.RK4_CHUNK % model.RK4_BLOCK == 0
-        nsteps = 2 * model.RK4_CHUNK + model.RK4_BLOCK // 2 + 1
-        self.assert_matches(np.sqrt(1100.0), np.array([0.6, 0.8j]), (-np.pi, np.pi), nsteps)
-
-    def test_frozen_hamiltonian_across_blocks(self):
-        self.assert_matches(2.0, np.array([0.6, 0.8j]), (0.0, 3.0),
-                            3 * model.RK4_BLOCK + 5, freeze_s=0.3)
 
     def test_reversed_span(self):
         # a step of 2^-9 divides the span exactly: 3072 steps from s = 3 down to -3
@@ -258,8 +250,8 @@ class TestIntegrateOdeMatchesLoop:
         assert not np.isfinite(traj.norm_drift)
 
     def test_fig1_accuracy(self):
-        # verify's fig1 run: the increment form keeps round-off at the per-step
-        # level, where plain products of the I + D_n read a drift of 8.3e-13
+        # verify's fig1 run: mu and theta are read from E = M - I in increment
+        # form, so mu^n and e^{i n theta} hold round-off over 20,000 steps
         p = model.derive_params(np.sqrt(3.0))
         s = offset_grid(4096)
         traj = model.integrate_ode(p, model.analytic_state_pair(p, s[0]), (s[0], s[-1]),

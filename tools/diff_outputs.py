@@ -35,9 +35,9 @@ import numpy as np
 #: run, the Fejer-resummed and the non-cyclic quadrature reconstructions, and
 #: the large JSON datasets of fig1 (32768 rows) and of coeffs, two
 #: non-cyclic verify runs, on a coarse grid and at large k, and the k = 400
-#: root pass (reciprocity and coeffs), a verify run whose RK4 steps scale
-#: with g, one at the 1e6-step ceiling, and one whose step count leaves a
-#: partial block in the RK4 scan
+#: root pass (reciprocity and coeffs), verify runs whose RK4 steps scale
+#: with g (k = 50, 100 and 200.3 take the step rule below its ceiling), one at
+#: the 1e6-step ceiling, one at an odd step count and one of a single step
 COMMANDS = (
     ("reciprocity", "--preset", "fig1", "--out", "{out}/fig1"),
     ("reciprocity", "--preset", "fig2", "--format", "json", "--out", "{out}/fig2"),
@@ -66,6 +66,8 @@ COMMANDS = (
     ("verify", "--k", "50"),
     ("verify", "--k", "1000"),
     ("verify", "--preset", "fig2", "--rk4-steps", "20001"),
+    ("verify", "--k", "100"),
+    ("verify", "--preset", "fig1", "--rk4-steps", "1"),
 )
 
 
