@@ -17,8 +17,10 @@ eigenvector of H(0) is (0, 1).  For integer k the state is cyclic with
 highest harmonic N = 2k + 1 and amplitude zeros of order two at s = +-pi/2
 (t = +-pi/w).  The first slot is written out in closed form as well
 (``analytic_state_pair``), and so is the doublet's derivative
-(``state_pair_derivative``); ``solution_residual`` checks the Schrodinger
-equation with both, on both rows.
+(``state_pair_derivative``).  One per-slot kernel writes them all, in real
+arithmetic; ``phi1_values`` is its lower slot alone.  ``solution_residual``
+checks the Schrodinger equation with the state and its derivative, on both
+rows.
 """
 
 from __future__ import annotations
@@ -79,14 +81,14 @@ def params_from_k(k: float, omega: float = 1.0) -> ModelParams:
 
 
 def phi1_values(params: ModelParams, s) -> np.ndarray:
-    """The closed-form amplitude (dynamic phase removed) at time s = omega t / 2."""
-    s = np.asarray(s, dtype=float)
-    k, g = params.k, params.g
-    two_ks, cos_s = 2 * k * s, np.cos(s)
-    sin_2ks = np.sin(two_ks)
-    return (np.cos(two_ks) * cos_s
-            + sin_2ks * np.sin(s) / (2 * k)
-            - 1j * (g / (2 * k)) * sin_2ks * cos_s)
+    """The closed-form amplitude (dynamic phase removed) at time s = omega t / 2.
+
+    The lower slot of the doublet, evaluated without its partner.
+    """
+    factors = _doublet_factors(params, s)
+    phi1 = np.empty(factors[0].shape, dtype=complex)
+    _doublet_slot(params, factors, 1, phi1)
+    return phi1.reshape(np.shape(s))[()]  # a scalar for scalar s
 
 
 @dataclass(frozen=True)
@@ -143,7 +145,7 @@ class Trajectory:
     norm_drift: float
 
 
-#: states computed together; bounds the temporaries
+#: RK4 states, or closed-form points, computed together; bounds the temporaries
 RK4_CHUNK = 4096
 
 
@@ -245,17 +247,68 @@ def integrate_ode(params: ModelParams, initial, s_span=(-np.pi, np.pi),
 
 
 def _doublet_factors(params: ModelParams, s):
-    """C = cos 2ks, S = sin 2ks and the slot factors u, v of the closed-form doublet.
+    """cos 2ks, sin 2ks, sin s and cos s: the trig factors of the closed-form doublet.
 
-    Each slot of the doublet is C u + S v/(2k) - i (g/2k) S u, with
-    (u, v) = (sin s, -cos s) in the upper slot and (cos s, sin s) in the lower
-    (phi1); the slots run along a new last axis, which C and S broadcast over.
+    A scalar s is taken as one point, so that the factors are arrays.
     """
-    s = np.asarray(s, dtype=float)[..., None]
-    two_ks, sin_s, cos_s = 2 * params.k * s, np.sin(s), np.cos(s)
-    u = np.concatenate([sin_s, cos_s], axis=-1)
-    v = np.concatenate([-cos_s, sin_s], axis=-1)
-    return np.cos(two_ks), np.sin(two_ks), u, v
+    s = np.atleast_1d(np.asarray(s, dtype=float))
+    two_ks = 2 * params.k * s
+    cos_2ks = np.cos(two_ks)
+    # sin 2ks overwrites 2ks: one temporary less at the memory peak of a large grid
+    return cos_2ks, np.sin(two_ks, out=two_ks), np.sin(s), np.cos(s)
+
+
+def _doublet_slot(params: ModelParams, factors, slot: int, psi, dpsi=None) -> None:
+    """Write one slot of the closed-form doublet into psi, and its d/ds into dpsi.
+
+    With C = cos 2ks, S = sin 2ks and (u, v) = (sin s, -cos s) in the upper
+    slot (0), (cos s, sin s) in the lower slot (1, phi1):
+
+        psi  = C u + S v/(2k) - i (g/2k) S u,
+        dpsi = (1/(2k) - 2k) S u - i g (C u - S v/(2k)).
+
+    psi and dpsi are complex arrays of the factors' shape (a column of a
+    doublet array is one).  Their real and imaginary parts are formed in real
+    arithmetic in the order of these complex expressions, so every value, down
+    to the sign of a zero, is the one numpy's complex arithmetic gives; -cos s
+    enters as a subtraction, which is exact: S (-cos s)/(2k) = -(S cos s/(2k)).
+    """
+    k, g = params.k, params.g
+    cos_2ks, sin_2ks, sin_s, cos_s = factors
+    u, v = (sin_s, cos_s) if slot == 0 else (cos_s, sin_s)
+    t = (g / (2 * k)) * sin_2ks
+    t *= u
+    np.subtract(0.0, t, out=psi.imag)
+    # C u + S v/(2k) and C u - S v/(2k): the upper slot's v = -cos s is
+    # taken as cos s, with plus and minus swapped
+    plus, minus = (np.subtract, np.add) if slot == 0 else (np.add, np.subtract)
+    cu, sv = np.multiply(cos_2ks, u, out=t), sin_2ks * v
+    sv /= 2 * k
+    plus(cu, sv, out=psi.real)
+    if dpsi is None:
+        return
+    q = minus(cu, sv, out=cu)
+    a = (1.0 / (2 * k) - 2 * k) * sin_2ks
+    a *= u
+    # the real part of -i g q is 0 q, which keeps the sign of a zero in a
+    np.subtract(a, np.multiply(0.0, q, out=sv), out=dpsi.real)
+    q *= g
+    np.subtract(0.0, q, out=dpsi.imag)
+
+
+def _doublet(params: ModelParams, s, derivative: bool = False):
+    """(Psi, dPsi/ds) of the closed-form doublet from one set of factors.
+
+    Both have shape s.shape + (2,); dPsi/ds is None unless ``derivative``.
+    """
+    factors = _doublet_factors(params, s)
+    psi = np.empty(factors[0].shape + (2,), dtype=complex)
+    dpsi = np.empty_like(psi) if derivative else None
+    for slot in (0, 1):
+        _doublet_slot(params, factors, slot, psi[..., slot],
+                      None if dpsi is None else dpsi[..., slot])
+    shape = np.shape(s) + (2,)
+    return psi.reshape(shape), None if dpsi is None else dpsi.reshape(shape)
 
 
 def analytic_state_pair(params: ModelParams, s) -> np.ndarray:
@@ -265,21 +318,16 @@ def analytic_state_pair(params: ModelParams, s) -> np.ndarray:
     is written out, not eliminated from the Schrodinger equation through a
     division by sin(2s).
     """
-    k, g = params.k, params.g
-    cos_2ks, sin_2ks, u, v = _doublet_factors(params, s)
-    return cos_2ks * u + sin_2ks * v / (2 * k) - 1j * (g / (2 * k)) * sin_2ks * u
+    return _doublet(params, s)[0]
 
 
 def state_pair_derivative(params: ModelParams, s) -> np.ndarray:
     """d/ds of ``analytic_state_pair``, differentiated analytically.
 
-    Per slot: (1/(2k) - 2k) S u - i g (C u - S v/(2k)), so the partner's is
-    (1/(2k) - 2k) sin(2ks) sin(s) - i g (cos(2ks) sin(s) + sin(2ks) cos(s)/(2k)).
+    The partner's is (1/(2k) - 2k) sin(2ks) sin(s)
+    - i g (cos(2ks) sin(s) + sin(2ks) cos(s)/(2k)).
     """
-    k, g = params.k, params.g
-    cos_2ks, sin_2ks, u, v = _doublet_factors(params, s)
-    return ((1.0 / (2 * k) - 2 * k) * sin_2ks * u
-            - 1j * g * (cos_2ks * u - sin_2ks * v / (2 * k)))
+    return _doublet(params, s, derivative=True)[1]
 
 
 @dataclass(frozen=True)
@@ -296,12 +344,23 @@ def solution_residual(params: ModelParams, m_samples: int = 16384) -> ResidualRe
     round-off, of order g times the machine epsilon, for every drive and grid.
     """
     grid = trigpoly.offset_grid(m_samples)
-    psi = analytic_state_pair(params, grid)
-    h_diag, h_off = 0.5 * params.g * np.cos(2 * grid), 0.5 * params.g * np.sin(2 * grid)
-    h_psi = np.stack([-h_diag * psi[:, 0] + h_off * psi[:, 1],
-                      h_off * psi[:, 0] + h_diag * psi[:, 1]], axis=-1)
-    residual = np.abs(0.5j * state_pair_derivative(params, grid) - h_psi)
-    return ResidualReport(float(np.max(residual)))
+    return ResidualReport(float(np.max([_max_residual(params, grid[i:i + RK4_CHUNK])
+                                        for i in range(0, m_samples, RK4_CHUNK)])))
+
+
+def _max_residual(params: ModelParams, s) -> float:
+    """The largest |(i/2) dPsi/ds - H(2s) Psi| over the points s and both rows."""
+    psi, dpsi = _doublet(params, s, derivative=True)
+    h_diag, h_off = 0.5 * params.g * np.cos(2 * s), 0.5 * params.g * np.sin(2 * s)
+    residual = np.empty(psi.shape, dtype=complex)
+    for row, other, sign in ((0, 1, np.subtract), (1, 0, np.add)):
+        # (H Psi)_row = h_off Psi_other -+ h_diag Psi_row, and then
+        # (i/2) dPsi/ds - H Psi = -(dPsi_im/2 + (H Psi)_re) + i (dPsi_re/2 - (H Psi)_im)
+        h_re = sign(h_off * psi[:, other].real, h_diag * psi[:, row].real)
+        h_im = sign(h_off * psi[:, other].imag, h_diag * psi[:, row].imag)
+        np.add(0.5 * dpsi[:, row].imag, h_re, out=residual[:, row].real)
+        np.subtract(0.5 * dpsi[:, row].real, h_im, out=residual[:, row].imag)
+    return np.max(np.abs(residual))
 
 
 def berry_phase_predicted(params: ModelParams) -> float:

@@ -18,6 +18,11 @@ The oracles here deliberately avoid the code paths they are used to check:
 * ``eliminated_partner``   the upper doublet component eliminated from row two
   of the Schrodinger equation through a division by sin 2s, with phi1 and its
   derivative written out here (no closed-form partner, no package code).
+* ``_doublet_factors``, ``analytic_state_pair``, ``state_pair_derivative``,
+  ``phi1_values`` and ``solution_residual_oracle``   the closed-form doublet,
+  its derivative and phi1 as numpy complex expressions broadcast over a slot
+  axis, and the Schrodinger residual from them (no real-arithmetic kernel);
+  the package's values must equal these byte for byte.
 * ``csv_oracle`` / ``json_oracle``   the dataset bytes written cell by cell:
   one ``f"{x:.17g}"`` per CSV cell, and ``json.dumps(..., indent=2)`` of the
   ``columns``/``rows`` payload (no row template, no token renaming).
@@ -28,6 +33,7 @@ import json
 import numpy as np
 import pytest
 
+from cyclicphase.model import ModelParams
 from cyclicphase.trigpoly import offset_grid
 
 
@@ -157,6 +163,66 @@ def eliminated_partner(g, s):
     dphi1 = ((1 / (2 * k) - 2 * k) * s2k * c
              - 1j * g * (c2k * c - s2k * sn / (2 * k)))
     return (0.5j * dphi1 - 0.5 * g * np.cos(2 * s) * phi1) / (0.5 * g * np.sin(2 * s))
+
+
+def phi1_values(params: ModelParams, s) -> np.ndarray:
+    """The closed-form amplitude (dynamic phase removed) at time s = omega t / 2."""
+    s = np.asarray(s, dtype=float)
+    k, g = params.k, params.g
+    two_ks, cos_s = 2 * k * s, np.cos(s)
+    sin_2ks = np.sin(two_ks)
+    return (np.cos(two_ks) * cos_s
+            + sin_2ks * np.sin(s) / (2 * k)
+            - 1j * (g / (2 * k)) * sin_2ks * cos_s)
+
+
+def _doublet_factors(params: ModelParams, s):
+    """C = cos 2ks, S = sin 2ks and the slot factors u, v of the closed-form doublet.
+
+    Each slot of the doublet is C u + S v/(2k) - i (g/2k) S u, with
+    (u, v) = (sin s, -cos s) in the upper slot and (cos s, sin s) in the lower
+    (phi1); the slots run along a new last axis, which C and S broadcast over.
+    """
+    s = np.asarray(s, dtype=float)[..., None]
+    two_ks, sin_s, cos_s = 2 * params.k * s, np.sin(s), np.cos(s)
+    u = np.concatenate([sin_s, cos_s], axis=-1)
+    v = np.concatenate([-cos_s, sin_s], axis=-1)
+    return np.cos(two_ks), np.sin(two_ks), u, v
+
+
+def analytic_state_pair(params: ModelParams, s) -> np.ndarray:
+    """Full doublet state (upper, lower) = (partner, phi1) in closed form; unit norm.
+
+    The partner cos(2ks) sin(s) - sin(2ks) cos(s)/(2k) - i (g/2k) sin(2ks) sin(s)
+    is written out, not eliminated from the Schrodinger equation through a
+    division by sin(2s).
+    """
+    k, g = params.k, params.g
+    cos_2ks, sin_2ks, u, v = _doublet_factors(params, s)
+    return cos_2ks * u + sin_2ks * v / (2 * k) - 1j * (g / (2 * k)) * sin_2ks * u
+
+
+def state_pair_derivative(params: ModelParams, s) -> np.ndarray:
+    """d/ds of ``analytic_state_pair``, differentiated analytically.
+
+    Per slot: (1/(2k) - 2k) S u - i g (C u - S v/(2k)), so the partner's is
+    (1/(2k) - 2k) sin(2ks) sin(s) - i g (cos(2ks) sin(s) + sin(2ks) cos(s)/(2k)).
+    """
+    k, g = params.k, params.g
+    cos_2ks, sin_2ks, u, v = _doublet_factors(params, s)
+    return ((1.0 / (2 * k) - 2 * k) * sin_2ks * u
+            - 1j * g * (cos_2ks * u - sin_2ks * v / (2 * k)))
+
+
+def solution_residual_oracle(params: ModelParams, m_samples: int) -> float:
+    """The largest |(i/2) dPsi/ds - H(2s) Psi| over the offset grid and both rows."""
+    grid = offset_grid(m_samples)
+    psi = analytic_state_pair(params, grid)
+    h_diag, h_off = 0.5 * params.g * np.cos(2 * grid), 0.5 * params.g * np.sin(2 * grid)
+    h_psi = np.stack([-h_diag * psi[:, 0] + h_off * psi[:, 1],
+                      h_off * psi[:, 0] + h_diag * psi[:, 1]], axis=-1)
+    residual = np.abs(0.5j * state_pair_derivative(params, grid) - h_psi)
+    return float(np.max(residual))
 
 
 def rows_oracle(table):

@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -131,6 +132,37 @@ class TestImportCost:
                               capture_output=True, text=True, env=env, check=False, timeout=120)
         assert (proc.returncode, proc.stdout, proc.stderr) == (0, "False\nTrue\n", "")
         assert (tmp_path / "a.csv").read_text() == "a\n0.5\n"
+
+
+class TestLazyParser:
+    """main() gives arguments to the named subcommand only; nothing it prints changes."""
+
+    @staticmethod
+    def full_parser_run(argv):
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            try:
+                cli.build_parser().parse_args(argv)
+                code = None
+            except SystemExit as exc:
+                code = int(exc.code or 0)
+        return code, out.getvalue(), err.getvalue()
+
+    @pytest.mark.parametrize("argv", [
+        ["--help"], [], ["nosuch"], ["--bogus"],
+        *([name, flag] for name in ("reciprocity", "coeffs", "verify", "berry", "sweep")
+          for flag in ("--help", "--bogus", "--grid-size")),
+    ], ids=lambda argv: " ".join(argv) or "no-arguments")
+    def test_help_and_usage_errors_match_the_full_parser(self, capsys, argv):
+        want = self.full_parser_run(argv)
+        assert want[0] is not None  # help or a usage error: argparse exits
+        assert run_cli(capsys, *argv) == want
+
+    def test_other_subcommands_are_left_bare(self):
+        parser = cli.build_parser("verify")
+        assert parser.parse_args(["verify", "--k", "17"]).k == 17.0
+        with redirect_stderr(io.StringIO()), pytest.raises(SystemExit):
+            parser.parse_args(["berry", "--k", "17"])
 
 
 class TestInputContract:
@@ -267,6 +299,33 @@ class TestOtherCommands:
         assert code == 1
         assert "FAIL  RK4" in out
         assert err == ""
+
+    def test_verify_reference_stays_small_beside_the_trajectory(self, capsys):
+        # RK4 is compared with the closed form RK4_CHUNK states at a time;
+        # the whole reference at once peaked at 4.2 times the trajectory
+        params = model.params_from_k(200.3)
+        trajectory_bytes = (cli.default_rk4_steps(params.g) + 1) * (2 * 16 + 8)
+        tracemalloc.start()
+        try:
+            code, out, _ = run_cli(capsys, "verify", "--k", "200.3", "--grid-size", "64")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0 and "FAIL" not in out
+        assert peak <= 2 * trajectory_bytes, peak / trajectory_bytes
+
+    def test_verify_compares_every_rk4_state(self, capsys, monkeypatch):
+        # the reference comes in RK4_CHUNK slices; together they are the RK4 grid
+        seen, pair = [], model.analytic_state_pair
+        monkeypatch.setattr(model, "analytic_state_pair",
+                            lambda p, s: seen.append(np.asarray(s)) or pair(p, s))
+        steps = 3 * model.RK4_CHUNK + 5
+        code, _, _ = run_cli(capsys, "verify", "--k", "1", "--grid-size", "64",
+                             "--rk4-steps", str(steps))
+        s = trigpoly.offset_grid(64)
+        assert code == 0 and seen[0] == s[0]  # the initial state
+        assert np.array_equal(np.concatenate(seen[1:]),
+                              s[0] + (s[-1] - s[0]) / steps * np.arange(steps + 1))
 
     def test_verify_zero_gate_beyond_the_dataset_grid(self, capsys):
         # N = 2001 needs 8008 samples, more than the 4096-point grid: the gate

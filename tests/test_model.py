@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import conftest as oracle
 from conftest import eliminated_partner, itoh_unwrap, rk4_reference
 from cyclicphase import model
 from cyclicphase.trigpoly import offset_grid, spectrum
@@ -307,12 +308,14 @@ class TestSolutionResidual:
     @staticmethod
     def scaled_state(monkeypatch, scale, dscale):
         """Replace the doublet Psi by scale(s) Psi, with its exact derivative."""
-        pair, derivative = model.analytic_state_pair, model.state_pair_derivative
-        monkeypatch.setattr(model, "analytic_state_pair",
-                            lambda p, s: scale(s)[:, None] * pair(p, s))
-        monkeypatch.setattr(model, "state_pair_derivative",
-                            lambda p, s: (scale(s)[:, None] * derivative(p, s)
-                                          + dscale(s)[:, None] * pair(p, s)))
+        doublet = model._doublet
+
+        def scaled(p, s, derivative=False):
+            psi, dpsi = doublet(p, s, derivative=True)
+            return (scale(s)[:, None] * psi,
+                    scale(s)[:, None] * dpsi + dscale(s)[:, None] * psi)
+
+        monkeypatch.setattr(model, "_doublet", scaled)
 
     def test_perturbed_amplitude_fails(self, monkeypatch):
         # a non-uniform perturbation leaves the solution space of the linear
@@ -328,6 +331,60 @@ class TestSolutionResidual:
                           lambda s: np.zeros(s.shape))
         res = model.solution_residual(model.derive_params(np.sqrt(3.0)), 4096)
         assert res.max_residual < 1e-10
+
+
+    def test_residual_covers_every_grid_point(self, monkeypatch):
+        # the residual is taken RK4_CHUNK points at a time; no point may be skipped
+        seen, max_residual = [], model._max_residual
+        monkeypatch.setattr(model, "_max_residual",
+                            lambda p, s: seen.append(s) or max_residual(p, s))
+        m = 3 * model.RK4_CHUNK + 4
+        model.solution_residual(model.params_from_k(17), m)
+        assert np.array_equal(np.concatenate(seen), offset_grid(m))
+
+
+#: drives of the byte-for-byte checks: fig1, fig2, k = 100, fig3 and the 1e6-step k
+KERNEL_DRIVES = (1, 17, 100, 16.59, 1000)
+#: points of the byte-for-byte checks; the RK4 grid is verify's at fig2's 20,000 steps
+_s = offset_grid(4096)
+KERNEL_POINTS = {
+    "0.0": 0.0,
+    "-0.0": -0.0,
+    "signed-zeros": [0.0, -0.0],
+    "one-point": np.array([0.7]),
+    "offset-grid": _s,
+    "rk4-grid": _s[0] + (_s[-1] - _s[0]) / 20_000 * np.arange(20_001),
+    "2d-transposed": offset_grid(16384).reshape(128, 128).T,  # not C-contiguous
+}
+
+
+class TestDoubletKernel:
+    """The real-arithmetic kernel against the complex expressions it replaced."""
+
+    @staticmethod
+    def assert_same_bytes(got, want):
+        assert np.shape(got) == np.shape(want)
+        assert np.asarray(got).dtype == np.asarray(want).dtype
+        assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+
+    @pytest.mark.parametrize("name", KERNEL_POINTS)
+    @pytest.mark.parametrize("k", KERNEL_DRIVES)
+    def test_matches_the_complex_oracle(self, k, name):
+        p, s = model.params_from_k(k), KERNEL_POINTS[name]
+        for f in ("analytic_state_pair", "state_pair_derivative", "phi1_values"):
+            self.assert_same_bytes(getattr(model, f)(p, s), getattr(oracle, f)(p, s))
+
+    @pytest.mark.parametrize("name", KERNEL_POINTS)
+    @pytest.mark.parametrize("k", KERNEL_DRIVES)
+    def test_phi1_is_the_lower_slot(self, k, name):
+        p, s = model.params_from_k(k), KERNEL_POINTS[name]
+        self.assert_same_bytes(model.phi1_values(p, s), model.analytic_state_pair(p, s)[..., 1])
+
+    @pytest.mark.parametrize("k", KERNEL_DRIVES)
+    def test_residual_matches_the_oracle(self, k):
+        p = model.params_from_k(k)
+        for m in (8, 64, 4096, model.RK4_CHUNK + 4, 16384):
+            assert model.solution_residual(p, m).max_residual == oracle.solution_residual_oracle(p, m)
 
 
 class TestBerryPrediction:

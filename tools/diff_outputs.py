@@ -37,7 +37,9 @@ import numpy as np
 #: non-cyclic verify runs, on a coarse grid and at large k, and the k = 400
 #: root pass (reciprocity and coeffs), verify runs whose RK4 steps scale
 #: with g (k = 50, 100 and 200.3 take the step rule below its ceiling), one at
-#: the 1e6-step ceiling, one at an odd step count and one of a single step
+#: the 1e6-step ceiling, one at an odd step count and one of a single step;
+#: then the parser's help and usage errors, and a verify whose RK4 grid
+#: passes through s = 0
 COMMANDS = (
     ("reciprocity", "--preset", "fig1", "--out", "{out}/fig1"),
     ("reciprocity", "--preset", "fig2", "--format", "json", "--out", "{out}/fig2"),
@@ -68,6 +70,12 @@ COMMANDS = (
     ("verify", "--preset", "fig2", "--rk4-steps", "20001"),
     ("verify", "--k", "100"),
     ("verify", "--preset", "fig1", "--rk4-steps", "1"),
+    ("--help",),
+    ("verify", "--help"),
+    ("reciprocity", "--help"),
+    ("nosuch",),
+    ("verify", "--bogus"),
+    ("verify", "--k", "1", "--grid-size", "64", "--rk4-steps", "50"),
 )
 
 
