@@ -27,6 +27,7 @@ from .model import (
     berry_phase_predicted,
     derive_params,
     evaluate_model,
+    helicity_series,
     integrate_ode,
     near_edge_phase,
     params_from_k,

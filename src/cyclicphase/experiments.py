@@ -149,7 +149,7 @@ def measure_berry_phase(signals: model.ModelSignals) -> float:
     width ~1/(4k) decorated with O(1) oscillations, so extrapolating from
     coarser offsets inside the oscillation zone would not converge.
     """
-    if signals.chi is None:
+    if signals.phase_chi is None:
         raise ValueError("Berry-phase measurement requires cyclic signals")
     m = len(signals.grid)
     # the offset grid contains pi/2 - h/2 exactly: indices 3m/4 - 1 and m/4
@@ -308,8 +308,7 @@ def run_coefficient_case(params: model.ModelParams, n_max: int = 50,
     """Tabulate (n, A_n, B_n, |A_n - B_n|) for the cyclic model amplitude."""
     if not params.cyclic:
         raise ValueError("the coefficient-equality case requires a cyclic drive")
-    signals = model.evaluate_model(params, max(grid_size, 4 * params.n_harmonic + 4))
-    coeffs = hilbert.log_coefficients(signals.helicity, n_max, grid_size)
+    coeffs = hilbert.log_coefficients(model.helicity_series(params), n_max, grid_size)
     eq = hilbert.coefficient_equality_check(coeffs)
     exponent = _decay_exponent(eq.n, eq.A)
     report = CoefficientCaseReport(

@@ -26,6 +26,7 @@ rows.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -93,49 +94,83 @@ def phi1_values(params: ModelParams, s) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ModelSignals:
-    """Model amplitudes and derived phase/log-modulus arrays on the offset grid."""
+    """Model amplitudes and derived phase/log-modulus arrays on the offset grid.
+
+    For a cyclic drive, ``helicity`` and ``c0`` come from ``helicity_series``,
+    the same on every grid, and ``chi`` = e^{iNs} phi1 is formed on first
+    access and kept; the phase and log-modulus fields are read from phi1
+    without it.
+    """
 
     params: ModelParams
     grid: np.ndarray = field(repr=False)
     phi1: np.ndarray = field(repr=False)
     log_modulus: np.ndarray = field(repr=False)
     phase_physical: np.ndarray = field(repr=False)
-    chi: np.ndarray | None = field(repr=False, default=None)
     phase_chi: np.ndarray | None = field(repr=False, default=None)
     c0: float | None = None
     helicity: trigpoly.HelicitySeries | None = None
 
+    @cached_property
+    def chi(self) -> np.ndarray | None:
+        """e^{iNs} phi1 on the grid; None for a non-cyclic drive."""
+        if not self.params.cyclic:
+            return None
+        return np.exp(1j * self.params.n_harmonic * self.grid) * self.phi1
+
+
+def helicity_series(params: ModelParams) -> trigpoly.HelicitySeries:
+    """The degree-2N helicity series of a cyclic drive, read from 4N + 4 samples of phi1.
+
+    phi1 is a trigonometric polynomial of degree N, so 4N + 4 offset-grid
+    samples give its coefficients without aliasing: every command reads the
+    series here, whatever grid it samples its datasets on.
+    """
+    if not params.cyclic:
+        raise ValueError("the helicity series requires a cyclic drive (integer K/omega)")
+    n = params.n_harmonic
+    grid = trigpoly.offset_grid(4 * n + 4)
+    return trigpoly.HelicitySeries.from_samples(phi1_values(params, grid), n)
+
 
 def evaluate_model(params: ModelParams, m_samples: int) -> ModelSignals:
-    """Sample phi1 (and, when cyclic, chi = e^{iNs} phi1) on the offset grid.
+    """Sample phi1 on the offset grid, with the curves of chi = e^{iNs} phi1 when cyclic.
 
     For cyclic drives the returned log_modulus is log|chi/c_0| and phase_chi
     is the unwrapped boundary phase of chi/c_0, with the genuine -2pi jumps at
     the second-order amplitude zeros s = +-pi/2 preserved rather than
-    smoothed.  phase_physical = phase_chi + (g - N) s is the phase of
-    phi' = e^{igs} phi1 (the dynamic phase removed); the identity holds
-    pointwise by construction.
+    smoothed.  c_0 > 0, so both come from phi1 alone: arg chi = arg phi1 + Ns
+    (up to 2pi, which the unwrapping absorbs) and |chi/c_0| = |phi1|/c_0; chi
+    itself is formed only on demand (``ModelSignals.chi``).  The helicity
+    series and c_0 come from ``helicity_series``, not from this grid, which
+    must still hold 4N + 4 points (ValueError otherwise).
+    phase_physical = phase_chi + (g - N) s is the phase of phi' = e^{igs} phi1
+    (the dynamic phase removed); the identity holds pointwise by construction.
 
     Non-cyclic drives carry no helicity series: log_modulus is log|phi1| and
     phase_physical is the plainly unwrapped arg(phi') on the 2 pi window.
     """
     grid = trigpoly.offset_grid(m_samples)
-    phi1 = phi1_values(params, grid)
     if not params.cyclic:
+        phi1 = phi1_values(params, grid)
         phase_phys = hilbert.unwrap(np.angle(phi1)).phase + params.g * grid
         return ModelSignals(params, grid, phi1,
                             np.log(np.abs(phi1)), phase_phys)
     n = params.n_harmonic
-    hel = trigpoly.HelicitySeries.from_samples(phi1, n)
+    trigpoly.check_resolves(m_samples, n)
+    hel = helicity_series(params)
     c0 = float(hel.c[0])
-    chi = np.exp(1j * n * grid) * phi1
-    w = chi / c0
-    res = hilbert.unwrap(np.angle(w), zeros=DRIVE_ZEROS, grid=grid)
+    phi1 = phi1_values(params, grid)
+    raw = np.angle(phi1)
+    raw += n * grid
+    res = hilbert.unwrap(raw, zeros=DRIVE_ZEROS, grid=grid)
     phase_chi = hilbert._anchor_unwrapped(res.phase)
     phase_phys = phase_chi + (params.g - n) * grid
-    return ModelSignals(params, grid, phi1,
-                        np.log(np.abs(w)), phase_phys,
-                        chi=chi, phase_chi=phase_chi, c0=c0, helicity=hel)
+    log_modulus = np.abs(phi1)
+    log_modulus /= c0
+    np.log(log_modulus, out=log_modulus)
+    return ModelSignals(params, grid, phi1, log_modulus, phase_phys,
+                        phase_chi=phase_chi, c0=c0, helicity=hel)
 
 
 @dataclass(frozen=True)
@@ -235,15 +270,24 @@ def integrate_ode(params: ModelParams, initial, s_span=(-np.pi, np.pi),
         log_mu = 0.5 * np.log1p(e.real * (2.0 + e.real) + nu * nu)
         ku = (1j * e.imag * u + f * v) / nu
         kv = (-np.conj(f) * u - 1j * e.imag * v) / nu
+        # the drift is taken block by block, so that no temporary spans the
+        # trajectory; np.maximum, not max, so that a nan state still reads nan
+        drift = _norm_drift(states[:1])
         for i0 in range(1, nsteps + 1, RK4_CHUNK):
             n = np.arange(i0, min(i0 + RK4_CHUNK, nsteps + 1), dtype=float)
             w = np.exp(n * complex(log_mu, theta))  # mu^n e^{i n theta}
             x0, x1 = w.real * u + w.imag * ku, w.real * v + w.imag * kv
             z = np.exp(1j * d * n)  # U^n = cos nd I + sin nd J
-            states[i0:i0 + n.size, 0] = z.real * x0 + z.imag * x1
-            states[i0:i0 + n.size, 1] = z.real * x1 - z.imag * x0
-        drift = float(np.max(np.abs(np.sum(np.abs(states) ** 2, axis=1) - 1.0)))
-    return Trajectory(s_out, states, drift)
+            block = states[i0:i0 + n.size]
+            block[:, 0] = z.real * x0 + z.imag * x1
+            block[:, 1] = z.real * x1 - z.imag * x0
+            drift = np.maximum(drift, _norm_drift(block))
+    return Trajectory(s_out, states, float(drift))
+
+
+def _norm_drift(states: np.ndarray) -> float:
+    """max | |Psi|^2 - 1 | over the rows of states."""
+    return np.max(np.abs(np.sum(np.abs(states) ** 2, axis=1) - 1.0))
 
 
 def _doublet_factors(params: ModelParams, s):

@@ -51,6 +51,17 @@ def _check_grid_size(m_samples: int) -> None:
         )
 
 
+def check_resolves(m_samples: int, n_max: int) -> None:
+    """Raise ValueError unless m_samples >= 4 n_max + 4.
+
+    That is the smallest offset grid from which ``HelicitySeries.from_samples``
+    reads the series of a degree-n_max signal without aliasing.
+    """
+    if m_samples < 4 * n_max + 4:
+        raise ValueError(f"m_samples = {m_samples} too small for n_max = {n_max}: "
+                         f"need at least {4 * n_max + 4} (aliasing)")
+
+
 def offset_grid(m_samples: int) -> np.ndarray:
     """Return the offset grid s_j = -pi + (j + 1/2) h, h = 2 pi / m_samples.
 
@@ -143,9 +154,7 @@ class HelicitySeries:
         _check_grid_size(m)
         if not np.all(np.isfinite(values)):
             raise ValueError("signal values must be finite")
-        if m < 4 * n_max + 4:
-            raise ValueError(f"m_samples = {m} too small for n_max = {n_max}: "
-                             f"need at least {4 * n_max + 4} (aliasing)")
+        check_resolves(m, n_max)
         c = spectrum(values, n_max)
         imag = np.abs(c.imag)
         paired = imag[n_max:] + imag[n_max::-1]  # frequencies n and -n, n = 0..n_max

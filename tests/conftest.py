@@ -23,6 +23,9 @@ The oracles here deliberately avoid the code paths they are used to check:
   its derivative and phi1 as numpy complex expressions broadcast over a slot
   axis, and the Schrodinger residual from them (no real-arithmetic kernel);
   the package's values must equal these byte for byte.
+* ``chi_curves``   the direct curves of a cyclic drive read through
+  chi = e^{iNs} phi1 itself: chi/c_0 formed on the whole grid, then its angle
+  and log-modulus (no shortcut through arg phi1 + Ns or |phi1|/c_0).
 * ``csv_oracle`` / ``json_oracle``   the dataset bytes written cell by cell:
   one ``f"{x:.17g}"`` per CSV cell, and ``json.dumps(..., indent=2)`` of the
   ``columns``/``rows`` payload (no row template, no token renaming).
@@ -33,7 +36,8 @@ import json
 import numpy as np
 import pytest
 
-from cyclicphase.model import ModelParams
+from cyclicphase import hilbert
+from cyclicphase.model import DRIVE_ZEROS, ModelParams
 from cyclicphase.trigpoly import offset_grid
 
 
@@ -223,6 +227,21 @@ def solution_residual_oracle(params: ModelParams, m_samples: int) -> float:
                       h_off * psi[:, 0] + h_diag * psi[:, 1]], axis=-1)
     residual = np.abs(0.5j * state_pair_derivative(params, grid) - h_psi)
     return float(np.max(residual))
+
+
+def chi_curves(params: ModelParams, grid, phi1, c0):
+    """(log|chi/c_0|, phase_chi, phase_physical) of a cyclic drive from chi itself.
+
+    chi = e^{iNs} phi1 and w = chi/c_0 are formed on the whole grid; arg w is
+    unwrapped with the drive's double zeros at s = +-pi/2 and anchored to the
+    2 pi branch nearest its mean (the package's unwrap and anchoring), and the
+    physical phase adds (g - N) s.
+    """
+    n = params.n_harmonic
+    w = np.exp(1j * n * grid) * phi1 / c0
+    res = hilbert.unwrap(np.angle(w), zeros=DRIVE_ZEROS, grid=grid)
+    phase_chi = hilbert._anchor_unwrapped(res.phase)
+    return np.log(np.abs(w)), phase_chi, phase_chi + (params.g - n) * grid
 
 
 def rows_oracle(table):

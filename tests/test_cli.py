@@ -314,6 +314,22 @@ class TestOtherCommands:
         assert code == 0 and "FAIL" not in out
         assert peak <= 2 * trajectory_bytes, peak / trajectory_bytes
 
+    def test_verify_peak_is_the_trajectory_and_one_block(self, capsys):
+        # integrate_ode takes the norm drift RK4_CHUNK states at a time: beyond
+        # the trajectory (states and s), only block-sized temporaries are live.
+        # The drift over the whole trajectory at once peaked at 1.62 times it
+        params = model.params_from_k(200.3)
+        trajectory_bytes = (cli.default_rk4_steps(params.g) + 1) * (2 * 16 + 8)
+        block_bytes = 256 * model.RK4_CHUNK
+        tracemalloc.start()
+        try:
+            code, out, _ = run_cli(capsys, "verify", "--k", "200.3", "--grid-size", "64")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0 and "FAIL" not in out
+        assert peak <= trajectory_bytes + block_bytes, (peak - trajectory_bytes) / block_bytes
+
     def test_verify_compares_every_rk4_state(self, capsys, monkeypatch):
         # the reference comes in RK4_CHUNK slices; together they are the RK4 grid
         seen, pair = [], model.analytic_state_pair

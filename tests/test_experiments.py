@@ -38,7 +38,7 @@ class TestMeasureBerryPhase:
         signals = model.ModelSignals(
             params=p, grid=grid, phi1=np.exp(1j * grid),
             log_modulus=np.zeros_like(grid), phase_physical=grid.copy(),
-            chi=np.exp(1j * grid), phase_chi=grid.copy(), c0=1.0)
+            phase_chi=grid.copy(), c0=1.0)
         assert np.isclose(measure_berry_phase(signals), np.pi, atol=1e-12)
 
     @pytest.mark.parametrize("k", [1, 2, 3, 17])
@@ -219,6 +219,18 @@ class TestCoefficientCase:
         report, _ = run_coefficient_case(params, n_max, grid)
         assert report.grid_size == grid
         assert report.analysis_grid_size == analysed
+
+    def test_never_samples_the_requested_grid(self, monkeypatch):
+        # the series comes from model.helicity_series's 4N + 4 points
+        def refuse(*args):
+            raise AssertionError("evaluate_model called")
+
+        monkeypatch.setattr(model, "evaluate_model", refuse)
+        params = fig_params("fig2")
+        report, table = run_coefficient_case(params, 50, 65536)
+        assert report.max_relative_discrepancy < 1e-6 and table.n_rows == 50
+        coeffs = hilbert.log_coefficients(model.helicity_series(params), 50, 65536)
+        assert np.array_equal(table.data["A_n"], coeffs.A[1:])
 
 
 class TestEmitOutputs:

@@ -112,6 +112,48 @@ class TestEvaluateModel:
         with pytest.raises(ValueError):
             model.evaluate_model(p, 64)
 
+    @pytest.mark.parametrize("m", [4096, 65536])
+    @pytest.mark.parametrize("k", [1, 17, 100, 400])
+    def test_curves_match_the_chi_readout(self, k, m):
+        # arg phi1 + Ns is arg chi up to round-off in N s and in the unwrap's
+        # running sum (measured <= 6.8e-13 at k = 400); |phi1|/c_0 and
+        # |chi/c_0| differ by an ulp or two (<= 1.8e-15)
+        p = model.params_from_k(k)
+        signals = model.evaluate_model(p, m)
+        log_modulus, phase_chi, phase_physical = oracle.chi_curves(
+            p, signals.grid, signals.phi1, signals.c0)
+        assert np.max(np.abs(signals.log_modulus - log_modulus)) <= 1e-14
+        assert np.max(np.abs(signals.phase_chi - phase_chi)) <= 2e-12
+        assert np.max(np.abs(signals.phase_physical - phase_physical)) <= 2e-12
+
+    @pytest.mark.parametrize("k", [1, 17, 400])
+    def test_series_does_not_depend_on_the_grid(self, k):
+        p = model.params_from_k(k)
+        series = model.helicity_series(p)
+        for m in (4 * p.n_harmonic + 4, 4096, 65536):
+            signals = model.evaluate_model(p, m)
+            assert signals.helicity.c.tobytes() == series.c.tobytes()
+            assert signals.c0 == series.c[0]
+
+    def test_chi_formed_on_demand(self):
+        p = model.params_from_k(17)
+        signals = model.evaluate_model(p, 4096)
+        assert "chi" not in vars(signals)
+        chi = np.exp(1j * p.n_harmonic * signals.grid) * signals.phi1
+        assert np.array_equal(signals.chi, chi)
+        assert signals.chi is signals.chi  # formed once
+
+    def test_helicity_series_requires_a_cyclic_drive(self):
+        with pytest.raises(ValueError, match="cyclic"):
+            model.helicity_series(model.derive_params(np.sqrt(1100.0)))
+
+    @pytest.mark.parametrize("m", [4, 64, 4 * 35])
+    def test_grid_below_4n_plus_4_names_the_aliasing(self, m):
+        # k = 17: N = 35 needs 144 points, whatever grid the series is read from
+        with pytest.raises(ValueError, match=rf"m_samples = {m} too small for "
+                                             r"n_max = 35: need at least 144 \(aliasing\)"):
+            model.evaluate_model(model.params_from_k(17), m)
+
 
 class TestIntegrateOde:
     def test_norm_conservation(self):

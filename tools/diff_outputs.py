@@ -38,8 +38,10 @@ import numpy as np
 #: root pass (reciprocity and coeffs), verify runs whose RK4 steps scale
 #: with g (k = 50, 100 and 200.3 take the step rule below its ceiling), one at
 #: the 1e6-step ceiling, one at an odd step count and one of a single step;
-#: then the parser's help and usage errors, and a verify whose RK4 grid
-#: passes through s = 0
+#: then the parser's help and usage errors, a verify whose RK4 grid
+#: passes through s = 0, and a grid below k = 17's 4N + 4 = 144 points:
+#: reciprocity and berry refuse it (aliasing), coeffs reads its series from
+#: 4N + 4 samples all the same
 COMMANDS = (
     ("reciprocity", "--preset", "fig1", "--out", "{out}/fig1"),
     ("reciprocity", "--preset", "fig2", "--format", "json", "--out", "{out}/fig2"),
@@ -76,6 +78,8 @@ COMMANDS = (
     ("nosuch",),
     ("verify", "--bogus"),
     ("verify", "--k", "1", "--grid-size", "64", "--rk4-steps", "50"),
+    *((command, "--k", "17", "--grid-size", "64")
+      for command in ("reciprocity", "berry", "coeffs")),
 )
 
 
