@@ -209,8 +209,9 @@ def run_reciprocity_case(params: model.ModelParams, grid_size: int,
         if abs(c0) <= 1e-12 * np.mean(np.abs(chi)):
             raise ValueError(f"c_0 = mean(e^(i N_eff s) phi1) vanishes for N_eff = "
                              f"{n_eff}; log expansion undefined")
-        lm_direct = np.log(np.abs(chi / c0))
-        ph_direct, slope = _detrended_phase(np.angle(chi / c0), s)
+        chi /= c0
+        lm_direct = np.log(np.abs(chi))
+        ph_direct, slope = _detrended_phase(np.angle(chi), s)
     ph_rec = hilbert.phase_from_modulus(lm_direct - lm_direct.mean(), method, fejer_order)
     lm_rec = hilbert.modulus_from_phase(ph_direct - ph_direct.mean(), method, fejer_order)
 

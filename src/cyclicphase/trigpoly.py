@@ -31,10 +31,10 @@ REALITY_TOL = 1e-10
 #: |z| >= 1 - ROOT_TOL is the zero-location gate (boundary case Im t = 0 passes)
 ROOT_TOL = 1e-9
 
-#: cap on the sweeps of each iteration in polynomial_roots (Aberth, branch Newton, polish)
+#: cap on the sweeps of each iteration in polynomial_roots (branch Newton, polish)
 MAX_SWEEPS = 100
 
-#: entries of the power block one chunk of an Aberth sweep may hold
+#: entries of the power block one chunk of a polish sweep may hold
 _CHUNK_ELEMENTS = 2 ** 15
 
 #: roots closer than this (balanced coordinates) are one multiple root; see
@@ -199,36 +199,6 @@ def cos_sin_coefficients(values, n_max: int) -> tuple[np.ndarray, np.ndarray]:
     return a, b
 
 
-def _start_points(q: np.ndarray) -> np.ndarray:
-    """Bini's starting points for the Aberth iteration on sum_j q[j] w^j.
-
-    Each edge of the upper convex hull of (j, log|q_j|) from vertex j0 to j1
-    carries j1 - j0 starts on the circle of radius
-    (|q_j0| / |q_j1|)^(1 / (j1 - j0)), the Newton-polygon estimate of that many
-    root moduli.  A balanced polynomial with no wide modulus spread has one
-    edge, the unit circle.  The angular offset keeps starts off the symmetric
-    configurations (such as the roots of w^d + 1 for w^d - 1) on which the
-    iteration cycles.
-    """
-    nonzero = np.flatnonzero(q)
-    log_q = np.log(np.abs(q[nonzero]))
-    hull = []  # upper hull by the monotone chain, left to right
-    for j, lq in zip(nonzero.tolist(), log_q.tolist()):
-        while len(hull) >= 2:
-            (j0, l0), (j1, l1) = hull[-2], hull[-1]
-            if (l1 - l0) * (j - j0) > (lq - l0) * (j1 - j0):
-                break
-            hull.pop()
-        hull.append((j, lq))
-    d = len(q) - 1
-    starts = []
-    for (j0, l0), (j1, l1) in zip(hull, hull[1:]):
-        n = j1 - j0
-        angle = 2.0 * np.pi * (np.arange(n) / n + j0 / d) + 0.7
-        starts.append(np.exp((l0 - l1) / n + 1j * angle))
-    return np.concatenate(starts)
-
-
 def _powers(z: np.ndarray, d: int) -> np.ndarray:
     """The block z[i]^j at row j, column i, j = 0..d, by doubling.
 
@@ -280,64 +250,6 @@ def _converged(p: np.ndarray, bound: np.ndarray, d: int) -> np.ndarray:
     the round-off of evaluating p, so the exact backward error meets the gate.
     """
     return np.abs(p) <= 2.0 * d * np.finfo(float).eps * bound
-
-
-def _aberth_sweep(weights: tuple[np.ndarray, np.ndarray], w: np.ndarray,
-                  newton: np.ndarray, active: np.ndarray) -> np.ndarray:
-    """One sweep of the Aberth iteration over the roots w[active], in place.
-
-    The correction is x P / (G - x P S) (:func:`_scaled_values`), with S the
-    sum of 1 / (x - w_k) over the other roots.  A root that meets
-    :func:`_converged` stays where it is and leaves the active set, and
-    newton records its |p / p'| there.  Rows go in chunks of about
-    _CHUNK_ELEMENTS entries, which bounds the temporaries; each chunk
-    already sees the roots the chunks before it moved.  Returns the indices
-    that are still active.
-    """
-    d = len(w)
-    rows_per_chunk = max(1, _CHUNK_ELEMENTS // (d + 1))
-    still = []
-    for lo in range(0, len(active), rows_per_chunk):
-        rows = active[lo:lo + rows_per_chunk]
-        x = w[rows]
-        p, g, bound = _scaled_values(weights, x)
-        moving = ~_converged(p, bound, d)
-        newton[rows[~moving]] = np.abs(x * p / g)[~moving]
-        rows, x, xp, g = rows[moving], x[moving], x[moving] * p[moving], g[moving]
-        re = np.subtract.outer(x.real, w.real)
-        im = np.subtract.outer(x.imag, w.imag)
-        inv = re * re + im * im
-        inv[np.arange(len(rows)), rows] = np.inf  # the root itself
-        np.reciprocal(inv, out=inv)
-        step = xp / (g - xp * ((re * inv).sum(axis=1) - 1j * (im * inv).sum(axis=1)))
-        w[rows] = np.where(np.isfinite(step), x - step, x)
-        still.append(rows)
-    return np.concatenate(still)
-
-
-def _aberth(q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """All roots of sum_j q[j] w^j (q[0], q[-1] nonzero), each meeting :func:`_converged`.
-
-    Returns the roots and |p / p'| at each, the length of a Newton step
-    there: about the root's distance to the exact root, or a 1/m part of it
-    next to a root of multiplicity m.
-
-    Raises
-    ------
-    ValueError
-        If a root is left unconverged after MAX_SWEEPS sweeps.
-    """
-    weights = _weights(q)
-    w = _start_points(q)
-    newton = np.empty(len(w))
-    active = np.arange(len(w))
-    with np.errstate(all="ignore"):  # a coincident iterate's non-finite step is dropped
-        for _ in range(MAX_SWEEPS):
-            active = _aberth_sweep(weights, w, newton, active)
-            if len(active) == 0:
-                return w, newton
-    raise ValueError(f"root finder did not converge for the degree-{len(w)} polynomial "
-                     f"in {MAX_SWEEPS} sweeps")
 
 
 def _newton(weights: tuple[np.ndarray, np.ndarray], x: np.ndarray) -> np.ndarray:
@@ -400,7 +312,7 @@ def _refine_root_clusters(c: np.ndarray, roots: np.ndarray, newton: np.ndarray,
     derivative, where it is simple: the backward-error gate of the iteration
     leaves a double root with O(sqrt(eps)) errors, too coarse for the
     unit-circle gate.  Each root reaches tol / 2, or four Newton steps
-    (newton, :func:`_aberth`) where that is more, up to 50 tol: the
+    (newton, :func:`_eig_roots`) where that is more, up to 50 tol: the
     approximations of an m-fold root lie about m Newton steps from it, at
     most 2 m apart, and this holds them together for m <= 4 however far
     ill-conditioning leaves them.  A root in no cluster within its reach of
@@ -490,9 +402,10 @@ def _polish(c: np.ndarray, x: np.ndarray) -> np.ndarray | None:
     """Newton on sum_m c[m] z^m from every start in x, each stopping once it meets the gate.
 
     A start that meets :func:`_converged` stays where it is; the others take
-    a Newton step and are evaluated again, in row chunks like
-    :func:`_aberth_sweep`.  Returns the polished roots, or None if one still
-    misses the gate after MAX_SWEEPS sweeps.
+    a Newton step and are evaluated again, in row chunks of about
+    _CHUNK_ELEMENTS entries, which bounds the temporaries.  Returns the
+    polished roots, or None if one still misses the gate after MAX_SWEEPS
+    sweeps.
     """
     weights, d = _weights(c), len(c) - 1
     rows_per_chunk = max(1, _CHUNK_ELEMENTS // (d + 1))
@@ -529,9 +442,9 @@ def _model_roots(c: np.ndarray) -> np.ndarray | None:
     conjugation.  The 2k roots from branches 0..k-1 are then polished on all
     of c (:func:`_polish`): on the four terms alone their backward error on
     c reaches 68 times the gate at k = 1000.  That pass costs O(k d),
-    against the O(d^2) of every Aberth sweep.  None sends the series to the
-    Aberth iteration: a series without the structure, or one whose branches
-    fail.
+    against the O(d^3) of the companion eigensolve.  None sends the series
+    to that general path (:func:`_eig_roots`): a series without the
+    structure, or one whose branches fail.
     """
     d = len(c) - 1
     if d < 6 or d % 4 != 2:
@@ -556,6 +469,36 @@ def _model_roots(c: np.ndarray) -> np.ndarray | None:
     return np.concatenate((z, complex_pairs.conj(), [1j, 1j, -1j, -1j]))
 
 
+def _eig_roots(q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """All roots of sum_j q[j] w^j (q[0], q[-1] nonzero), each meeting :func:`_converged`.
+
+    The eigenvalues of the companion matrix are backward stable for a
+    balanced q (Edelman & Murakami, Math. Comp. 64, 1995).  Newton takes
+    them to round-off (:func:`_newton`), which separates simple roots too
+    close to cluster but too ill-conditioned for the gate alone, and
+    :func:`_polish` then holds each to the gate.  Returns the roots and
+    |p / p'| at each, the length of a Newton step there: about the root's
+    distance to the exact root, or a 1/m part of it next to a root of
+    multiplicity m.
+
+    Raises
+    ------
+    ValueError
+        If a root is left unconverged after MAX_SWEEPS sweeps.
+    """
+    d = len(q) - 1
+    companion = np.eye(d, k=-1)
+    companion[:, -1] = -q[:-1] / q[-1]
+    weights = _weights(q)
+    with np.errstate(all="ignore"):  # a step from a double root is non-finite; the gate judges it
+        w = _polish(q, _newton(weights, np.linalg.eigvals(companion).astype(complex)))
+        if w is None:
+            raise ValueError(f"root finder did not converge for the degree-{d} polynomial "
+                             f"in {MAX_SWEEPS} sweeps")
+        p, g, _ = _scaled_values(weights, w)
+        return w, np.abs(w * p / g)
+
+
 def polynomial_roots(c: np.ndarray) -> np.ndarray:
     """All roots of P(z) = sum_m c[m] z^m, each meeting the backward-error gate.
 
@@ -566,10 +509,11 @@ def polynomial_roots(c: np.ndarray) -> np.ndarray:
     4k + 2, four terms at degrees 0, 2, 4k and 4k + 2 up to eta = d eps
     max|c|, a double root at z = +-i) is solved branch by branch in O(k)
     and polished on all of c in one O(k d) pass (:func:`_model_roots`).
-    Any other series, or one whose branches fail, goes to the Aberth-Ehrlich
-    iteration on P(rho w) with rho = |c_0 / c_d|^(1/d), the geometric mean
-    of the root moduli, which balances the coefficients.  Each root stops
-    once it meets the backward-error gate (:func:`_converged`).  Multiple
+    Any other series, or one whose branches fail, goes to the eigenvalues
+    of the companion matrix of P(rho w) with rho = |c_0 / c_d|^(1/d), the
+    geometric mean of the root moduli, which balances the coefficients;
+    Newton then takes each root to round-off and on to the backward-error
+    gate (:func:`_eig_roots`).  Multiple
     and real roots are then polished on the coefficients c themselves
     (:func:`_refine_root_clusters`): the balancing perturbs them by
     O(|log(c_m / c_0)| eps), which can move a double root by ~1e-12.  The
@@ -599,7 +543,7 @@ def polynomial_roots(c: np.ndarray) -> np.ndarray:
         log_rho = (log_c[0] - log_c[-1]) / d
         q = np.sign(c) * np.exp(log_c - log_c[0] + log_rho * np.arange(d + 1))
         rho = np.exp(log_rho)
-        w, newton = _aberth(q)
+        w, newton = _eig_roots(q)
         roots = _conjugate_closed(
             _refine_root_clusters(scaled, rho * w, rho * newton, rho * _CLUSTER_TOL))
     return np.concatenate((at_zero, roots))

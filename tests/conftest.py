@@ -5,8 +5,10 @@ The oracles here deliberately avoid the code paths they are used to check:
 * ``pv_hilbert_oracle``   brute-force principal-value quadrature on a dense
   grid with symmetric singularity exclusion (no FFT, no interleaving trick).
 * ``companion_roots``   polynomial roots as eigenvalues of the companion
-  matrix, multiple roots polished by Newton on a derivative (no Aberth
-  iteration, no balancing, no code from the package).
+  matrix, multiple roots polished by Newton on a derivative (no balancing,
+  no backward-error gate, no code from the package).  The package's general
+  path is an eigensolve too, so its tests add mpmath's Durand-Kerner roots
+  where the degree is small.
 * ``conjugate_pair_from_roots``   boundary log-modulus and conjugate phase of
   a helicity polynomial assembled factor by factor from its ``companion_roots``
   (no Hilbert transform, no phase unwrapping).

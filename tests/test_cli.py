@@ -75,7 +75,7 @@ class TestValidation:
         assert err.count("\n") == 1
 
     def test_unconverged_roots_exit_1(self, capsys, monkeypatch):
-        monkeypatch.setattr(trigpoly, "MAX_SWEEPS", 1)
+        monkeypatch.setattr(trigpoly, "MAX_SWEEPS", 0)
         code, _, err = run_cli(capsys, "reciprocity", "--k", "17", "--grid-size", "4096")
         assert code == 1
         assert err.startswith("error:") and "degree-70" in err and "converge" in err
@@ -352,6 +352,22 @@ class TestOtherCommands:
         assert code == 1 and err == ""
         assert "PASS  all helicity zeros |z| >= 1  (min |z| = 1.000000000000)" in out
         assert "FAIL  norm drift < 1e-8  (nan)" in out
+
+    def test_no_command_reaches_the_general_root_path(self, capsys, monkeypatch):
+        # every series a command builds has the four-term structure, so the
+        # companion eigensolve, seconds at degree ~1600, serves no command
+        argvs = [("sweep", "--k-values", "1,2,3,16.59,17"), ("coeffs", "--k", "50"),
+                 ("berry", "--k", "7"), ("verify", "--preset", "fig2"),
+                 ("reciprocity", "--k", "17", "--grid-size", "4096")]
+
+        def general_path(q):
+            raise AssertionError(f"the general root path ran at degree {len(q) - 1}")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(trigpoly, "_eig_roots", general_path)
+            patched = [run_cli(capsys, *argv)[:2] for argv in argvs]
+        for argv, result in zip(argvs, patched):
+            assert result == (0, run_cli(capsys, *argv)[1]), argv
 
     def test_coeffs_stdout_bytes(self, capsys):
         # the table lines as formatted cell by numpy cell, after the report
