@@ -225,7 +225,7 @@ def run_reciprocity_case(params: model.ModelParams, grid_size: int,
         coeffs = hilbert.log_coefficients(signals.helicity, n_max, 4 * n_max + 4)
         coeff_max = hilbert.coefficient_equality_check(coeffs).max_relative
         root_pass = trigpoly.root_check(signals.helicity).passed
-        notes.append(f"cyclic drive: N = {n}, c_0 = {signals.c0:.12g}")
+        notes.append(f"cyclic drive: N = {n}, c_0 = {signals.helicity.c[0]:.12g}")
     else:
         phase_direct_out = ph_direct
         phase_rec_out = ph_rec
@@ -397,16 +397,14 @@ def write_csv(table: Table, path) -> Path:
 def emit_outputs(report, dataset: Table, path_prefix, fmt: str = "csv") -> list[Path]:
     """Write the dataset ({prefix}.csv or .json) and the report ({prefix}.report.json).
 
+    Both dataset formats take one path, ``_dataset_text`` through ``_write``.
     Byte output is deterministic for fixed inputs: full double precision,
     locale-independent decimal points, fixed key order, ``\\n`` newlines.
     Missing parent directories are created; a failed write raises OSError
     naming the file.
     """
     target, report_path = output_paths(path_prefix, fmt)
-    if fmt == "csv":
-        written = write_csv(dataset, target)
-    else:
-        written = _write(target, _dataset_text(dataset, fmt))
+    written = _write(target, _dataset_text(dataset, fmt))
     report_text = json.dumps(report_to_dict(report), indent=2) + "\n"
     return [written, _write(report_path, [report_text.encode("ascii")])]
 

@@ -26,7 +26,6 @@ rows.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
@@ -94,29 +93,20 @@ def phi1_values(params: ModelParams, s) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ModelSignals:
-    """Model amplitudes and derived phase/log-modulus arrays on the offset grid.
+    """Model amplitudes and, for a cyclic drive, the derived curves on the offset grid.
 
-    For a cyclic drive, ``helicity`` and ``c0`` come from ``helicity_series``,
-    the same on every grid, and ``chi`` = e^{iNs} phi1 is formed on first
-    access and kept; the phase and log-modulus fields are read from phi1
-    without it.
+    For a cyclic drive, ``helicity`` comes from ``helicity_series``, the same
+    on every grid (c_0 is ``helicity.c[0]``), and the phase and log-modulus
+    fields are read from phi1.  A non-cyclic drive carries phi1 alone.
     """
 
     params: ModelParams
     grid: np.ndarray = field(repr=False)
     phi1: np.ndarray = field(repr=False)
-    log_modulus: np.ndarray = field(repr=False)
-    phase_physical: np.ndarray = field(repr=False)
+    log_modulus: np.ndarray | None = field(repr=False, default=None)
+    phase_physical: np.ndarray | None = field(repr=False, default=None)
     phase_chi: np.ndarray | None = field(repr=False, default=None)
-    c0: float | None = None
     helicity: trigpoly.HelicitySeries | None = None
-
-    @cached_property
-    def chi(self) -> np.ndarray | None:
-        """e^{iNs} phi1 on the grid; None for a non-cyclic drive."""
-        if not self.params.cyclic:
-            return None
-        return np.exp(1j * self.params.n_harmonic * self.grid) * self.phi1
 
 
 def helicity_series(params: ModelParams) -> trigpoly.HelicitySeries:
@@ -141,25 +131,21 @@ def evaluate_model(params: ModelParams, m_samples: int) -> ModelSignals:
     the second-order amplitude zeros s = +-pi/2 preserved rather than
     smoothed.  c_0 > 0, so both come from phi1 alone: arg chi = arg phi1 + Ns
     (up to 2pi, which the unwrapping absorbs) and |chi/c_0| = |phi1|/c_0; chi
-    itself is formed only on demand (``ModelSignals.chi``).  The helicity
-    series and c_0 come from ``helicity_series``, not from this grid, which
-    must still hold 4N + 4 points (ValueError otherwise).
+    itself is never formed.  The helicity series, and with it c_0, comes from
+    ``helicity_series``, not from this grid, which must still hold 4N + 4
+    points (ValueError otherwise).
     phase_physical = phase_chi + (g - N) s is the phase of phi' = e^{igs} phi1
     (the dynamic phase removed); the identity holds pointwise by construction.
 
-    Non-cyclic drives carry no helicity series: log_modulus is log|phi1| and
-    phase_physical is the plainly unwrapped arg(phi') on the 2 pi window.
+    Non-cyclic drives carry no helicity series and no curves: the returned
+    signals hold the grid and phi1 only, and the other fields are None.
     """
     grid = trigpoly.offset_grid(m_samples)
     if not params.cyclic:
-        phi1 = phi1_values(params, grid)
-        phase_phys = hilbert.unwrap(np.angle(phi1)).phase + params.g * grid
-        return ModelSignals(params, grid, phi1,
-                            np.log(np.abs(phi1)), phase_phys)
+        return ModelSignals(params, grid, phi1_values(params, grid))
     n = params.n_harmonic
     trigpoly.check_resolves(m_samples, n)
     hel = helicity_series(params)
-    c0 = float(hel.c[0])
     phi1 = phi1_values(params, grid)
     raw = np.angle(phi1)
     raw += n * grid
@@ -167,10 +153,10 @@ def evaluate_model(params: ModelParams, m_samples: int) -> ModelSignals:
     phase_chi = hilbert._anchor_unwrapped(res.phase)
     phase_phys = phase_chi + (params.g - n) * grid
     log_modulus = np.abs(phi1)
-    log_modulus /= c0
+    log_modulus /= hel.c[0]
     np.log(log_modulus, out=log_modulus)
     return ModelSignals(params, grid, phi1, log_modulus, phase_phys,
-                        phase_chi=phase_chi, c0=c0, helicity=hel)
+                        phase_chi=phase_chi, helicity=hel)
 
 
 @dataclass(frozen=True)
@@ -218,7 +204,7 @@ def integrate_ode(params: ModelParams, initial, s_span=(-np.pi, np.pi),
     matrix exponential).  The norm drift over the run is reported in
     ``norm_drift`` for the caller to judge; a large drift does not stop the
     run.  The span may run backward (s1 < s0); the step count is
-    ceil(|s1 - s0|/step).
+    ceil(|s1 - s0|/step) up to rounding, so that step = span/n takes n steps.
 
     The equation is linear, so one RK4 step is exactly Psi <- S_n Psi with
     S_n = I + D_n, D_n = (h/6)(K1 + 2 K2 + 2 K3 + K4), K1 = A(s_n),
@@ -247,7 +233,7 @@ def integrate_ode(params: ModelParams, initial, s_span=(-np.pi, np.pi),
         step = 2.0 * np.pi / 10_000
     if not (step > 0.0):
         raise ValueError("step must be positive")
-    nsteps = max(1, int(np.ceil(abs(s1 - s0) / step)))
+    nsteps = max(1, int(np.ceil(abs(s1 - s0) / step * (1.0 - 4.0 * np.finfo(float).eps))))
     h = (s1 - s0) / nsteps
 
     s_out = s0 + h * np.arange(nsteps + 1)

@@ -31,7 +31,7 @@ REALITY_TOL = 1e-10
 #: |z| >= 1 - ROOT_TOL is the zero-location gate (boundary case Im t = 0 passes)
 ROOT_TOL = 1e-9
 
-#: cap on the sweeps of each iteration in polynomial_roots (branch Newton, polish)
+#: cap on the sweeps of every iteration in polynomial_roots (Newton, polish)
 MAX_SWEEPS = 100
 
 #: entries of the power block one chunk of a polish sweep may hold
@@ -255,11 +255,11 @@ def _converged(p: np.ndarray, bound: np.ndarray, d: int) -> np.ndarray:
 def _newton(weights: tuple[np.ndarray, np.ndarray], x: np.ndarray) -> np.ndarray:
     """Newton from every start in x at once (:func:`_weights` of the polynomial).
 
-    Each start stops on its own, once its step falls to round-off.
+    Each start stops on its own once its step falls to round-off, within MAX_SWEEPS steps.
     """
     x = x.copy()
     active = np.arange(len(x))
-    for _ in range(60):
+    for _ in range(MAX_SWEEPS):
         xa = x[active]
         p, g, _ = _scaled_values(weights, xa)
         moving = g != 0
@@ -275,29 +275,17 @@ def _newton(weights: tuple[np.ndarray, np.ndarray], x: np.ndarray) -> np.ndarray
 def _clusters(roots: np.ndarray, reach: np.ndarray) -> list[np.ndarray]:
     """Index sets of two or more roots closer to the set's first member than both reaches.
 
-    Roots i and j are close when |roots[i] - roots[j]| < reach[i] + reach[j].
-    Sorted by real part, only neighbours that close in real part can be that
-    close, so the offsets scanned stop at the widest run of such neighbours,
-    usually a few.  Each set then grows from its first member in root order.
+    Roots i and j are close when |roots[i] - roots[j]| < reach[i] + reach[j],
+    tested for every pair at once in one d x d matrix, whose diagonal (each
+    root against itself, reach > 0) is true.  Each set grows from its first
+    member in root order.
     """
-    order = np.argsort(roots.real, kind="stable")
-    ordered, reach_ordered = roots[order], reach[order]
-    close_ordered = np.zeros(len(roots), dtype=bool)
-    for offset in range(1, len(roots)):
-        gap = ordered.real[offset:] - ordered.real[:-offset]
-        if not np.any(gap < 2.0 * np.max(reach)):
-            break
-        near = (np.abs(ordered[offset:] - ordered[:-offset])
-                < reach_ordered[offset:] + reach_ordered[:-offset])
-        close_ordered[offset:] |= near
-        close_ordered[:-offset] |= near
-    close = np.empty_like(close_ordered)
-    close[order] = close_ordered
-    used = ~close
+    near = np.abs(roots[:, None] - roots) < reach[:, None] + reach
+    used = np.count_nonzero(near, axis=1) < 2
     clusters = []
-    for i in np.flatnonzero(close).tolist():
+    for i in np.flatnonzero(~used).tolist():
         if not used[i]:
-            members = ~used & (np.abs(roots - roots[i]) < reach + reach[i])
+            members = ~used & near[i]
             used |= members
             clusters.append(np.flatnonzero(members))
     return clusters

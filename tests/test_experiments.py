@@ -38,7 +38,7 @@ class TestMeasureBerryPhase:
         signals = model.ModelSignals(
             params=p, grid=grid, phi1=np.exp(1j * grid),
             log_modulus=np.zeros_like(grid), phase_physical=grid.copy(),
-            phase_chi=grid.copy(), c0=1.0)
+            phase_chi=grid.copy())
         assert np.isclose(measure_berry_phase(signals), np.pi, atol=1e-12)
 
     @pytest.mark.parametrize("k", [1, 2, 3, 17])

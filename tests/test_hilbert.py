@@ -282,7 +282,8 @@ class TestUnwrap:
         params = model.derive_params(np.sqrt(3.0))
         signals = model.evaluate_model(params, 4096)
         s = signals.grid
-        res = unwrap(np.angle(signals.chi / signals.c0),
+        chi = np.exp(1j * params.n_harmonic * s) * signals.phi1
+        res = unwrap(np.angle(chi / signals.helicity.c[0]),
                      zeros=model.DRIVE_ZEROS, grid=s)
         assert len(res.jumps) == 2
         for (idx, size), loc in zip(res.jumps, (-np.pi / 2, np.pi / 2)):

@@ -245,7 +245,8 @@ class TestToHelicity:
             c = signals.helicity.c
             sign = np.sign(np.sum(c))  # sum(c) = +-phi1(0) = +-1
             assert np.isclose(abs(np.sum(c)), 1.0, atol=1e-12)
-            assert np.max(np.abs(polynomial_values(c, m) - sign * signals.chi)) <= 1e-10
+            chi = np.exp(1j * params.n_harmonic * signals.grid) * signals.phi1
+            assert np.max(np.abs(polynomial_values(c, m) - sign * chi)) <= 1e-10
 
     def test_parseval(self, rng):
         a, b = _random_cos_sin(rng, 5)
@@ -471,7 +472,7 @@ def model_series(k):
     return model.evaluate_model(params, 4 * params.n_harmonic + 4).helicity.c
 
 
-def aberth_roots(monkeypatch, c):
+def eigensolve_roots(monkeypatch, c):
     """polynomial_roots(c) with the four-term path switched off."""
     with monkeypatch.context() as patch:
         patch.setattr(trigpoly, "_model_roots", lambda c: None)
@@ -479,7 +480,7 @@ def aberth_roots(monkeypatch, c):
 
 
 @pytest.fixture
-def aberth_calls(monkeypatch):
+def eigensolve_calls(monkeypatch):
     """Degrees of the polynomials sent to the general path, the companion eigensolve."""
     calls = []
     original = trigpoly._eig_roots
@@ -524,16 +525,16 @@ class TestModelRoots:
                           / np.maximum(1.0, np.abs(roots))) <= 1e-12
 
     @pytest.mark.parametrize("k", [1, 2, 3, 17, 32, 100, 400])
-    def test_matches_the_oracle_and_aberth(self, monkeypatch, aberth_calls, k):
+    def test_matches_the_oracle_and_aberth(self, monkeypatch, eigensolve_calls, k):
         c = model_series(k)
         roots = polynomial_roots(c)
-        assert aberth_calls == []  # the branch solver took the series
+        assert eigensolve_calls == []  # the branch solver took the series
         self.check_model_roots(c, roots)
         assert np.min(np.abs(roots)) == 1.0
         if k <= 100:
-            aberth = aberth_roots(monkeypatch, c)
-            assert abs(np.min(np.abs(roots)) - np.min(np.abs(aberth))) <= 1e-14
-            assert abs(abs(off_circle_nearest(roots)) - abs(off_circle_nearest(aberth))) <= 1e-14
+            general = eigensolve_roots(monkeypatch, c)
+            assert abs(np.min(np.abs(roots)) - np.min(np.abs(general))) <= 1e-14
+            assert abs(abs(off_circle_nearest(roots)) - abs(off_circle_nearest(general))) <= 1e-14
         else:  # the eigensolve takes seconds here and misses rho by 2e-14 itself
             nearest = off_circle_nearest(roots)
             assert abs(abs(nearest) - modulus_of_40_digit_root(c, nearest)) <= 1e-14
@@ -568,20 +569,20 @@ class TestModelRoots:
 
     @pytest.mark.parametrize("case", ["four_term_without_double_root",
                                       "extra_coefficient", "degree_0_mod_4"])
-    def test_other_series_take_the_aberth_path(self, aberth_calls, case):
+    def test_other_series_take_the_eigensolve_path(self, eigensolve_calls, case):
         c = self.boundary_cases()[case]
         roots = polynomial_roots(c)
-        assert aberth_calls == [len(c) - 1]
+        assert eigensolve_calls == [len(c) - 1]
         assert len(roots) == len(c) - 1
         assert np.max(matched_distances(roots, companion_roots(c))
                       / np.maximum(1.0, np.abs(roots))) <= 1e-12
 
-    def test_branch_solver_capped_at_one_sweep_raises(self, monkeypatch, aberth_calls):
+    def test_branch_solver_capped_at_one_sweep_raises(self, monkeypatch, eigensolve_calls):
         monkeypatch.setattr(trigpoly, "MAX_SWEEPS", 1)
         c = model_series(17)
         assert trigpoly._model_roots(c) is None  # gives up; the general path then
         assert len(polynomial_roots(c)) == 70     # needs one gated sweep after Newton
-        assert aberth_calls == [70]
+        assert eigensolve_calls == [70]
         monkeypatch.setattr(trigpoly, "MAX_SWEEPS", 0)
         with pytest.raises(ValueError, match=r"^root finder did not converge for the "
                                              r"degree-70 polynomial in 0 sweeps$"):

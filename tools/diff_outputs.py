@@ -41,7 +41,9 @@ import numpy as np
 #: then the parser's help and usage errors, a verify whose RK4 grid
 #: passes through s = 0, and a grid below k = 17's 4N + 4 = 144 points:
 #: reciprocity and berry refuse it (aliasing), coeffs reads its series from
-#: 4N + 4 samples all the same
+#: 4N + 4 samples all the same; last, two verify runs whose step span/steps
+#: divides the span only up to rounding (91 steps, and the 1e6-step ceiling
+#: on a 36-point grid), and a non-cyclic reciprocity run whose c_0 vanishes
 COMMANDS = (
     ("reciprocity", "--preset", "fig1", "--out", "{out}/fig1"),
     ("reciprocity", "--preset", "fig2", "--format", "json", "--out", "{out}/fig2"),
@@ -80,6 +82,9 @@ COMMANDS = (
     ("verify", "--k", "1", "--grid-size", "64", "--rk4-steps", "50"),
     *((command, "--k", "17", "--grid-size", "64")
       for command in ("reciprocity", "berry", "coeffs")),
+    ("verify", "--k", "1", "--grid-size", "64", "--rk4-steps", "91"),
+    ("verify", "--k", "1000", "--grid-size", "36"),
+    ("reciprocity", "--k", "16.5", "--grid-size", "4096"),
 )
 
 
