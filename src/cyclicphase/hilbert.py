@@ -63,12 +63,22 @@ def _quadrature_kernel_fft(m: int) -> np.ndarray:
     """conj(rfft) of K[d] = h cot(d h / 2) on odd offsets d, 0 on even ones.
 
     These are the interleaved-grid trapezoid weights of the folded kernel.
+    Only the odd entries are built, and libm sees only the first octant,
+    x = pi d/m <= pi/4, one tan each: h/tan x there, h tan x on the reflected
+    offsets m/2 - d (cot(pi/2 - x) = tan x), and K[m - d] = -K[d] on the
+    rest.  The angles are exact, so no rounding of d h / 2 next to pi is
+    amplified by cot, and the kernel is antisymmetric bit for bit.
     The kernel is real, so its m/2 + 1 bins n = 0..m/2 carry its whole
     spectrum, and they are all that the rfft in periodic_hilbert multiplies.
     """
-    h = 2.0 * np.pi / m
+    h, quarter = 2.0 * np.pi / m, m // 4
+    tan = np.tan(np.arange(1, quarter + 1, 2) * (np.pi / m))
+    n = len(tan)
     kernel = np.zeros(m)
-    kernel[1::2] = h / np.tan(np.arange(1, m, 2) * h / 2.0)
+    odd = kernel[1::2]  # odd[j] = K[2j + 1]
+    np.divide(h, tan, out=odd[:n])
+    np.multiply(tan[:quarter - n][::-1], h, out=odd[n:quarter])
+    np.negative(odd[:quarter][::-1], out=odd[quarter:])
     return np.conj(np.fft.rfft(kernel))
 
 
@@ -96,8 +106,8 @@ def periodic_hilbert(samples, method: str = "series",
         exactly i pi sign(n) with 0 on the Nyquist bin (Kak, "The discrete
         Hilbert transform", Proc. IEEE 58, 1970), and the Nyquist bin of a
         real input adds nothing to the real output, so the quadrature is the
-        series transform plus the kernel's O(m eps) round-off, not an
-        independent check of it.
+        series transform plus the round-off of the kernel and its FFT, not
+        an independent check of it.
     fejer_order : int, optional
         Cesaro resummation order for the series path (harmonic n weighted by
         max(0, 1 - n/(order+1))); used near singularities where the raw series
@@ -225,6 +235,35 @@ def _anchor_unwrapped(phase: np.ndarray) -> np.ndarray:
     return phase - 2.0 * np.pi * np.round(phase.mean() / (2.0 * np.pi))
 
 
+def _series_quotient(c, f, n: int) -> list:
+    """The first n coefficients of the power series c(z)/f(z), f[0] nonzero."""
+    q: list = []
+    for i in range(n):
+        acc = c[i]
+        for j in range(1, min(i, len(f) - 1) + 1):
+            acc -= f[j] * q[i - j]
+        q.append(acc / f[0])
+    return q
+
+
+def _deflate(c, f) -> np.ndarray:
+    """c/f for a factor f of c, divided from both ends (Peters & Wilkinson 1971).
+
+    When round-off keeps f from dividing c exactly, division from the
+    constant term matches c at the quotient's low degrees and division from
+    the leading term at its high degrees; either one alone leaves the whole
+    mismatch at the other end, and ``polydiv``'s remainder, dropped, sits at
+    degrees 0..deg f - 1, where it moves every log coefficient.  The quotient
+    takes its low half from the constant term and its high half from the
+    leading term, so f times it matches c except at the deg f degrees after
+    the join.
+    """
+    c, f = np.asarray(c, dtype=float).tolist(), np.asarray(f, dtype=float).tolist()
+    n = len(c) - len(f) + 1
+    high = _series_quotient(c[::-1], f[::-1], n - n // 2)
+    return np.array(_series_quotient(c, f, n // 2) + high[::-1])
+
+
 def log_coefficients(chi, n_max: int, grid_size: int) -> ConjugateCoefficients:
     """Fourier coefficients of the real and imaginary parts of log(chi/c_0).
 
@@ -238,9 +277,9 @@ def log_coefficients(chi, n_max: int, grid_size: int) -> ConjugateCoefficients:
     classical conjugate pair log|2 sin((s - s_r)/2)| and the periodised
     sawtooth ((s - s_r) mod 2pi - pi)/2, both with coefficients
     -mu cos(n s_r)/n.  Only those roots are read: their factor is divided out
-    of the coefficients, and the quotient R (zero-free near the circle) is
-    evaluated by one :func:`~cyclicphase.trigpoly.polynomial_values` and
-    analyzed.  Plain sampling across the log singularities would lose ~3
+    of the coefficients from both ends (:func:`_deflate`), and the quotient
+    R (zero-free near the circle) is evaluated by one
+    :func:`~cyclicphase.trigpoly.polynomial_values` and analyzed.  Plain sampling across the log singularities would lose ~3
     decades of accuracy.  R can be sampled on any grid, so the analysis grid
     is raised above ``grid_size`` to 4 n_max + 4 and to the smallest multiple
     of 4 with rho^-m <= eps, rho the smallest root modulus off the circle:
@@ -270,9 +309,8 @@ def log_coefficients(chi, n_max: int, grid_size: int) -> ConjugateCoefficients:
             raise ValueError(f"analysis grid of {analysis} points (n_max {n_max}, root at |z| = "
                              f"{rho:.9f}) is above the ceiling {MAX_ANALYSIS_GRID}")
         grid_size = max(grid_size, analysis)
-        poly = np.polynomial.polynomial
         # deflated factor R(z)/R(0): the unit roots divided out of the coefficients
-        quotient = poly.polydiv(chi.c, poly.polyfromroots(on_circle).real)[0]
+        quotient = _deflate(chi.c, np.polynomial.polynomial.polyfromroots(on_circle).real)
         w = polynomial_values(quotient, grid_size) / quotient[0]
         n = np.arange(1, n_max + 1)
         unit_terms = np.zeros(n_max + 1)

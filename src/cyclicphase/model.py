@@ -18,9 +18,10 @@ highest harmonic N = 2k + 1 and amplitude zeros of order two at s = +-pi/2
 (t = +-pi/w).  The first slot is written out in closed form as well
 (``analytic_state_pair``), and so is the doublet's derivative
 (``state_pair_derivative``).  One per-slot kernel writes them all, in real
-arithmetic; ``phi1_values`` is its lower slot alone.  ``solution_residual``
-checks the Schrodinger equation with the state and its derivative, on both
-rows.
+arithmetic; ``phi1_values`` is its lower slot alone, at any points.  On
+the offset grid of a cyclic drive the same slot takes factors that are exact
+roots of unity (``_grid_factors``).  ``solution_residual`` checks the
+Schrodinger equation with the state and its derivative, on both rows.
 """
 
 from __future__ import annotations
@@ -83,7 +84,11 @@ def params_from_k(k: float, omega: float = 1.0) -> ModelParams:
 def phi1_values(params: ModelParams, s) -> np.ndarray:
     """The closed-form amplitude (dynamic phase removed) at time s = omega t / 2.
 
-    The lower slot of the doublet, evaluated without its partner.
+    The lower slot of the doublet, evaluated without its partner, at any
+    points: four libm calls per point, on 2ks and s as rounded to doubles,
+    so its round-off grows like k eps.  ``verify``, non-cyclic drives and the
+    amplitude at the zeros take this path; the offset grid of a cyclic drive
+    takes exact roots of unity instead (``evaluate_model``).
     """
     factors = _doublet_factors(params, s)
     phi1 = np.empty(factors[0].shape, dtype=complex)
@@ -114,13 +119,15 @@ def helicity_series(params: ModelParams) -> trigpoly.HelicitySeries:
 
     phi1 is a trigonometric polynomial of degree N, so 4N + 4 offset-grid
     samples give its coefficients without aliasing: every command reads the
-    series here, whatever grid it samples its datasets on.
+    series here, whatever grid it samples its datasets on.  The samples come
+    from exact roots of unity, as on the dataset grid (``evaluate_model``),
+    so the coefficients off the model's four terms are round-off that does
+    not grow with k.
     """
     if not params.cyclic:
         raise ValueError("the helicity series requires a cyclic drive (integer K/omega)")
     n = params.n_harmonic
-    grid = trigpoly.offset_grid(4 * n + 4)
-    return trigpoly.HelicitySeries.from_samples(phi1_values(params, grid), n)
+    return trigpoly.HelicitySeries.from_samples(_grid_phi1(params, 4 * n + 4), n)
 
 
 def evaluate_model(params: ModelParams, m_samples: int) -> ModelSignals:
@@ -137,8 +144,16 @@ def evaluate_model(params: ModelParams, m_samples: int) -> ModelSignals:
     phase_physical = phase_chi + (g - N) s is the phase of phi' = e^{igs} phi1
     (the dynamic phase removed); the identity holds pointwise by construction.
 
+    For a cyclic drive phi1 comes from exact roots of unity (``_grid_phi1``):
+    k is taken as round(k), the integer that makes the drive cyclic (and
+    N = 2 round(k) + 1), so that every trig factor on the grid is a 2m-th root
+    of unity with an exact integer angle.  Its error is a few eps absolute,
+    next to the zeros included, where ``phi1_values`` on the rounded grid
+    points reads ~k eps.
+
     Non-cyclic drives carry no helicity series and no curves: the returned
-    signals hold the grid and phi1 only, and the other fields are None.
+    signals hold the grid and phi1 from ``phi1_values`` only, and the other
+    fields are None.
     """
     grid = trigpoly.offset_grid(m_samples)
     if not params.cyclic:
@@ -146,7 +161,7 @@ def evaluate_model(params: ModelParams, m_samples: int) -> ModelSignals:
     n = params.n_harmonic
     trigpoly.check_resolves(m_samples, n)
     hel = helicity_series(params)
-    phi1 = phi1_values(params, grid)
+    phi1 = _grid_phi1(params, m_samples)
     raw = np.angle(phi1)
     raw += n * grid
     res = hilbert.unwrap(raw, zeros=DRIVE_ZEROS, grid=grid)
@@ -286,6 +301,98 @@ def _doublet_factors(params: ModelParams, s):
     cos_2ks = np.cos(two_ks)
     # sin 2ks overwrites 2ks: one temporary less at the memory peak of a large grid
     return cos_2ks, np.sin(two_ks, out=two_ks), np.sin(s), np.cos(s)
+
+
+def _unit_roots(q, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """cos(pi q/m) and sin(pi q/m) for integers q, m a multiple of 4.
+
+    libm sees first-octant angles pi r/m <= pi/4 only: q is reflected into
+    [0, m/4] by q -> 2m - q (sin changes sign), q -> m - q (cos changes sign)
+    and q -> m/2 - q (cos and sin swap).  The reflections are exact, so a
+    small result keeps its relative accuracy.
+    """
+    q = np.asarray(q) % (2 * m)
+    sin_sign = np.where(q > m, -1.0, 1.0)
+    q = np.minimum(q, 2 * m - q)
+    cos_sign = np.where(q > m // 2, -1.0, 1.0)
+    q = np.minimum(q, m - q)
+    swap = q > m // 4
+    x = np.minimum(q, m // 2 - q) * (np.pi / m)
+    c, s = np.cos(x), np.sin(x)
+    return cos_sign * np.where(swap, s, c), sin_sign * np.where(swap, c, s)
+
+
+def _odd_roots(m: int) -> tuple[np.ndarray, np.ndarray]:
+    """cos(pi d/m) and sin(pi d/m) on the odd d = 1, 3, ..., m - 1, m a multiple of 4.
+
+    e^{i s_j} = -e^{i pi (2j + 1)/m} on the offset grid, so these are the
+    first half of the grid's cos s and sin s, negated.  libm sees only the
+    first octant, the angles pi d/m <= pi/4; the rest of (0, pi) is that
+    octant reflected: cos and sin swap across pi/4 (d -> m/2 - d), and cos
+    changes sign across pi/2 (d -> m - d).  The reflections are exact, so a
+    small value keeps its relative accuracy, and the angles pi d/m and
+    pi (m - d)/m get the same sin and opposite cos bit for bit.
+    """
+    quarter = m // 4
+    octant = np.arange(1, quarter + 1, 2) * (np.pi / m)
+    n, rest = len(octant), quarter - len(octant)
+    cos, sin = np.empty(m // 2), np.empty(m // 2)
+    np.cos(octant, out=cos[:n])
+    np.sin(octant, out=sin[:n])
+    cos[n:quarter] = sin[:rest][::-1]
+    sin[n:quarter] = cos[:rest][::-1]
+    np.negative(cos[:quarter][::-1], out=cos[quarter:])
+    sin[quarter:] = sin[:quarter][::-1]
+    return cos, sin
+
+
+#: columns of the block in which ``_grid_factors`` forms e^{2iks}
+_GRID_BLOCK = 512
+
+
+def _grid_factors(params: ModelParams, m_samples: int):
+    """cos 2ks, sin 2ks, sin s and cos s on the first half of the offset grid, k an integer.
+
+    On s_j = -pi + pi (2j + 1)/m every factor is a root of unity with an
+    exact integer angle: e^{i s_j} = -e^{i pi (2j + 1)/m}, and for integer k,
+    e^{2iks_j} = e^{i pi n_j/m} with n_j = 2k (2j + 1) mod 2m.  sin s and
+    cos s are ``_odd_roots`` negated: libm on the first octant only,
+    so a small value keeps its relative accuracy.  For e^{2iks} the points
+    j = B r + c (B = _GRID_BLOCK) split the angle into a row part 4kB r and a
+    column part 2k (2c + 1), both reduced mod 2m in integers and taken by
+    ``_unit_roots``; one angle addition per point forms the product
+    as an outer product of the row and column factors.  k is round(params.k).
+    """
+    cos_s, sin_s = _odd_roots(m_samples)
+    np.negative(cos_s, out=cos_s)
+    np.negative(sin_s, out=sin_s)
+    half, period = m_samples // 2, 2 * m_samples
+    width = min(_GRID_BLOCK, half)
+    step = 2 * round(params.k) % period
+    cos, sin = _unit_roots(np.concatenate((
+        step * np.arange(1, 2 * width, 2),                              # columns
+        (2 * width * step % period) * np.arange(-(-half // width)))),  # rows
+        m_samples)
+    col_c, row_c, col_s, row_s = cos[:width], cos[width:], sin[:width], sin[width:]
+    # cos(a + b) = cos a cos b - sin a sin b, sin(a + b) = sin a cos b + cos a sin b
+    cos_2ks, t = np.multiply.outer(row_c, col_c), np.multiply.outer(row_s, col_s)
+    cos_2ks -= t
+    sin_2ks = np.multiply.outer(row_s, col_c)
+    sin_2ks += np.multiply.outer(row_c, col_s, out=t)
+    return cos_2ks.reshape(-1)[:half], sin_2ks.reshape(-1)[:half], sin_s, cos_s
+
+
+def _grid_phi1(params: ModelParams, m_samples: int) -> np.ndarray:
+    """phi1 on the offset grid of a cyclic drive, from ``_grid_factors``.
+
+    The first half is the lower slot of the doublet on those factors; the
+    second half is its mirror: s_{m-1-j} = -s_j and phi1(-s) = conj phi1(s).
+    """
+    half = m_samples // 2
+    phi1 = np.empty(m_samples, dtype=complex)
+    _doublet_slot(params, _grid_factors(params, m_samples), 1, phi1[:half])
+    np.conjugate(phi1[half - 1::-1], out=phi1[half:])
+    return phi1
 
 
 def _doublet_slot(params: ModelParams, factors, slot: int, psi, dpsi=None) -> None:

@@ -25,6 +25,12 @@ The oracles here deliberately avoid the code paths they are used to check:
   its derivative and phi1 as numpy complex expressions broadcast over a slot
   axis, and the Schrodinger residual from them (no real-arithmetic kernel);
   the package's values must equal these byte for byte.
+* ``phi1_grid_oracle``   phi1 of an integer-k drive at exact offset-grid
+  points s_j = -pi + pi (2j + 1)/m, in 40-digit mpmath (no libm, no roots of
+  unity, no package code).
+* ``log_series_oracle``   the coefficients of log(c(z)/c_0) as a power series,
+  by the recursion n L_n = n p_n - sum_j j L_j p_{n-j} in 40-digit mpmath (no
+  roots, no deflation, no sampling).
 * ``chi_curves``   the direct curves of a cyclic drive read through
   chi = e^{iNs} phi1 itself: chi/c_0 formed on the whole grid, then its angle
   and log-modulus (no shortcut through arg phi1 + Ns or |phi1|/c_0).
@@ -35,6 +41,7 @@ The oracles here deliberately avoid the code paths they are used to check:
 
 import json
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -229,6 +236,48 @@ def solution_residual_oracle(params: ModelParams, m_samples: int) -> float:
                       h_off * psi[:, 0] + h_diag * psi[:, 1]], axis=-1)
     residual = np.abs(0.5j * state_pair_derivative(params, grid) - h_psi)
     return float(np.max(residual))
+
+
+def phi1_grid_oracle(params: ModelParams, m: int, indices) -> np.ndarray:
+    """phi1 at the exact offset-grid points s_j = -pi + pi (2j + 1)/m, j in indices.
+
+    cos(2Ks) cos(s) + sin(2Ks) sin(s)/(2k) - i (g/2k) sin(2Ks) cos(s) with
+    K = round(k), the integer that makes the drive cyclic, and the double
+    values of k and g; evaluated in 40-digit arithmetic and rounded once.
+    """
+    big_k = round(params.k)
+    with mpmath.workdps(40):
+        k, g = mpmath.mpf(params.k), mpmath.mpf(params.g)
+        out = []
+        for j in indices:
+            s = mpmath.pi * (2 * int(j) + 1 - m) / m
+            c2, s2 = mpmath.cos(2 * big_k * s), mpmath.sin(2 * big_k * s)
+            c, sn = mpmath.cos(s), mpmath.sin(s)
+            out.append(complex(c2 * c + s2 * sn / (2 * k) - 1j * (g / (2 * k)) * s2 * c))
+    return np.array(out)
+
+
+def log_series_oracle(c, n_max: int) -> np.ndarray:
+    """L_n, n = 0..n_max, of log(c(z)/c_0) = sum_n L_n z^n, in 40-digit arithmetic.
+
+    With p = c/c_0 - 1, d/dz log(1 + p) = p'/(1 + p) gives
+    n L_n = n p_n - sum_{j=1}^{n-1} j L_j p_{n-j}.  For a polynomial with no
+    zeros inside the unit disk these are the A_n = B_n of the log expansion,
+    the zeros on the circle included.
+    """
+    with mpmath.workdps(40):
+        p = [mpmath.mpf(float(x)) / mpmath.mpf(float(c[0])) for x in c[:n_max + 1]]
+        p += [mpmath.mpf(0)] * (n_max + 1 - len(p))
+        terms = [(i, x) for i, x in enumerate(p) if i > 0 and x != 0]
+        log = [mpmath.mpf(0)] * (n_max + 1)
+        for n in range(1, n_max + 1):
+            acc = n * p[n]
+            for i, x in terms:
+                if i >= n:
+                    break
+                acc -= (n - i) * log[n - i] * x
+            log[n] = acc / n
+        return np.array([float(x) for x in log])
 
 
 def chi_curves(params: ModelParams, grid, phi1, c0):

@@ -10,10 +10,12 @@ from hypothesis import strategies as st
 from conftest import (
     conjugate_pair_from_roots,
     log_series_coefficients_newton,
+    log_series_oracle,
     pv_hilbert_oracle,
 )
 from cyclicphase import model
 from cyclicphase.hilbert import (
+    _deflate,
     _quadrature_kernel_fft,
     coefficient_equality_check,
     log_coefficients,
@@ -118,7 +120,11 @@ class TestPeriodicHilbert:
         # i pi sign(n) (times the Fejer weight of |n|), quadrature with the
         # conjugate full DFT of the cot kernel.  Both are one forward and one
         # inverse FFT, so they agree to c log2(m) eps max|f|; measured
-        # c <= 2.3 over 3000 inputs of these kinds up to m = 262144.
+        # c <= 2.3 over 3000 inputs of these kinds up to m = 262144.  The
+        # reference kernel takes cot(pi d/m) at the angle folded below pi/2,
+        # -cot(pi (m - d)/m) past it, so that its own round-off stays at eps,
+        # as the package's does: at angles next to pi, cot would amplify the
+        # rounding of the angle to O(m eps).
         if method == "quadrature":
             fejer_order = None  # Fejer weights apply to the series method only
         rng = np.random.default_rng(seed)
@@ -135,9 +141,9 @@ class TestPeriodicHilbert:
             if fejer_order is not None:
                 multiplier *= np.maximum(0.0, 1.0 - np.abs(n) / (fejer_order + 1.0))
         else:
-            h = 2.0 * np.pi / m
+            h, d = 2.0 * np.pi / m, np.arange(1, m, 2)
             kernel = np.zeros(m)
-            kernel[1::2] = h / np.tan(np.arange(1, m, 2) * h / 2.0)
+            kernel[1::2] = np.sign(m - 2 * d) * h / np.tan(np.pi * np.minimum(d, m - d) / m)
             multiplier = np.conj(np.fft.fft(kernel))
         expected = np.fft.ifft(np.fft.fft(f) * multiplier).real
         out = periodic_hilbert(f, method, fejer_order)
@@ -148,17 +154,17 @@ class TestPeriodicHilbert:
     def test_quadrature_kernel_is_the_series_multiplier(self, m):
         # The DFT of the interleaved cot kernel is exactly i pi sign(n), 0 at
         # the Nyquist bin (Kak, Proc. IEEE 58, 1970), so the quadrature is the
-        # series transform up to the kernel's round-off.  That round-off is
-        # O(m eps): cot(d h / 2) for odd d near m is taken at arguments near pi,
-        # where the rounding of d h / 2 (~ pi eps) is amplified by
-        # |cot'| = 1/sin^2 ~ 4/h^2, so h cot carries ~ 2 m eps; measured
-        # 3.8e-15, 5.7e-13 and 1.9e-11 (<= 1.07 m eps).  The kernel holds the
-        # rfft bins n = 0..m/2 only.
+        # series transform up to the kernel's round-off.  The kernel takes
+        # its angles exactly (first octant, reflected), so that round-off is
+        # the FFT's alone; it read O(m eps) (1.9e-11 at m = 262144) while
+        # cot(d h / 2) amplified the rounding of d h / 2 next to pi.
+        # Measured 4.4e-16, 1.8e-15 and 2.9e-15 (<= 13 eps).  The kernel
+        # holds the rfft bins n = 0..m/2 only.
         exact = np.zeros(m // 2 + 1, dtype=complex)
         exact[1:-1] = 1j * np.pi
         kernel = _quadrature_kernel_fft(m)
         assert kernel.shape == exact.shape
-        assert np.max(np.abs(kernel - exact)) <= 4 * m * np.finfo(float).eps
+        assert np.max(np.abs(kernel - exact)) <= 32 * np.finfo(float).eps
 
     def test_rejects_bad_input(self):
         with pytest.raises(ValueError):
@@ -323,6 +329,29 @@ class TestLogCoefficients:
         expected = log_series_coefficients_newton(signals.helicity.c, 50)
         assert np.max(np.abs(coeffs.A - expected)) < 1e-12
         assert np.max(np.abs(coeffs.B[1:] - expected[1:])) < 1e-12
+
+    @pytest.mark.parametrize("k", [17, 50, 400])
+    def test_model_vs_40_digit_log_series(self, k):
+        # the table of coeffs --n-max 200: measured <= 4.8e-15 (A) and
+        # 9.6e-15 (B); with polydiv's remainder dropped and phi1 from libm
+        # samples, A_n read 2.3e-13 off at k = 400
+        helicity = model.helicity_series(model.params_from_k(k))
+        coeffs = log_coefficients(helicity, 200, 16384)
+        expected = log_series_oracle(helicity.c, 200)
+        assert np.max(np.abs(coeffs.A - expected)) <= 3e-14
+        assert np.max(np.abs(coeffs.B[1:] - expected[1:])) <= 3e-14
+
+    def test_deflation_leaves_the_mismatch_at_the_join(self, rng):
+        # f no longer divides c: the quotient matches c from both ends, and
+        # f times it misses c only at the deg f = 4 degrees after the join
+        poly = np.polynomial.polynomial
+        f = poly.polyfromroots([1j, 1j, -1j, -1j]).real
+        c = poly.polymul(rng.standard_normal(41), f)
+        c[[0, -1]] += 1e-6
+        mismatch = np.abs(poly.polymul(_deflate(c, f), f) - c)
+        at_join = np.arange(20, 24)  # the quotient's 41 terms split 20 + 21
+        assert np.max(np.delete(mismatch, at_join)) <= 1e-13
+        assert np.max(mismatch[at_join]) >= 1e-7
 
     @pytest.mark.parametrize("roots", [
         [1.0, -1.0, 1.5, -2.0, 1.2 + 0.5j, 1.2 - 0.5j],  # simple unit roots z = +-1

@@ -1,11 +1,13 @@
 """Driven two-level model: parameters, amplitude, ODE, residuals, phases."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 import conftest as oracle
 from conftest import eliminated_partner, itoh_unwrap, rk4_reference
-from cyclicphase import model
+from cyclicphase import model, trigpoly
 from cyclicphase.cli import MAX_RK4_STEPS, default_rk4_steps
 from cyclicphase.trigpoly import offset_grid, spectrum
 
@@ -153,6 +155,68 @@ class TestEvaluateModel:
         with pytest.raises(ValueError, match=rf"m_samples = {m} too small for "
                                              r"n_max = 35: need at least 144 \(aliasing\)"):
             model.evaluate_model(model.params_from_k(17), m)
+
+
+class TestGridPath:
+    """phi1 on the offset grid of a cyclic drive, from exact roots of unity."""
+
+    @staticmethod
+    def oracle_points(m):
+        # the two samples on each side of each zero, s = -pi/2 and pi/2, the
+        # ends of the grid, and ~64 spread over it
+        next_to_zeros = [i + d for i in (m // 4, 3 * m // 4) for d in (-2, -1, 0, 1)]
+        spread = np.arange(3, m, m // 64 + 1)
+        return np.unique(np.concatenate((next_to_zeros, [0, m - 1], spread)))
+
+    @pytest.mark.parametrize("m", ["4N+4", 4096, 4100, 65536])
+    @pytest.mark.parametrize("k", [1, 17, 100, 400, 17.0000000005])
+    def test_matches_the_40_digit_closed_form(self, k, m):
+        # measured <= 1.2 eps (the libm path reads 10, 160, 910 and 4700 eps
+        # at k = 1, 17, 100 and 400 on these grids); k = 17.0000000005 is
+        # cyclic, and its angles take round(k) = 17
+        p = model.params_from_k(k)
+        m = 4 * p.n_harmonic + 4 if m == "4N+4" else m
+        j = self.oracle_points(m)
+        error = model.evaluate_model(p, m).phi1[j] - oracle.phi1_grid_oracle(p, m, j)
+        assert np.max(np.abs(error)) <= 8 * np.finfo(float).eps
+
+    @pytest.mark.parametrize("m", [16, 4100, 65536])
+    @pytest.mark.parametrize("k", [1, 17, 400])
+    def test_second_half_is_the_mirror(self, k, m):
+        # phi1(s_{m-1-j}) = conj phi1(s_j) bit for bit, signed zeros included
+        p = model.params_from_k(k)
+        if m < 4 * p.n_harmonic + 4:
+            m = 4 * p.n_harmonic + 4
+        phi1 = model.evaluate_model(p, m).phi1
+        assert phi1[::-1].tobytes() == np.conj(phi1).tobytes()
+
+    def test_series_is_four_terms_up_to_round_off(self):
+        # the helicity series of every k <= 1000 holds only its four terms,
+        # 0, 2, d - 2 and d, up to 0.25 d eps max|c| (measured <= 0.040 d eps
+        # max|c|; 0.82 from the libm samples, at k = 392), and the branch
+        # solver answers on a spread of them
+        eps, worst = np.finfo(float).eps, 0.0
+        for k in range(1, 1001):
+            c = model.helicity_series(model.params_from_k(k)).c
+            d = len(c) - 1
+            off = np.max(np.abs(np.delete(c, [0, 2, d - 2, d]))) / (d * eps * np.max(np.abs(c)))
+            worst = max(worst, off)
+            if k in (1, 2, 3, 17, 100, 392, 1000):
+                scaled = np.ldexp(c, -np.frexp(np.max(np.abs(c)))[1])
+                assert trigpoly._model_roots(scaled) is not None, k
+        assert worst <= 0.25
+
+    def test_memory_peak_per_point(self):
+        # measured 64 B per point (72 with phi1 from phi1_values)
+        p, m = model.params_from_k(17), 262144
+        model.evaluate_model(p, 4096)  # imports and caches outside the window
+        tracemalloc.start()
+        try:
+            model.evaluate_model(p, m)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak / m <= 76
 
 
 class TestIntegrateOde:
