@@ -177,7 +177,8 @@ def run_reciprocity_case(params: model.ModelParams, grid_size: int,
     (s, t, log_modulus_direct, log_modulus_reconstructed, phase_direct,
     phase_reconstructed); phases are the physical ones (dynamic phase
     removed) for cyclic drives and the detrended window phases for non-cyclic
-    ones.
+    ones.  A non-cyclic log-modulus is log|phi1| minus its mean, the same
+    A_0 = 0 normalisation the error statistics use.
     """
     signals = model.evaluate_model(params, grid_size)
     s = signals.grid
@@ -203,15 +204,10 @@ def run_reciprocity_case(params: model.ModelParams, grid_size: int,
         ph_direct = signals.phase_chi
     else:
         n_eff = 2 * int(round(params.k)) + 1
-        chi = np.exp(1j * n_eff * s) * signals.phi1
-        c0 = np.mean(chi)
-        # relative: a half-integer k leaves c_0 at round-off, exactly 0.0 on some grids only
-        if abs(c0) <= 1e-12 * np.mean(np.abs(chi)):
-            raise ValueError(f"c_0 = mean(e^(i N_eff s) phi1) vanishes for N_eff = "
-                             f"{n_eff}; log expansion undefined")
-        chi /= c0
-        lm_direct = np.log(np.abs(chi))
-        ph_direct, slope = _detrended_phase(np.angle(chi), s)
+        lm_direct = np.log(np.abs(signals.phi1))
+        lm_direct -= lm_direct.mean()
+        # the n_eff s ramp demodulates arg phi1 (~2k h per sample) so unwrap cannot alias
+        ph_direct, slope = _detrended_phase(np.angle(signals.phi1) + n_eff * s, s)
     ph_rec = hilbert.phase_from_modulus(lm_direct - lm_direct.mean(), method, fejer_order)
     lm_rec = hilbert.modulus_from_phase(ph_direct - ph_direct.mean(), method, fejer_order)
 

@@ -279,8 +279,9 @@ def log_coefficients(chi, n_max: int, grid_size: int) -> ConjugateCoefficients:
     -mu cos(n s_r)/n.  Only those roots are read: their factor is divided out
     of the coefficients from both ends (:func:`_deflate`), and the quotient
     R (zero-free near the circle) is evaluated by one
-    :func:`~cyclicphase.trigpoly.polynomial_values` and analyzed.  Plain sampling across the log singularities would lose ~3
-    decades of accuracy.  R can be sampled on any grid, so the analysis grid
+    :func:`~cyclicphase.trigpoly.polynomial_values` and analyzed.  Plain
+    sampling across the log singularities would lose ~3 decades of accuracy.
+    R can be sampled on any grid, so the analysis grid
     is raised above ``grid_size`` to 4 n_max + 4 and to the smallest multiple
     of 4 with rho^-m <= eps, rho the smallest root modulus off the circle:
     the aliased tail of log R decays like rho^-m (ValueError, before any

@@ -176,16 +176,28 @@ class TestReciprocityCase:
             return original(phase, *args)
 
         monkeypatch.setattr(hilbert, "modulus_from_phase", recording)
-        if k == 2.5:
-            # half-integer k: e^(i N_eff s) phi1 has no constant term, so c_0
-            # is round-off and the run is refused on every grid
-            with pytest.raises(ValueError, match="vanishes"):
-                run_reciprocity_case(model.params_from_k(k), m)
-            assert handed == []
-            return
         run_reciprocity_case(model.params_from_k(k), m)
         assert len(handed) == 1
         assert abs(handed[0][-1] - handed[0][0]) <= 1e-12
+
+    @pytest.mark.parametrize("k, m", [(k, m) for k in (16.59, 64.59, 256.59)
+                                      for m in (64, 256, 1024, 4096)])
+    def test_non_cyclic_curves_are_demodulated_phi1(self, k, m):
+        # arg phi1 advances ~2k h per sample and aliases in the unwrap once
+        # m <~ 4k; the phase must be unwrapped from arg(e^{i N_eff s} phi1)
+        params = model.params_from_k(k)
+        _, dataset = run_reciprocity_case(params, m)
+        s = dataset.data["s"]
+        phi1 = model.phi1_values(params, s)
+        n_eff = 2 * int(round(k)) + 1
+        ref = np.unwrap(np.angle(np.exp(1j * n_eff * s) * phi1))
+        ref -= (ref[-1] - ref[0]) / (s[-1] - s[0]) * s
+        ref -= ref.mean()
+        assert np.max(np.abs(dataset.data["phase_direct"] - ref)) <= 1e-12
+        lm = dataset.data["log_modulus_direct"]
+        shift = lm - np.log(np.abs(phi1))
+        assert np.ptp(shift) <= 1e-13
+        assert abs(lm.mean()) <= 1e-13
 
 
 class TestCoefficientCase:

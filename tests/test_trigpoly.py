@@ -189,7 +189,7 @@ class TestSpectrum:
             spectrum(np.ones(8), n_max)
 
 
-class TestSynthesize:
+class TestPolynomialValuesRoundTrip:
     """Helicity coefficients -> samples of chi, by polynomial_values."""
 
     def test_constant_series(self):

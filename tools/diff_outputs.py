@@ -43,11 +43,12 @@ import numpy as np
 #: reciprocity and berry refuse it (aliasing), coeffs reads its series from
 #: 4N + 4 samples all the same; last, two verify runs whose step span/steps
 #: divides the span only up to rounding (91 steps, and the 1e6-step ceiling
-#: on a 36-point grid), and a non-cyclic reciprocity run whose c_0 vanishes;
+#: on a 36-point grid), and a non-cyclic reciprocity run at half-integer k;
 #: then the edges of the exact-root grid path of a cyclic drive: m/4 odd and
 #: m no multiple of 512 (k = 3 on 4100 points), m = 4N + 4 (k = 1 on 16), and
 #: a cyclic k that is not an integer in floating point, whose angles take
-#: round(k)
+#: round(k); and at the end a non-cyclic run on a grid so coarse (m < 4k)
+#: that arg phi1 aliases in the unwrap unless the N_eff s ramp demodulates it
 COMMANDS = (
     ("reciprocity", "--preset", "fig1", "--out", "{out}/fig1"),
     ("reciprocity", "--preset", "fig2", "--format", "json", "--out", "{out}/fig2"),
@@ -93,6 +94,7 @@ COMMANDS = (
     ("reciprocity", "--k", "1", "--grid-size", "16", "--out", "{out}/k1-16"),
     ("reciprocity", "--k", "17.0000000005", "--grid-size", "4096",
      "--out", "{out}/k17-float"),
+    ("reciprocity", "--k", "64.59", "--grid-size", "256", "--out", "{out}/k64-coarse"),
 )
 
 
