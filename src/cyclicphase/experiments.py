@@ -57,8 +57,11 @@ class Table:
         return len(self.data[self.columns[0]])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class ReciprocityReport:
+    """One reciprocity run; the Berry, coefficient and root fields are a cyclic
+    run's, the peak fields a non-cyclic run's, and None in the other regime."""
+
     g: float
     omega: float
     k: float
@@ -71,15 +74,15 @@ class ReciprocityReport:
     max_phase_error: float
     rms_logmod_error: float
     max_logmod_error: float
-    berry_predicted: float | None
-    berry_measured: float | None
-    coeff_max_discrepancy: float | None
-    root_check_pass: bool | None
-    matched_peak_count: int | None
-    max_peak_offset_cells: float | None
-    median_peak_offset_cells: float | None
-    oscillation_period: float | None
-    gibbs_peak_positions: tuple | None
+    berry_predicted: float | None = None
+    berry_measured: float | None = None
+    coeff_max_discrepancy: float | None = None
+    root_check_pass: bool | None = None
+    matched_peak_count: int | None = None
+    max_peak_offset_cells: float | None = None
+    median_peak_offset_cells: float | None = None
+    oscillation_period: float | None = None
+    gibbs_peak_positions: tuple | None = None
     notes: str
 
 
@@ -142,22 +145,31 @@ def match_peaks(reference: np.ndarray, candidate: np.ndarray,
 def measure_berry_phase(signals: model.ModelSignals) -> float:
     """Smooth change of the physical phase over one Hamiltonian revolution.
 
-    Evaluates D(e) = phase_physical(pi/2 - e) - phase_physical(-pi/2 + e),
-    excluding the genuine jump at the revolution edge, and extrapolates
-    e -> 0 linearly from the two innermost grid samples (e = h/2 and 3h/2).
-    Near the adiabatic regime the connection is a boundary-layer step of
-    width ~1/(4k) decorated with O(1) oscillations, so extrapolating from
-    coarser offsets inside the oscillation zone would not converge.
+    Evaluates D(e) = phase(pi/2 - e) - phase(-pi/2 + e) of the physical phase
+    (``_physical_phase``), excluding the genuine jump at the revolution edge,
+    and extrapolates e -> 0 linearly from the two innermost grid samples
+    (e = h/2 and 3h/2).  Near the adiabatic regime the connection is a
+    boundary-layer step of width ~1/(4k) decorated with O(1) oscillations, so
+    extrapolating from coarser offsets inside the oscillation zone would not
+    converge.
     """
-    if signals.phase_chi is None:
+    if not signals.params.cyclic:
         raise ValueError("Berry-phase measurement requires cyclic signals")
     m = len(signals.grid)
     # the offset grid contains pi/2 - h/2 exactly: indices 3m/4 - 1 and m/4
     jp, jm = 3 * m // 4 - 1, m // 4
-    phys = signals.phase_physical
-    d1 = phys[jp] - phys[jm]          # e = h/2
-    d2 = phys[jp - 1] - phys[jm + 1]  # e = 3h/2
+    at = [jp, jm, jp - 1, jm + 1]
+    p1, m1, p2, m2 = _physical_phase(signals.params, signals.phase_chi[at],
+                                     signals.grid[at])
+    d1 = p1 - m1  # e = h/2
+    d2 = p2 - m2  # e = 3h/2
     return float(0.5 * (3.0 * d1 - d2))
+
+
+def _physical_phase(params: model.ModelParams, phase_chi: np.ndarray,
+                    s: np.ndarray) -> np.ndarray:
+    """phase_chi + (g - N) s: the phase of e^{igs} phi1, the dynamic phase removed."""
+    return phase_chi + (params.g - params.n_harmonic) * s
 
 
 def _detrended_phase(raw_angle: np.ndarray, s: np.ndarray) -> tuple[np.ndarray, float]:
@@ -180,8 +192,17 @@ def run_reciprocity_case(params: model.ModelParams, grid_size: int,
     ones.  A non-cyclic log-modulus is log|phi1| minus its mean, the same
     A_0 = 0 normalisation the error statistics use.
     """
-    signals = model.evaluate_model(params, grid_size)
-    s = signals.grid
+    if params.cyclic:
+        signals = model.evaluate_model(params, grid_size)
+        s, lm_direct, ph_direct = signals.grid, signals.log_modulus, signals.phase_chi
+    else:
+        s = trigpoly.offset_grid(grid_size)
+        phi1 = model.phi1_values(params, s)
+        n_eff = 2 * int(round(params.k)) + 1
+        lm_direct = np.log(np.abs(phi1))
+        lm_direct -= lm_direct.mean()
+        # the n_eff s ramp demodulates arg phi1 (~2k h per sample) so unwrap cannot alias
+        ph_direct, slope = _detrended_phase(np.angle(phi1) + n_eff * s, s)
     mask = exclusion_mask(s, model.DRIVE_ZEROS, exclusion_halfwidth)
     if not mask.any():
         raise ValueError(f"exclusion half-width {exclusion_halfwidth} around the "
@@ -192,35 +213,20 @@ def run_reciprocity_case(params: model.ModelParams, grid_size: int,
              f"error statistics exclude |s - s_zero| < {exclusion_halfwidth} "
              f"and remove the masked mean (A_0 = 0 normalisation)",
              "tolerances are artifact-chosen (the underlying agreement is qualitative)"]
-
-    berry_pred = berry_meas = coeff_max = None
-    root_pass = None
-    peak_fields = dict(matched_peak_count=None, max_peak_offset_cells=None,
-                       median_peak_offset_cells=None, oscillation_period=None,
-                       gibbs_peak_positions=None)
-
-    if params.cyclic:
-        lm_direct = signals.log_modulus
-        ph_direct = signals.phase_chi
-    else:
-        n_eff = 2 * int(round(params.k)) + 1
-        lm_direct = np.log(np.abs(signals.phi1))
-        lm_direct -= lm_direct.mean()
-        # the n_eff s ramp demodulates arg phi1 (~2k h per sample) so unwrap cannot alias
-        ph_direct, slope = _detrended_phase(np.angle(signals.phi1) + n_eff * s, s)
     ph_rec = hilbert.phase_from_modulus(lm_direct - lm_direct.mean(), method, fejer_order)
     lm_rec = hilbert.modulus_from_phase(ph_direct - ph_direct.mean(), method, fejer_order)
 
     if params.cyclic:
         n = params.n_harmonic
-        phase_direct_out = signals.phase_physical
-        phase_rec_out = ph_rec + (params.g - n) * s
-        berry_pred = model.berry_phase_predicted(params)
-        berry_meas = measure_berry_phase(signals)
+        phase_direct_out = _physical_phase(params, ph_direct, s)
+        phase_rec_out = _physical_phase(params, ph_rec, s)
         # on the series' own grid: R is a polynomial, so the dataset grid adds nothing
         coeffs = hilbert.log_coefficients(signals.helicity, n_max, 4 * n_max + 4)
-        coeff_max = hilbert.coefficient_equality_check(coeffs).max_relative
-        root_pass = trigpoly.root_check(signals.helicity).passed
+        regime_fields = dict(
+            berry_predicted=model.berry_phase_predicted(params),
+            berry_measured=measure_berry_phase(signals),
+            coeff_max_discrepancy=hilbert.coefficient_equality_check(coeffs).max_relative,
+            root_check_pass=trigpoly.root_check(signals.helicity).passed)
         notes.append(f"cyclic drive: N = {n}, c_0 = {signals.helicity.c[0]:.12g}")
     else:
         phase_direct_out = ph_direct
@@ -237,7 +243,7 @@ def run_reciprocity_case(params: model.ModelParams, grid_size: int,
         gibbs = tuple(float(p) for p in np.sort(extra) if abs(p) > span)
         spacings = np.diff(pk_direct[np.abs(np.abs(pk_direct) - np.pi / 2) < 0.5])
         spacings = spacings[spacings < 0.5]
-        peak_fields = dict(
+        regime_fields = dict(
             matched_peak_count=len(pairs),
             # with no pair matched there is no offset to report, not a zero one
             max_peak_offset_cells=float(np.max(np.abs(offsets)) / h) if pairs else None,
@@ -259,9 +265,7 @@ def run_reciprocity_case(params: model.ModelParams, grid_size: int,
         grid_size=grid_size, method=method, fejer=fejer,
         rms_phase_error=rms_ph, max_phase_error=max_ph,
         rms_logmod_error=rms_lm, max_logmod_error=max_lm,
-        berry_predicted=berry_pred, berry_measured=berry_meas,
-        coeff_max_discrepancy=coeff_max, root_check_pass=root_pass,
-        notes="; ".join(notes), **peak_fields)
+        notes="; ".join(notes), **regime_fields)
     dataset = Table(
         ("s", "t", "log_modulus_direct", "log_modulus_reconstructed",
          "phase_direct", "phase_reconstructed"),

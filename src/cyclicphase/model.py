@@ -98,20 +98,18 @@ def phi1_values(params: ModelParams, s) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ModelSignals:
-    """Model amplitudes and, for a cyclic drive, the derived curves on the offset grid.
+    """phi1 of a cyclic drive on the offset grid, and the curves of chi = e^{iNs} phi1.
 
-    For a cyclic drive, ``helicity`` comes from ``helicity_series``, the same
-    on every grid (c_0 is ``helicity.c[0]``), and the phase and log-modulus
-    fields are read from phi1.  A non-cyclic drive carries phi1 alone.
+    ``helicity`` comes from ``helicity_series``, the same on every grid (c_0 is
+    ``helicity.c[0]``), and the log-modulus and phase fields are read from phi1.
     """
 
     params: ModelParams
     grid: np.ndarray = field(repr=False)
     phi1: np.ndarray = field(repr=False)
-    log_modulus: np.ndarray | None = field(repr=False, default=None)
-    phase_physical: np.ndarray | None = field(repr=False, default=None)
-    phase_chi: np.ndarray | None = field(repr=False, default=None)
-    helicity: trigpoly.HelicitySeries | None = None
+    log_modulus: np.ndarray = field(repr=False)
+    phase_chi: np.ndarray = field(repr=False)
+    helicity: trigpoly.HelicitySeries
 
 
 def helicity_series(params: ModelParams) -> trigpoly.HelicitySeries:
@@ -131,33 +129,27 @@ def helicity_series(params: ModelParams) -> trigpoly.HelicitySeries:
 
 
 def evaluate_model(params: ModelParams, m_samples: int) -> ModelSignals:
-    """Sample phi1 on the offset grid, with the curves of chi = e^{iNs} phi1 when cyclic.
+    """Sample phi1 of a cyclic drive on the offset grid, with the curves of chi = e^{iNs} phi1.
 
-    For cyclic drives the returned log_modulus is log|chi/c_0| and phase_chi
-    is the unwrapped boundary phase of chi/c_0, with the genuine -2pi jumps at
-    the second-order amplitude zeros s = +-pi/2 preserved rather than
-    smoothed.  c_0 > 0, so both come from phi1 alone: arg chi = arg phi1 + Ns
-    (up to 2pi, which the unwrapping absorbs) and |chi/c_0| = |phi1|/c_0; chi
-    itself is never formed.  The helicity series, and with it c_0, comes from
+    The returned log_modulus is log|chi/c_0| and phase_chi is the unwrapped
+    boundary phase of chi/c_0, with the genuine -2pi jumps at the
+    second-order amplitude zeros s = +-pi/2 preserved rather than smoothed.
+    c_0 > 0, so both come from phi1 alone: arg chi = arg phi1 + Ns (up to 2pi,
+    which the unwrapping absorbs) and |chi/c_0| = |phi1|/c_0; chi itself is
+    never formed.  The helicity series, and with it c_0, comes from
     ``helicity_series``, not from this grid, which must still hold 4N + 4
-    points (ValueError otherwise).
-    phase_physical = phase_chi + (g - N) s is the phase of phi' = e^{igs} phi1
-    (the dynamic phase removed); the identity holds pointwise by construction.
+    points (ValueError otherwise).  A non-cyclic drive has no series and is
+    refused (ValueError); sample it with ``phi1_values``.
 
-    For a cyclic drive phi1 comes from exact roots of unity (``_grid_phi1``):
-    k is taken as round(k), the integer that makes the drive cyclic (and
-    N = 2 round(k) + 1), so that every trig factor on the grid is a 2m-th root
-    of unity with an exact integer angle.  Its error is a few eps absolute,
-    next to the zeros included, where ``phi1_values`` on the rounded grid
-    points reads ~k eps.
-
-    Non-cyclic drives carry no helicity series and no curves: the returned
-    signals hold the grid and phi1 from ``phi1_values`` only, and the other
-    fields are None.
+    phi1 comes from exact roots of unity (``_grid_phi1``): k is taken as
+    round(k), the integer that makes the drive cyclic (and N = 2 round(k) + 1),
+    so that every trig factor on the grid is a 2m-th root of unity with an
+    exact integer angle.  Its error is a few eps absolute, next to the zeros
+    included, where ``phi1_values`` on the rounded grid points reads ~k eps.
     """
-    grid = trigpoly.offset_grid(m_samples)
     if not params.cyclic:
-        return ModelSignals(params, grid, phi1_values(params, grid))
+        raise ValueError("evaluate_model requires a cyclic drive (integer K/omega)")
+    grid = trigpoly.offset_grid(m_samples)
     n = params.n_harmonic
     trigpoly.check_resolves(m_samples, n)
     hel = helicity_series(params)
@@ -166,12 +158,10 @@ def evaluate_model(params: ModelParams, m_samples: int) -> ModelSignals:
     raw += n * grid
     res = hilbert.unwrap(raw, zeros=DRIVE_ZEROS, grid=grid)
     phase_chi = hilbert._anchor_unwrapped(res.phase)
-    phase_phys = phase_chi + (params.g - n) * grid
     log_modulus = np.abs(phi1)
     log_modulus /= hel.c[0]
     np.log(log_modulus, out=log_modulus)
-    return ModelSignals(params, grid, phi1, log_modulus, phase_phys,
-                        phase_chi=phase_chi, helicity=hel)
+    return ModelSignals(params, grid, phi1, log_modulus, phase_chi, hel)
 
 
 @dataclass(frozen=True)

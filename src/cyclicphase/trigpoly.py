@@ -73,11 +73,6 @@ def offset_grid(m_samples: int) -> np.ndarray:
     return -np.pi + (np.arange(m_samples) + 0.5) * h
 
 
-def frequencies(m: int) -> np.ndarray:
-    """Signed integer frequency of each of m FFT bins, in [-m/2, m/2) (Nyquist: -m/2)."""
-    return np.rint(np.fft.fftfreq(m, d=1.0 / m)).astype(int)
-
-
 def spectrum(values: np.ndarray, n_max: int) -> np.ndarray:
     """Fourier coefficients fhat[n], n = -n_max..n_max, of samples on the offset grid.
 

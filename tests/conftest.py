@@ -34,6 +34,8 @@ The oracles here deliberately avoid the code paths they are used to check:
 * ``chi_curves``   the direct curves of a cyclic drive read through
   chi = e^{iNs} phi1 itself: chi/c_0 formed on the whole grid, then its angle
   and log-modulus (no shortcut through arg phi1 + Ns or |phi1|/c_0).
+* ``frequencies``   the signed integer frequency of each FFT bin, from
+  ``np.fft.fftfreq`` (for the oracles that build multipliers bin by bin).
 * ``csv_oracle`` / ``json_oracle``   the dataset bytes written cell by cell:
   one ``f"{x:.17g}"`` per CSV cell, and ``json.dumps(..., indent=2)`` of the
   ``columns``/``rows`` payload (no row template, no token renaming).
@@ -281,18 +283,20 @@ def log_series_oracle(c, n_max: int) -> np.ndarray:
 
 
 def chi_curves(params: ModelParams, grid, phi1, c0):
-    """(log|chi/c_0|, phase_chi, phase_physical) of a cyclic drive from chi itself.
+    """(log|chi/c_0|, phase_chi) of a cyclic drive from chi itself.
 
     chi = e^{iNs} phi1 and w = chi/c_0 are formed on the whole grid; arg w is
     unwrapped with the drive's double zeros at s = +-pi/2 and anchored to the
-    2 pi branch nearest its mean (the package's unwrap and anchoring), and the
-    physical phase adds (g - N) s.
+    2 pi branch nearest its mean (the package's unwrap and anchoring).
     """
-    n = params.n_harmonic
-    w = np.exp(1j * n * grid) * phi1 / c0
+    w = np.exp(1j * params.n_harmonic * grid) * phi1 / c0
     res = hilbert.unwrap(np.angle(w), zeros=DRIVE_ZEROS, grid=grid)
-    phase_chi = hilbert._anchor_unwrapped(res.phase)
-    return np.log(np.abs(w)), phase_chi, phase_chi + (params.g - n) * grid
+    return np.log(np.abs(w)), hilbert._anchor_unwrapped(res.phase)
+
+
+def frequencies(m: int) -> np.ndarray:
+    """Signed integer frequency of each of m FFT bins, in [-m/2, m/2) (Nyquist: -m/2)."""
+    return np.rint(np.fft.fftfreq(m, d=1.0 / m)).astype(int)
 
 
 def rows_oracle(table):

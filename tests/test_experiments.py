@@ -30,15 +30,19 @@ def fig_params(name):
 
 
 class TestMeasureBerryPhase:
-    def test_linear_phase_control(self):
-        # chi = e^{is}: physical phase identically s, change over the
-        # revolution is exactly pi
-        p = model.derive_params(np.sqrt(3.0))
+    @staticmethod
+    def _hand_built(params, phase_chi):
+        # only the drive, the grid and phase_chi enter the measurement
         grid = offset_grid(4096)
-        signals = model.ModelSignals(
-            params=p, grid=grid, phi1=np.exp(1j * grid),
-            log_modulus=np.zeros_like(grid), phase_physical=grid.copy(),
-            phase_chi=grid.copy())
+        return model.ModelSignals(
+            params=params, grid=grid, phi1=np.exp(1j * grid),
+            log_modulus=np.zeros_like(grid), phase_chi=phase_chi(grid),
+            helicity=model.helicity_series(model.params_from_k(1)))
+
+    def test_linear_phase_control(self):
+        # a physical phase identically s changes by exactly pi over the revolution
+        p = model.derive_params(np.sqrt(3.0))
+        signals = self._hand_built(p, lambda s: s - (p.g - p.n_harmonic) * s)
         assert np.isclose(measure_berry_phase(signals), np.pi, atol=1e-12)
 
     @pytest.mark.parametrize("k", [1, 2, 3, 17])
@@ -51,7 +55,7 @@ class TestMeasureBerryPhase:
         assert fine < 1e-5
 
     def test_requires_cyclic(self):
-        signals = model.evaluate_model(model.derive_params(np.sqrt(1100.0)), 4096)
+        signals = self._hand_built(model.derive_params(np.sqrt(1100.0)), np.copy)
         with pytest.raises(ValueError, match="cyclic"):
             measure_berry_phase(signals)
 
@@ -151,6 +155,31 @@ class TestReciprocityCase:
         report, _ = run_reciprocity_case(params, 4096)
         assert report.root_check_pass
         assert calls == [2 * params.n_harmonic + 1]
+
+    def test_non_cyclic_never_evaluates_the_model(self, monkeypatch):
+        # a non-cyclic run samples phi1 itself; evaluate_model serves cyclic drives
+        def refuse(*args):
+            raise AssertionError("evaluate_model called")
+
+        monkeypatch.setattr(model, "evaluate_model", refuse)
+        report, dataset = run_reciprocity_case(fig_params("fig3"), 4096)
+        assert not report.cyclic and dataset.n_rows == 4096
+
+    @pytest.mark.parametrize("k, m, regime_keys", [
+        (1, 64, ["berry_predicted", "berry_measured", "coeff_max_discrepancy",
+                 "root_check_pass"]),
+        (16.59, 4096, ["coeff_max_discrepancy", "root_check_pass"]),
+    ])
+    def test_report_keys(self, k, m, regime_keys):
+        # the declared field order is the report's key order, in both regimes;
+        # the Berry keys are dropped when None
+        report, _ = run_reciprocity_case(model.params_from_k(k), m)
+        assert list(experiments.report_to_dict(report)) == [
+            "g", "omega", "k", "n_harmonic", "cyclic", "grid_size", "method", "fejer",
+            "rms_phase_error", "max_phase_error", "rms_logmod_error", "max_logmod_error",
+            *regime_keys, "matched_peak_count", "max_peak_offset_cells",
+            "median_peak_offset_cells", "oscillation_period", "gibbs_peak_positions",
+            "notes"]
 
     def test_fejer_flag_runs(self):
         report, dataset = run_reciprocity_case(fig_params("fig1"), 4096, fejer=True)

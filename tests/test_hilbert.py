@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from conftest import (
     conjugate_pair_from_roots,
+    frequencies,
     log_series_coefficients_newton,
     log_series_oracle,
     pv_hilbert_oracle,
@@ -24,7 +25,7 @@ from cyclicphase.hilbert import (
     phase_from_modulus,
     unwrap,
 )
-from cyclicphase.trigpoly import HelicitySeries, frequencies, offset_grid
+from cyclicphase.trigpoly import HelicitySeries, offset_grid
 
 METHODS = ("series", "quadrature")
 

@@ -7,7 +7,7 @@ import pytest
 
 import conftest as oracle
 from conftest import eliminated_partner, itoh_unwrap, rk4_reference
-from cyclicphase import model, trigpoly
+from cyclicphase import experiments, model, trigpoly
 from cyclicphase.cli import MAX_RK4_STEPS, default_rk4_steps
 from cyclicphase.trigpoly import offset_grid, spectrum
 
@@ -97,26 +97,17 @@ class TestEvaluateModel:
         assert np.isclose(signals.helicity.c[0], (1 + np.sqrt(3.0)) / 8, atol=1e-12)
 
     def test_phase_difference_identity(self):
+        # the cyclic dataset's phase_direct is the physical phase phase_chi + (g - N) s
         p = model.derive_params(np.sqrt(1155.0))
         signals = model.evaluate_model(p, 16384)
+        _, dataset = experiments.run_reciprocity_case(p, 16384)
         expected = (p.g - p.n_harmonic) * signals.grid
-        assert np.max(np.abs(signals.phase_physical - signals.phase_chi
+        assert np.max(np.abs(dataset.data["phase_direct"] - signals.phase_chi
                              - expected)) < 1e-12
 
-    def test_non_cyclic_has_no_chi(self):
-        p = model.derive_params(np.sqrt(1100.0))
-        signals = model.evaluate_model(p, 4096)
-        assert signals.phase_chi is None and signals.helicity is None
-        assert signals.log_modulus is None and signals.phase_physical is None
-        assert np.array_equal(signals.phi1, model.phi1_values(p, signals.grid))
-
-    def test_non_cyclic_unwraps_nothing(self, monkeypatch):
-        # a non-cyclic drive carries phi1 alone: no phase curve is unwrapped
-        calls = []
-        monkeypatch.setattr(model.hilbert, "unwrap",
-                            lambda *args, **kwargs: calls.append(args))
-        model.evaluate_model(model.derive_params(np.sqrt(1100.0)), 4096)
-        assert calls == []
+    def test_refuses_a_non_cyclic_drive(self):
+        with pytest.raises(ValueError, match="cyclic"):
+            model.evaluate_model(model.derive_params(np.sqrt(1100.0)), 4096)
 
     def test_grid_too_small(self):
         p = model.derive_params(np.sqrt(1155.0))
@@ -131,11 +122,10 @@ class TestEvaluateModel:
         # |chi/c_0| differ by an ulp or two (<= 1.8e-15)
         p = model.params_from_k(k)
         signals = model.evaluate_model(p, m)
-        log_modulus, phase_chi, phase_physical = oracle.chi_curves(
+        log_modulus, phase_chi = oracle.chi_curves(
             p, signals.grid, signals.phi1, signals.helicity.c[0])
         assert np.max(np.abs(signals.log_modulus - log_modulus)) <= 1e-14
         assert np.max(np.abs(signals.phase_chi - phase_chi)) <= 2e-12
-        assert np.max(np.abs(signals.phase_physical - phase_physical)) <= 2e-12
 
     @pytest.mark.parametrize("k", [1, 17, 400])
     def test_series_does_not_depend_on_the_grid(self, k):

@@ -11,11 +11,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import companion_roots
+from conftest import companion_roots, frequencies
 from cyclicphase import hilbert, model, trigpoly
 from cyclicphase.trigpoly import (
     HelicitySeries,
-    frequencies,
     offset_grid,
     polynomial_roots,
     polynomial_values,

@@ -47,8 +47,10 @@ import numpy as np
 #: then the edges of the exact-root grid path of a cyclic drive: m/4 odd and
 #: m no multiple of 512 (k = 3 on 4100 points), m = 4N + 4 (k = 1 on 16), and
 #: a cyclic k that is not an integer in floating point, whose angles take
-#: round(k); and at the end a non-cyclic run on a grid so coarse (m < 4k)
-#: that arg phi1 aliases in the unwrap unless the N_eff s ramp demodulates it
+#: round(k); then a non-cyclic run on a grid so coarse (m < 4k) that arg phi1
+#: aliases in the unwrap unless the N_eff s ramp demodulates it; and at the
+#: end the Berry phase on m = 4N + 4 = 16, the smallest grid on which its
+#: four samples (indices 11, 4, 10 and 5) are read
 COMMANDS = (
     ("reciprocity", "--preset", "fig1", "--out", "{out}/fig1"),
     ("reciprocity", "--preset", "fig2", "--format", "json", "--out", "{out}/fig2"),
@@ -95,6 +97,7 @@ COMMANDS = (
     ("reciprocity", "--k", "17.0000000005", "--grid-size", "4096",
      "--out", "{out}/k17-float"),
     ("reciprocity", "--k", "64.59", "--grid-size", "256", "--out", "{out}/k64-coarse"),
+    ("berry", "--k", "1", "--grid-size", "16"),
 )
 
 
