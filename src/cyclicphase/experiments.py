@@ -213,8 +213,8 @@ def run_reciprocity_case(params: model.ModelParams, grid_size: int,
              f"error statistics exclude |s - s_zero| < {exclusion_halfwidth} "
              f"and remove the masked mean (A_0 = 0 normalisation)",
              "tolerances are artifact-chosen (the underlying agreement is qualitative)"]
-    ph_rec = hilbert.phase_from_modulus(lm_direct - lm_direct.mean(), method, fejer_order)
-    lm_rec = hilbert.modulus_from_phase(ph_direct - ph_direct.mean(), method, fejer_order)
+    ph_rec = hilbert.phase_from_modulus(lm_direct, method, fejer_order)
+    lm_rec = hilbert.modulus_from_phase(ph_direct, method, fejer_order)
 
     if params.cyclic:
         n = params.n_harmonic

@@ -219,7 +219,7 @@ class TestReciprocalPair:
 
 
 class TestDirectPair:
-    """The direct curves of a cyclic run, centred as run_reciprocity_case passes them."""
+    """The direct curves of a cyclic run, as run_reciprocity_case reads them."""
 
     def _model_signals(self, m=4096):
         return model.evaluate_model(model.derive_params(np.sqrt(3.0)), m)
