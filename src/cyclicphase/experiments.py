@@ -217,7 +217,6 @@ def run_reciprocity_case(params: model.ModelParams, grid_size: int,
     lm_rec = hilbert.modulus_from_phase(ph_direct, method, fejer_order)
 
     if params.cyclic:
-        n = params.n_harmonic
         phase_direct_out = _physical_phase(params, ph_direct, s)
         phase_rec_out = _physical_phase(params, ph_rec, s)
         # on the series' own grid: R is a polynomial, so the dataset grid adds nothing
@@ -227,10 +226,10 @@ def run_reciprocity_case(params: model.ModelParams, grid_size: int,
             berry_measured=measure_berry_phase(signals),
             coeff_max_discrepancy=hilbert.coefficient_equality_check(coeffs).max_relative,
             root_check_pass=trigpoly.root_check(signals.helicity).passed)
-        notes.append(f"cyclic drive: N = {n}, c_0 = {signals.helicity.c[0]:.12g}")
+        notes.append(f"cyclic drive: N = {params.n_harmonic}, "
+                     f"c_0 = {signals.helicity.c[0]:.12g}")
     else:
-        phase_direct_out = ph_direct
-        phase_rec_out = ph_rec
+        phase_direct_out, phase_rec_out = ph_direct, ph_rec
         notes.append(
             f"theorem assumptions violated (non-cyclic drive, k = {params.k:.6f}): "
             f"forced harmonic shift N_eff = {n_eff}, phase trend "

@@ -169,7 +169,7 @@ class TestReciprocityCase:
         (1, 64, ["berry_predicted", "berry_measured", "coeff_max_discrepancy",
                  "root_check_pass"]),
         (16.59, 4096, ["coeff_max_discrepancy", "root_check_pass"]),
-    ])
+    ], ids=["cyclic", "non-cyclic"])
     def test_report_keys(self, k, m, regime_keys):
         # the declared field order is the report's key order, in both regimes;
         # the Berry keys are dropped when None
