@@ -100,8 +100,8 @@ def phi1_values(params: ModelParams, s) -> np.ndarray:
 class ModelSignals:
     """phi1 of a cyclic drive on the offset grid, and the curves of chi = e^{iNs} phi1.
 
-    ``helicity`` comes from ``helicity_series``, the same on every grid (c_0 is
-    ``helicity.c[0]``), and the log-modulus and phase fields are read from phi1.
+    ``helicity`` is the closed-form ``helicity_series``, the same on every grid
+    (c_0 is ``helicity.c[0]``); the log-modulus and phase fields come from phi1.
     """
 
     params: ModelParams
@@ -113,19 +113,22 @@ class ModelSignals:
 
 
 def helicity_series(params: ModelParams) -> trigpoly.HelicitySeries:
-    """The degree-2N helicity series of a cyclic drive, read from 4N + 4 samples of phi1.
+    """The degree-2N helicity series of a cyclic drive, in closed form.
 
-    phi1 is a trigonometric polynomial of degree N, so 4N + 4 offset-grid
-    samples give its coefficients without aliasing: every command reads the
-    series here, whatever grid it samples its datasets on.  The samples come
-    from exact roots of unity, as on the dataset grid (``evaluate_model``),
-    so the coefficients off the model's four terms are round-off that does
-    not grow with k.
+    chi = e^{iNs} phi1 has four terms, c_0 + c_2 z^2 + z^{4k} (c_{4k} + c_{4k+2} z^2)
+    with z = e^{is}: 8k c_0 = 2k - 1 + g, 8k c_2 = 2k + 1 + g,
+    8k c_{4k} = 2k + 1 - g and 8k c_{4k+2} = 2k - 1 - g.  The values take
+    params.k and params.g, the degrees round(k), as the grid samples do
+    (``_grid_phi1``); every other coefficient is exactly zero.  Every command
+    takes its series here, whatever grid it samples its datasets on.
     """
     if not params.cyclic:
         raise ValueError("the helicity series requires a cyclic drive (integer K/omega)")
-    n = params.n_harmonic
-    return trigpoly.HelicitySeries.from_samples(_grid_phi1(params, 4 * n + 4), n)
+    k, g = params.k, params.g
+    c = np.zeros(2 * params.n_harmonic + 1)
+    terms = np.array([2 * k - 1 + g, 2 * k + 1 + g, 2 * k + 1 - g, 2 * k - 1 - g])
+    c[[0, 2, -3, -1]] = terms / (8 * k)
+    return trigpoly.HelicitySeries(c)
 
 
 def evaluate_model(params: ModelParams, m_samples: int) -> ModelSignals:
@@ -136,10 +139,10 @@ def evaluate_model(params: ModelParams, m_samples: int) -> ModelSignals:
     second-order amplitude zeros s = +-pi/2 preserved rather than smoothed.
     c_0 > 0, so both come from phi1 alone: arg chi = arg phi1 + Ns (up to 2pi,
     which the unwrapping absorbs) and |chi/c_0| = |phi1|/c_0; chi itself is
-    never formed.  The helicity series, and with it c_0, comes from
-    ``helicity_series``, not from this grid, which must still hold 4N + 4
-    points (ValueError otherwise).  A non-cyclic drive has no series and is
-    refused (ValueError); sample it with ``phi1_values``.
+    never formed.  The helicity series, and with it c_0, is the closed-form
+    ``helicity_series``; the grid must still hold 4N + 4 points, the fewest
+    that resolve phi1 (ValueError otherwise).  A non-cyclic drive has no
+    series and is refused (ValueError); sample it with ``phi1_values``.
 
     phi1 comes from exact roots of unity (``_grid_phi1``): k is taken as
     round(k), the integer that makes the drive cyclic (and N = 2 round(k) + 1),

@@ -28,6 +28,9 @@ The oracles here deliberately avoid the code paths they are used to check:
 * ``phi1_grid_oracle``   phi1 of an integer-k drive at exact offset-grid
   points s_j = -pi + pi (2j + 1)/m, in 40-digit mpmath (no libm, no roots of
   unity, no package code).
+* ``helicity_series_oracle``   the helicity coefficients of an integer-k
+  drive as the 40-digit DFT of those 40-digit samples on the 4N + 4 grid (no
+  closed form, no FFT, no package code).
 * ``log_series_oracle``   the coefficients of log(c(z)/c_0) as a power series,
   by the recursion n L_n = n p_n - sum_j j L_j p_{n-j} in 40-digit mpmath (no
   roots, no deflation, no sampling).
@@ -240,6 +243,13 @@ def solution_residual_oracle(params: ModelParams, m_samples: int) -> float:
     return float(np.max(residual))
 
 
+def _phi1_40_digit(k, g, big_k: int, s):
+    """phi1 at s in the working precision, K = big_k in the angles."""
+    c2, s2 = mpmath.cos(2 * big_k * s), mpmath.sin(2 * big_k * s)
+    c, sn = mpmath.cos(s), mpmath.sin(s)
+    return c2 * c + s2 * sn / (2 * k) - 1j * (g / (2 * k)) * s2 * c
+
+
 def phi1_grid_oracle(params: ModelParams, m: int, indices) -> np.ndarray:
     """phi1 at the exact offset-grid points s_j = -pi + pi (2j + 1)/m, j in indices.
 
@@ -247,16 +257,34 @@ def phi1_grid_oracle(params: ModelParams, m: int, indices) -> np.ndarray:
     K = round(k), the integer that makes the drive cyclic, and the double
     values of k and g; evaluated in 40-digit arithmetic and rounded once.
     """
-    big_k = round(params.k)
     with mpmath.workdps(40):
         k, g = mpmath.mpf(params.k), mpmath.mpf(params.g)
-        out = []
-        for j in indices:
-            s = mpmath.pi * (2 * int(j) + 1 - m) / m
-            c2, s2 = mpmath.cos(2 * big_k * s), mpmath.sin(2 * big_k * s)
-            c, sn = mpmath.cos(s), mpmath.sin(s)
-            out.append(complex(c2 * c + s2 * sn / (2 * k) - 1j * (g / (2 * k)) * s2 * c))
-    return np.array(out)
+        return np.array([complex(_phi1_40_digit(k, g, round(params.k),
+                                                mpmath.pi * (2 * int(j) + 1 - m) / m))
+                         for j in indices])
+
+
+def helicity_series_oracle(params: ModelParams) -> np.ndarray:
+    """c_m, m = 0..2N, of chi = e^{iNs} phi1 for an integer-k drive, complex.
+
+    The DFT c_m = fhat[m - N] = (1/M) sum_j phi1(s_j) e^{-i (m - N) s_j} of
+    ``phi1_grid_oracle``'s samples on the M = 4N + 4 offset grid, which
+    resolves degree N; samples, powers and sums all in 40-digit arithmetic,
+    rounded once at the end.
+    """
+    n = params.n_harmonic
+    m = 4 * n + 4
+    with mpmath.workdps(40):
+        k, g = mpmath.mpf(params.k), mpmath.mpf(params.g)
+        c = [mpmath.mpc(0)] * (2 * n + 1)
+        for j in range(m):
+            s = mpmath.pi * (2 * j + 1 - m) / m
+            term = _phi1_40_digit(k, g, round(params.k), s) * mpmath.expj(n * s) / m
+            step = mpmath.expj(-s)
+            for i in range(2 * n + 1):
+                c[i] += term
+                term *= step
+        return np.array([complex(x) for x in c])
 
 
 def log_series_oracle(c, n_max: int) -> np.ndarray:

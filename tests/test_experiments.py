@@ -262,7 +262,7 @@ class TestCoefficientCase:
         assert report.analysis_grid_size == analysed
 
     def test_never_samples_the_requested_grid(self, monkeypatch):
-        # the series comes from model.helicity_series's 4N + 4 points
+        # the series is model.helicity_series's closed form, sampled on no grid
         def refuse(*args):
             raise AssertionError("evaluate_model called")
 

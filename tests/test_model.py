@@ -182,19 +182,15 @@ class TestGridPath:
 
     def test_series_is_four_terms_up_to_round_off(self):
         # the helicity series of every k <= 1000 holds only its four terms,
-        # 0, 2, d - 2 and d, up to 0.25 d eps max|c| (measured <= 0.040 d eps
-        # max|c|; 0.82 from the libm samples, at k = 392), and the branch
-        # solver answers on a spread of them
-        eps, worst = np.finfo(float).eps, 0.0
+        # 0, 2, d - 2 and d: every other coefficient is exactly zero, and the
+        # branch solver answers on a spread of them
         for k in range(1, 1001):
             c = model.helicity_series(model.params_from_k(k)).c
             d = len(c) - 1
-            off = np.max(np.abs(np.delete(c, [0, 2, d - 2, d]))) / (d * eps * np.max(np.abs(c)))
-            worst = max(worst, off)
+            assert not np.any(np.delete(c, [0, 2, d - 2, d])), k
             if k in (1, 2, 3, 17, 100, 392, 1000):
                 scaled = np.ldexp(c, -np.frexp(np.max(np.abs(c)))[1])
                 assert trigpoly._model_roots(scaled) is not None, k
-        assert worst <= 0.25
 
     def test_memory_peak_per_point(self):
         # measured 64 B per point (72 with phi1 from phi1_values)
@@ -207,6 +203,36 @@ class TestGridPath:
         finally:
             tracemalloc.stop()
         assert peak / m <= 76
+
+
+class TestHelicitySeries:
+    """The closed-form four-term series against a 40-digit readout of phi1."""
+
+    def test_never_samples_or_transforms(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("phi1 sampled or transformed")
+
+        monkeypatch.setattr(model, "_grid_phi1", refuse)
+        monkeypatch.setattr(trigpoly, "spectrum", refuse)
+        c = model.helicity_series(model.params_from_k(17)).c
+        assert len(c) == 71 and np.count_nonzero(c) == 4
+
+    @pytest.mark.parametrize("k", [1, 8, 17, 100, 17.0000000005])
+    def test_matches_the_40_digit_dft(self, k):
+        # the four terms read <= 0.99 eps max|c| off the oracle, whose other
+        # coefficients are ~1e-40; the package's FFT readout of its own 4N + 4
+        # samples reads <= 0.99 eps max|c| off it, at k = 8 on the other side
+        # of it: 1.94 eps max|c| from the closed form
+        p = model.params_from_k(k)
+        n, eps = p.n_harmonic, np.finfo(float).eps
+        c, reference = model.helicity_series(p).c, oracle.helicity_series_oracle(p)
+        kept, scale = [0, 2, 2 * n - 2, 2 * n], eps * np.max(np.abs(c))
+        assert np.max(np.abs(c[kept] - reference[kept])) <= 2 * scale
+        assert np.max(np.abs(np.delete(reference, kept))) <= 1e-30
+        assert np.max(np.abs(reference.imag)) <= 1e-30
+        sampled = trigpoly.HelicitySeries.from_samples(
+            model.evaluate_model(p, 4 * n + 4).phi1, n).c
+        assert np.max(np.abs(sampled - c)) <= 4 * scale
 
 
 class TestIntegrateOde:

@@ -524,7 +524,7 @@ class TestModelRoots:
                           / np.maximum(1.0, np.abs(roots))) <= 1e-12
 
     @pytest.mark.parametrize("k", [1, 2, 3, 17, 32, 100, 400])
-    def test_matches_the_oracle_and_aberth(self, monkeypatch, eigensolve_calls, k):
+    def test_matches_the_oracle_and_the_eigensolve(self, monkeypatch, eigensolve_calls, k):
         c = model_series(k)
         roots = polynomial_roots(c)
         assert eigensolve_calls == []  # the branch solver took the series
@@ -543,6 +543,42 @@ class TestModelRoots:
     def test_integer_k_property(self, k):
         c = model_series(k)
         self.check_model_roots(c, polynomial_roots(c))
+
+    @pytest.mark.parametrize("k", [1, 17, 400])
+    def test_never_builds_the_power_block(self, monkeypatch, eigensolve_calls, k):
+        c = model_series(k)
+
+        def refuse(z, d):
+            raise AssertionError("power block built")
+
+        monkeypatch.setattr(trigpoly, "_powers", refuse)
+        self.check_model_roots(c, polynomial_roots(c))
+        assert eigensolve_calls == []
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 17, 100, 136, 392, 1000])
+    def test_branch_roots_meet_the_gate(self, monkeypatch, k):
+        # the branch roots as they are, no polish: measured <= 2.01 d eps (k = 136)
+        def refuse(c, x):
+            raise AssertionError("polished")
+
+        monkeypatch.setattr(trigpoly, "_polish", refuse)
+        c = model_series(k)
+        roots = polynomial_roots(c)
+        d = len(c) - 1
+        assert len(roots) == d
+        assert np.max(backward_error(c, roots)) <= 4 * d * np.finfo(float).eps
+
+    def test_near_four_term_series_takes_the_eigensolve(self, eigensolve_calls):
+        # the FFT readout of k = 17's samples leaves ~0.1 eps on other degrees
+        params = model.params_from_k(17)
+        n = params.n_harmonic
+        c = HelicitySeries.from_samples(model.evaluate_model(params, 4 * n + 4).phi1, n).c
+        assert np.count_nonzero(c) > 4
+        roots = polynomial_roots(c)
+        assert eigensolve_calls == [70]
+        reference = polynomial_roots(model_series(17))
+        assert np.max(matched_distances(roots, reference)
+                      / np.maximum(1.0, np.abs(roots))) <= 1e-12
 
     def test_k1000_meets_the_gate(self):
         c = model_series(1000)

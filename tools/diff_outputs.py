@@ -40,8 +40,8 @@ import numpy as np
 #: the 1e6-step ceiling, one at an odd step count and one of a single step;
 #: then the parser's help and usage errors, a verify whose RK4 grid
 #: passes through s = 0, and a grid below k = 17's 4N + 4 = 144 points:
-#: reciprocity and berry refuse it (aliasing), coeffs reads its series from
-#: 4N + 4 samples all the same; last, two verify runs whose step span/steps
+#: reciprocity and berry refuse it (aliasing), coeffs takes its closed-form
+#: series all the same; last, two verify runs whose step span/steps
 #: divides the span only up to rounding (91 steps, and the 1e6-step ceiling
 #: on a 36-point grid), and a non-cyclic reciprocity run at half-integer k;
 #: then the edges of the exact-root grid path of a cyclic drive: m/4 odd and
@@ -50,7 +50,8 @@ import numpy as np
 #: round(k); then a non-cyclic run on a grid so coarse (m < 4k) that arg phi1
 #: aliases in the unwrap unless the N_eff s ramp demodulates it; and at the
 #: end the Berry phase on m = 4N + 4 = 16, the smallest grid on which its
-#: four samples (indices 11, 4, 10 and 5) are read
+#: four samples (indices 11, 4, 10 and 5) are read, and a verify at k = 3000,
+#: whose min |z| line sizes a change to the large-k roots
 COMMANDS = (
     ("reciprocity", "--preset", "fig1", "--out", "{out}/fig1"),
     ("reciprocity", "--preset", "fig2", "--format", "json", "--out", "{out}/fig2"),
@@ -98,6 +99,7 @@ COMMANDS = (
      "--out", "{out}/k17-float"),
     ("reciprocity", "--k", "64.59", "--grid-size", "256", "--out", "{out}/k64-coarse"),
     ("berry", "--k", "1", "--grid-size", "16"),
+    ("verify", "--k", "3000"),
 )
 
 
