@@ -31,11 +31,9 @@ REALITY_TOL = 1e-10
 #: |z| >= 1 - ROOT_TOL is the zero-location gate (boundary case Im t = 0 passes)
 ROOT_TOL = 1e-9
 
-#: cap on the sweeps of every iteration in polynomial_roots (Newton, polish)
+#: cap on the sweeps of every iteration in polynomial_roots: the branch Newton,
+#: each plain Newton pass and the gated polish
 MAX_SWEEPS = 100
-
-#: entries of the power block one chunk of a polish sweep may hold
-_CHUNK_ELEMENTS = 2 ** 15
 
 #: roots closer than this (balanced coordinates) are one multiple root; see
 #: _refine_root_clusters for the wider reach of ill-conditioned ones
@@ -250,18 +248,20 @@ def _converged(p: np.ndarray, bound: np.ndarray, d: int) -> np.ndarray:
 def _newton(weights: tuple[np.ndarray, np.ndarray], x: np.ndarray) -> np.ndarray:
     """Newton from every start in x at once (:func:`_weights` of the polynomial).
 
-    Each start stops on its own once its step falls to round-off, within MAX_SWEEPS steps.
+    Each start stops on its own once its step falls to round-off, or would
+    land on x = 0, within MAX_SWEEPS steps.  Next to a multiple root p and
+    x p' are both round-off, and where they are equal the step is x itself;
+    at x = 0 x p' vanishes, and neither Newton nor the polish leaves it.
     """
     x = x.copy()
     active = np.arange(len(x))
     for _ in range(MAX_SWEEPS):
         xa = x[active]
         p, g, _ = _scaled_values(weights, xa)
-        moving = g != 0
-        step = np.zeros_like(xa)
-        step[moving] = xa[moving] * p[moving] / g[moving]
+        step = np.divide(xa * p, g, out=np.zeros_like(xa), where=g != 0)
+        step[step == xa] = 0.0
         x[active] = xa = xa - step
-        active = active[moving & (np.abs(step) > 1e-15 * (1.0 + np.abs(xa)))]
+        active = active[np.abs(step) > 1e-15 * (1.0 + np.abs(xa))]
         if len(active) == 0:
             break
     return x
@@ -332,21 +332,6 @@ def _refine_root_clusters(c: np.ndarray, roots: np.ndarray, newton: np.ndarray,
     return roots
 
 
-def _conjugate_closed(w: np.ndarray) -> np.ndarray:
-    """The roots w of a real polynomial as a set closed under conjugation.
-
-    If as many roots lie above the real axis as below, the lower ones are
-    replaced by the conjugates of the upper ones, both taken in order of
-    real part: the same roots up to the round-off of the iteration.
-    Otherwise the roots are left as they are.
-    """
-    upper, lower = np.flatnonzero(w.imag > 0), np.flatnonzero(w.imag < 0)
-    if len(upper) == len(lower):
-        w = w.copy()
-        w[lower[np.argsort(w[lower].real)]] = w[upper[np.argsort(w[upper].real)]].conj()
-    return w
-
-
 def _branch_roots(c0: float, c2: float, c_lo: float, c_hi: float, k: int) -> np.ndarray | None:
     """One root u_j on each branch j = 0..k-1 of c0 + c2 u + u^2k (c_lo + c_hi u) = 0.
 
@@ -385,26 +370,19 @@ def _polish(c: np.ndarray, x: np.ndarray) -> np.ndarray | None:
     """Newton on sum_m c[m] z^m from every start in x, each stopping once it meets the gate.
 
     A start that meets :func:`_converged` stays where it is; the others take
-    a Newton step and are evaluated again, in row chunks of about
-    _CHUNK_ELEMENTS entries, which bounds the temporaries.  Returns the
-    polished roots, or None if one still misses the gate after MAX_SWEEPS
-    sweeps.
+    a Newton step and are evaluated again, all in one block, as in
+    :func:`_newton`.  Returns the polished roots, or None if one still
+    misses the gate after MAX_SWEEPS sweeps.
     """
     weights, d = _weights(c), len(c) - 1
-    rows_per_chunk = max(1, _CHUNK_ELEMENTS // (d + 1))
     x, active = x.copy(), np.arange(len(x))
     for _ in range(MAX_SWEEPS):
-        still = []
-        for lo in range(0, len(active), rows_per_chunk):
-            rows = active[lo:lo + rows_per_chunk]
-            p, g, bound = _scaled_values(weights, x[rows])
-            moving = ~_converged(p, bound, d)
-            rows = rows[moving]
-            x[rows] -= x[rows] * p[moving] / g[moving]
-            still.append(rows)
-        active = np.concatenate(still)
+        p, g, bound = _scaled_values(weights, x[active])
+        moving = ~_converged(p, bound, d)
+        active = active[moving]
         if len(active) == 0:
             return x
+        x[active] -= x[active] * p[moving] / g[moving]
     return None
 
 
@@ -496,8 +474,9 @@ def polynomial_roots(c: np.ndarray) -> np.ndarray:
     and real roots are then polished on the coefficients c themselves
     (:func:`_refine_root_clusters`): the balancing perturbs them by
     O(|log(c_m / c_0)| eps), which can move a double root by ~1e-12.  The
-    roots off the real axis come in exact conjugate pairs where the count
-    allows (:func:`_conjugate_closed`).
+    eigensolve of the real companion matrix returns the roots off the real
+    axis in exact conjugate pairs, and each Newton step does the same
+    arithmetic on a root and on its conjugate.
 
     Raises
     ------
@@ -523,8 +502,7 @@ def polynomial_roots(c: np.ndarray) -> np.ndarray:
         q = np.sign(c) * np.exp(log_c - log_c[0] + log_rho * np.arange(d + 1))
         rho = np.exp(log_rho)
         w, newton = _eig_roots(q)
-        roots = _conjugate_closed(
-            _refine_root_clusters(scaled, rho * w, rho * newton, rho * _CLUSTER_TOL))
+        roots = _refine_root_clusters(scaled, rho * w, rho * newton, rho * _CLUSTER_TOL)
     return np.concatenate((at_zero, roots))
 
 
