@@ -168,7 +168,7 @@ def cmd_verify(args) -> int:
         raise ConfigError(f"--rk4-steps must be between 1 and {MAX_RK4_STEPS}, "
                           f"got {steps}")
     _print_config("verify", params, {"grid_size": grid, "rk4_steps": steps})
-    checks = []
+    checks, notes = [], []  # notes follow the PASS/FAIL lines
 
     res = model.solution_residual(params, grid)
     checks.append(("solution residual < 1e-8", res.max_residual < 1e-8,
@@ -194,6 +194,10 @@ def cmd_verify(args) -> int:
         rc = trigpoly.root_check(model.helicity_series(params))
         checks.append(("all helicity zeros |z| >= 1", rc.passed,
                        f"min |z| = {rc.min_modulus:.12f}"))
+        # the double roots +-i are exact, so min |z| reads 1 for every integer
+        # k; rho, the root next nearest the circle, shows how the roots move
+        rho = hilbert._nearest_off_circle(np.abs(rc.roots))
+        notes.append(f"nearest helicity zero off the unit circle |z| = {rho:.15f}")
     else:
         print("note: zero-location gate skipped (non-cyclic drive; assumptions violated)")
 
@@ -201,6 +205,8 @@ def cmd_verify(args) -> int:
     for name, passed, detail in checks:
         ok &= passed
         print(f"{'PASS' if passed else 'FAIL'}  {name}  ({detail})")
+    for note in notes:
+        print(f"note: {note}")
     return 0 if ok else 1
 
 

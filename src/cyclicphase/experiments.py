@@ -99,10 +99,19 @@ def exclusion_mask(s: np.ndarray, zeros, halfwidth: float) -> np.ndarray:
     return mask
 
 
-def _masked_error_stats(delta: np.ndarray, mask: np.ndarray) -> tuple[float, float]:
-    d = delta[mask]
-    d = d - d.mean()  # curves are each defined up to the A_0 = 0 normalisation
-    return float(np.sqrt(np.mean(d ** 2))), float(np.max(np.abs(d)))
+def _masked_error_stats(reconstructed: np.ndarray, direct: np.ndarray,
+                        mask: np.ndarray) -> tuple[float, float]:
+    """RMS and max |d| of d = reconstructed - direct on the mask, less its mean.
+
+    One masked copy is formed, and every step after it works in place on it.
+    """
+    d = reconstructed[mask]
+    d -= direct[mask]
+    d -= d.mean()  # curves are each defined up to the A_0 = 0 normalisation
+    np.abs(d, out=d)
+    largest = float(np.max(d))
+    np.square(d, out=d)  # |d|^2 is d^2 bit for bit
+    return float(np.sqrt(np.mean(d))), largest
 
 
 def peak_positions(s: np.ndarray, y: np.ndarray, prominence: float = PEAK_PROMINENCE,
@@ -146,8 +155,8 @@ def measure_berry_phase(signals: model.ModelSignals) -> float:
     """Smooth change of the physical phase over one Hamiltonian revolution.
 
     Evaluates D(e) = phase(pi/2 - e) - phase(-pi/2 + e) of the physical phase
-    (``_physical_phase``), excluding the genuine jump at the revolution edge,
-    and extrapolates e -> 0 linearly from the two innermost grid samples
+    (phase_chi plus ``_physical_ramp``), excluding the genuine jump at the
+    revolution edge, and extrapolates e -> 0 linearly from the two innermost grid samples
     (e = h/2 and 3h/2).  Near the adiabatic regime the connection is a
     boundary-layer step of width ~1/(4k) decorated with O(1) oscillations, so
     extrapolating from coarser offsets inside the oscillation zone would not
@@ -159,24 +168,25 @@ def measure_berry_phase(signals: model.ModelSignals) -> float:
     # the offset grid contains pi/2 - h/2 exactly: indices 3m/4 - 1 and m/4
     jp, jm = 3 * m // 4 - 1, m // 4
     at = [jp, jm, jp - 1, jm + 1]
-    p1, m1, p2, m2 = _physical_phase(signals.params, signals.phase_chi[at],
-                                     signals.grid[at])
+    p1, m1, p2, m2 = signals.phase_chi[at] + _physical_ramp(signals.params,
+                                                            signals.grid[at])
     d1 = p1 - m1  # e = h/2
     d2 = p2 - m2  # e = 3h/2
     return float(0.5 * (3.0 * d1 - d2))
 
 
-def _physical_phase(params: model.ModelParams, phase_chi: np.ndarray,
-                    s: np.ndarray) -> np.ndarray:
-    """phase_chi + (g - N) s: the phase of e^{igs} phi1, the dynamic phase removed."""
-    return phase_chi + (params.g - params.n_harmonic) * s
+def _physical_ramp(params: model.ModelParams, s: np.ndarray) -> np.ndarray:
+    """(g - N) s: added to phase_chi, it gives the phase of e^{igs} phi1, the
+    physical phase with the dynamic phase removed."""
+    return (params.g - params.n_harmonic) * s
 
 
 def _detrended_phase(raw_angle: np.ndarray, s: np.ndarray) -> tuple[np.ndarray, float]:
-    unwrapped = hilbert.unwrap(raw_angle).phase
-    slope = (unwrapped[-1] - unwrapped[0]) / (s[-1] - s[0])
-    out = unwrapped - slope * s
-    return out - out.mean(), float(slope)
+    phase = hilbert.unwrap(raw_angle).phase
+    slope = (phase[-1] - phase[0]) / (s[-1] - s[0])
+    phase -= slope * s
+    phase -= phase.mean()
+    return phase, float(slope)
 
 
 def run_reciprocity_case(params: model.ModelParams, grid_size: int,
@@ -191,18 +201,31 @@ def run_reciprocity_case(params: model.ModelParams, grid_size: int,
     removed) for cyclic drives and the detrended window phases for non-cyclic
     ones.  A non-cyclic log-modulus is log|phi1| minus its mean, the same
     A_0 = 0 normalisation the error statistics use.
+
+    Each column is formed once and then updated in place, and phi1 is dropped
+    as soon as the curves (and, for a cyclic drive, the Berry phase) are read
+    from it.  The error statistics are taken first; then one (g - N) s ramp
+    turns both cyclic phase curves into physical phases.  No two columns share
+    memory.
     """
     if params.cyclic:
         signals = model.evaluate_model(params, grid_size)
         s, lm_direct, ph_direct = signals.grid, signals.log_modulus, signals.phase_chi
+        helicity, berry_measured = signals.helicity, measure_berry_phase(signals)
+        del signals  # phi1, 16m bytes, has no reader after the Berry phase
     else:
         s = trigpoly.offset_grid(grid_size)
         phi1 = model.phi1_values(params, s)
         n_eff = 2 * int(round(params.k)) + 1
-        lm_direct = np.log(np.abs(phi1))
+        lm_direct = np.abs(phi1)
+        np.log(lm_direct, out=lm_direct)
         lm_direct -= lm_direct.mean()
         # the n_eff s ramp demodulates arg phi1 (~2k h per sample) so unwrap cannot alias
-        ph_direct, slope = _detrended_phase(np.angle(phi1) + n_eff * s, s)
+        raw = np.angle(phi1)
+        del phi1
+        raw += n_eff * s
+        ph_direct, slope = _detrended_phase(raw, s)
+        del raw
     mask = exclusion_mask(s, model.DRIVE_ZEROS, exclusion_halfwidth)
     if not mask.any():
         raise ValueError(f"exclusion half-width {exclusion_halfwidth} around the "
@@ -215,21 +238,24 @@ def run_reciprocity_case(params: model.ModelParams, grid_size: int,
              "tolerances are artifact-chosen (the underlying agreement is qualitative)"]
     ph_rec = hilbert.phase_from_modulus(lm_direct, method, fejer_order)
     lm_rec = hilbert.modulus_from_phase(ph_direct, method, fejer_order)
+    rms_ph, max_ph = _masked_error_stats(ph_rec, ph_direct, mask)
+    rms_lm, max_lm = _masked_error_stats(lm_rec, lm_direct, mask)
 
     if params.cyclic:
-        phase_direct_out = _physical_phase(params, ph_direct, s)
-        phase_rec_out = _physical_phase(params, ph_rec, s)
+        ramp = _physical_ramp(params, s)
+        ph_direct += ramp
+        ph_rec += ramp
+        del ramp
         # on the series' own grid: R is a polynomial, so the dataset grid adds nothing
-        coeffs = hilbert.log_coefficients(signals.helicity, n_max, 4 * n_max + 4)
+        coeffs = hilbert.log_coefficients(helicity, n_max, 4 * n_max + 4)
         regime_fields = dict(
             berry_predicted=model.berry_phase_predicted(params),
-            berry_measured=measure_berry_phase(signals),
+            berry_measured=berry_measured,
             coeff_max_discrepancy=hilbert.coefficient_equality_check(coeffs).max_relative,
-            root_check_pass=trigpoly.root_check(signals.helicity).passed)
+            root_check_pass=trigpoly.root_check(helicity).passed)
         notes.append(f"cyclic drive: N = {params.n_harmonic}, "
-                     f"c_0 = {signals.helicity.c[0]:.12g}")
+                     f"c_0 = {helicity.c[0]:.12g}")
     else:
-        phase_direct_out, phase_rec_out = ph_direct, ph_rec
         notes.append(
             f"theorem assumptions violated (non-cyclic drive, k = {params.k:.6f}): "
             f"forced harmonic shift N_eff = {n_eff}, phase trend "
@@ -255,9 +281,6 @@ def run_reciprocity_case(params: model.ModelParams, grid_size: int,
                 f"{len(gibbs)} reconstructed-only peaks outside the matched train "
                 f"flagged as Gibbs artifacts (spurious edge oscillations)")
 
-    rms_ph, max_ph = _masked_error_stats(ph_rec - ph_direct, mask)
-    rms_lm, max_lm = _masked_error_stats(lm_rec - lm_direct, mask)
-
     report = ReciprocityReport(
         g=params.g, omega=params.omega, k=params.k,
         n_harmonic=params.n_harmonic, cyclic=params.cyclic,
@@ -265,16 +288,18 @@ def run_reciprocity_case(params: model.ModelParams, grid_size: int,
         rms_phase_error=rms_ph, max_phase_error=max_ph,
         rms_logmod_error=rms_lm, max_logmod_error=max_lm,
         notes="; ".join(notes), **regime_fields)
+    t = 2.0 * s
+    t /= params.omega
     dataset = Table(
         ("s", "t", "log_modulus_direct", "log_modulus_reconstructed",
          "phase_direct", "phase_reconstructed"),
         {
             "s": s,
-            "t": 2.0 * s / params.omega,
+            "t": t,
             "log_modulus_direct": lm_direct,
             "log_modulus_reconstructed": lm_rec,
-            "phase_direct": phase_direct_out,
-            "phase_reconstructed": phase_rec_out,
+            "phase_direct": ph_direct,
+            "phase_reconstructed": ph_rec,
         })
     return report, dataset
 

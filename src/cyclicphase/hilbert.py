@@ -116,11 +116,12 @@ def periodic_hilbert(samples, method: str = "series",
     f = _check_real_finite(samples)
     m = len(f)
     _check_grid_size(m)
+    multiplier = None
     if method == "series":
-        # i pi sign(n) on the rfft bins n = 0..m/2, with 0 on the Nyquist bin
-        multiplier = np.zeros(m // 2 + 1, dtype=complex)
-        multiplier[1:-1] = 1j * np.pi
         if fejer_order is not None:
+            # i pi sign(n) on the rfft bins n = 0..m/2, with 0 on the Nyquist bin
+            multiplier = np.zeros(m // 2 + 1, dtype=complex)
+            multiplier[1:-1] = 1j * np.pi
             multiplier *= np.maximum(0.0, 1.0 - np.arange(m // 2 + 1) / (fejer_order + 1.0))
     elif method == "quadrature":
         if fejer_order is not None:
@@ -131,7 +132,13 @@ def periodic_hilbert(samples, method: str = "series",
     else:
         raise ValueError(f"unknown method {method!r}")
     spectrum = np.fft.rfft(f)
-    spectrum *= multiplier
+    if multiplier is None:
+        # the series multiplier bin by bin, with no array of it: the DC and
+        # Nyquist bins (0 and m/2) times 0j, every bin between times i pi
+        spectrum[::m // 2] *= 0j
+        spectrum[1:-1] *= 1j * np.pi
+    else:
+        spectrum *= multiplier
     return np.fft.irfft(spectrum, m)
 
 
@@ -140,10 +147,14 @@ def phase_from_modulus(log_modulus, method: str = "series",
     """Reconstruct arg(chi/c_0) from samples of log|chi/c_0|.
 
     The input mean is subtracted first: the expansion of log(chi/c_0) has no
-    constant term.
+    constant term.  The input is never modified: the mean is taken off a
+    copy, and the transform's result is negated and divided by pi in place.
     """
     f = _check_real_finite(log_modulus)
-    return -periodic_hilbert(f - f.mean(), method, fejer_order) / np.pi
+    phase = periodic_hilbert(f - f.mean(), method, fejer_order)
+    np.negative(phase, out=phase)
+    phase /= np.pi
+    return phase
 
 
 def modulus_from_phase(phase, method: str = "series",
@@ -154,7 +165,8 @@ def modulus_from_phase(phase, method: str = "series",
     makes the underlying infinite-range principal-value integral diverge.
     A trend is detected from the endpoint mismatch and rejected above pi;
     remove it before calling (the non-cyclic pipeline detrends its phase, which
-    leaves a round-off mismatch).
+    leaves a round-off mismatch).  As in :func:`phase_from_modulus`, the input
+    is never modified; the transform's result is divided by pi in place.
     """
     f = _check_real_finite(phase)
     mismatch = float(f[-1] - f[0])
@@ -163,7 +175,9 @@ def modulus_from_phase(phase, method: str = "series",
             f"phase endpoint mismatch {mismatch:.3f} rad exceeds {np.pi:.3f}: "
             f"linear trend detected; remove it before applying the reciprocal relation"
         )
-    return periodic_hilbert(f - f.mean(), method, fejer_order) / np.pi
+    modulus = periodic_hilbert(f - f.mean(), method, fejer_order)
+    modulus /= np.pi
+    return modulus
 
 
 @dataclass(frozen=True)
@@ -182,11 +196,17 @@ def unwrap(phase_raw, zeros=None, grid=None) -> UnwrapResult:
     across that interval is steered to the branch nearest the jump and the
     jump is recorded instead of smoothed.  Any remaining difference larger
     than pi/2 is recorded as well.
+
+    The result is the one array formed at the input's size: the wrapped
+    differences are written into it after a leading 0 and summed there in
+    place.  The input is never modified.
     """
     raw = _check_real_finite(phase_raw)
+    phase = np.empty_like(raw)
+    phase[0] = 0.0
     # (d + pi) % 2pi - pi, with the remainder taken only where it moves
     # d + pi: in [0, 2pi) np.remainder returns its argument exactly
-    d = np.diff(raw)
+    d = np.subtract(raw[1:], raw[:-1], out=phase[1:])
     d += np.pi
     wrap = d < 0.0
     wrap |= d >= 2.0 * np.pi
@@ -204,11 +224,12 @@ def unwrap(phase_raw, zeros=None, grid=None) -> UnwrapResult:
                 d[j] += 2.0 * np.pi * np.round((target - d[j]) / (2.0 * np.pi))
                 jumps.append((j, float(d[j])))
     marked = {j for j, _ in jumps}
-    for j in np.where(np.abs(d) > np.pi / 2)[0]:
+    for j in np.where((d > np.pi / 2) | (d < -np.pi / 2))[0]:
         if int(j) not in marked:
             jumps.append((int(j), float(d[j])))
     jumps.sort()
-    phase = raw[0] + np.concatenate(([0.0], np.cumsum(d)))
+    np.cumsum(phase, out=phase)
+    phase += raw[0]
     return UnwrapResult(phase, jumps)
 
 
@@ -230,9 +251,16 @@ class ConjugateCoefficients:
         return len(self.A) - 1
 
 
+def _nearest_off_circle(moduli: np.ndarray) -> float:
+    """rho, the smallest root modulus above 1 + UNIT_ROOT_TOL (inf without one)."""
+    return np.min(moduli[moduli > 1.0 + UNIT_ROOT_TOL], initial=np.inf)
+
+
 def _anchor_unwrapped(phase: np.ndarray) -> np.ndarray:
-    # remove the global 2 pi k branch ambiguity of the starting sample
-    return phase - 2.0 * np.pi * np.round(phase.mean() / (2.0 * np.pi))
+    # remove the global 2 pi k branch ambiguity of the starting sample, in
+    # place: every caller passes the fresh phase of an unwrap
+    phase -= 2.0 * np.pi * np.round(phase.mean() / (2.0 * np.pi))
+    return phase
 
 
 def _series_quotient(c, f, n: int) -> list:
@@ -303,7 +331,7 @@ def log_coefficients(chi, n_max: int, grid_size: int) -> ConjugateCoefficients:
             raise ValueError(f"c_0 = {c0:.3e} must be positive for the log expansion")
         moduli = np.abs(chi.roots)
         on_circle = chi.roots[np.abs(moduli - 1.0) <= UNIT_ROOT_TOL]
-        rho = np.min(moduli[moduli > 1.0 + UNIT_ROOT_TOL], initial=np.inf)
+        rho = _nearest_off_circle(moduli)
         needed = np.log(1.0 / np.finfo(float).eps) / np.log(rho)  # 0 without such roots
         analysis = max(4 * n_max + 4, 4 * int(np.ceil(needed / 4)))
         if analysis > MAX_ANALYSIS_GRID:

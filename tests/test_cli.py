@@ -235,6 +235,22 @@ class TestReciprocity:
         assert parsed["cyclic"] is False
         assert "assumptions violated" in parsed["notes"]
 
+    @pytest.mark.parametrize("method", ["series", "quadrature"])
+    def test_peak_is_a_few_curves(self, capsys, method):
+        # every full-size curve is formed once and updated in place: the run
+        # peaked at 13.9 (series) and 13.2 (quadrature) arrays of m float64
+        # when phi1 outlived the Berry phase and each step made a new array
+        m = 65536
+        tracemalloc.start()
+        try:
+            code, _, _ = run_cli(capsys, "reciprocity", "--k", "17", "--grid-size", str(m),
+                                 "--method", method)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert peak <= 10 * 8 * m, peak / (8 * m)
+
     def test_deterministic_across_invocations(self, capsys, tmp_path):
         argv = ["reciprocity", "--preset", "fig3", "--grid-size", "4096"]
         code1 = main(argv + ["--out", str(tmp_path / "r1")])
@@ -252,6 +268,19 @@ class TestOtherCommands:
         assert code == 0
         assert "PASS  solution residual" in out
         assert "FAIL" not in out
+
+    def test_verify_notes_the_nearest_root_off_the_circle(self, capsys):
+        # min |z| reads 1 for every integer k (the double roots +-i are exact);
+        # the note after the PASS/FAIL lines gives rho, 2 cos(pi/12) at k = 1.
+        # 50 RK4 steps fail the cross-check: the note comes whatever the verdict
+        code, out, _ = run_cli(capsys, "verify", "--k", "1", "--grid-size", "64",
+                               "--rk4-steps", "50")
+        last = out.splitlines()[-1]
+        prefix = "note: nearest helicity zero off the unit circle |z| = "
+        assert code == 1 and "FAIL  RK4" in out and last.startswith(prefix)
+        assert float(last[len(prefix):]) == pytest.approx(2 * np.cos(np.pi / 12), abs=1e-14)
+        code, out, _ = run_cli(capsys, "verify", "--k", "16.59", "--grid-size", "64")
+        assert code == 0 and prefix not in out
 
     def test_verify_non_cyclic_coarse_grid(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "--k", "16.59", "--grid-size", "64")

@@ -1,5 +1,6 @@
 """Pipelines, Berry measurement, peak matching, file emission."""
 
+import itertools
 import json
 from types import SimpleNamespace
 
@@ -191,6 +192,15 @@ class TestReciprocityCase:
         report, dataset = run_reciprocity_case(fig_params("fig3"), 4096, method="quadrature")
         assert report.method == "quadrature" and not report.cyclic
         assert all(np.all(np.isfinite(dataset.data[c])) for c in dataset.columns)
+
+    @pytest.mark.parametrize("k", [17, 16.59])
+    def test_columns_share_no_memory(self, k):
+        # each column is formed once and then updated in place; none is a view
+        # of another, so writing one cannot move a second
+        _, dataset = run_reciprocity_case(model.params_from_k(k), 1024)
+        columns = [dataset.data[c] for c in dataset.columns]
+        for a, b in itertools.combinations(columns, 2):
+            assert not np.shares_memory(a, b)
 
     @pytest.mark.parametrize("k, m", [(k, m) for k in (0.7, 2.5, 16.59, 64.59)
                                       for m in (64, 4096, 65536)])

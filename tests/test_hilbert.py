@@ -302,6 +302,40 @@ class TestUnwrap:
             unwrap(np.zeros(8), zeros=[(0.0, 2)])
 
 
+def _call_unwrap(f):
+    return unwrap(f).phase
+
+
+def _call_unwrap_with_zeros(f):
+    return unwrap(f, zeros=model.DRIVE_ZEROS, grid=offset_grid(len(f))).phase
+
+
+class TestInputsUntouched:
+    """The in-place steps work on arrays each call forms itself: every input
+    stays bit for bit, and no result is a view of it."""
+
+    @pytest.mark.parametrize("call", [
+        _call_unwrap,
+        _call_unwrap_with_zeros,
+        lambda f: periodic_hilbert(f, "series"),
+        lambda f: periodic_hilbert(f, "series", 100),
+        lambda f: periodic_hilbert(f, "quadrature"),
+        *(lambda f, method=method: phase_from_modulus(f, method) for method in METHODS),
+        *(lambda f, method=method: modulus_from_phase(f, method) for method in METHODS),
+    ], ids=["unwrap", "unwrap-zeros", "series", "fejer", "quadrature",
+            "phase_from_modulus-series", "phase_from_modulus-quadrature",
+            "modulus_from_phase-series", "modulus_from_phase-quadrature"])
+    def test_input_bit_for_bit(self, call):
+        s = offset_grid(256)
+        # a wrapped ramp with a bump: unwrap has jumps to remove, and the
+        # endpoint mismatch stays below pi for modulus_from_phase
+        f = np.angle(np.exp(1j * (5 * s + 0.5 * np.cos(3 * s))))
+        before = f.tobytes()
+        out = call(f)
+        assert f.tobytes() == before
+        assert not np.shares_memory(out, f)
+
+
 class TestLogCoefficients:
     def test_geometric_control(self):
         # chi/c0 = 1/(1 - e^{is}/2): A_m = B_m = (1/2)^m / m

@@ -205,7 +205,7 @@ class TestPolynomialValuesRoundTrip:
             assert np.allclose(back, c, atol=1e-12)
 
 
-class TestToHelicity:
+class TestHelicityLayout:
     """The layout c_m = fhat[m - N] against c built by hand from a_n, b_n."""
 
     def test_k1_model(self):

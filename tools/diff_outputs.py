@@ -51,7 +51,10 @@ import numpy as np
 #: aliases in the unwrap unless the N_eff s ramp demodulates it; and at the
 #: end the Berry phase on m = 4N + 4 = 16, the smallest grid on which its
 #: four samples (indices 11, 4, 10 and 5) are read, and a verify at k = 3000,
-#: whose min |z| line sizes a change to the large-k roots
+#: whose note line (rho, the nearest root off the unit circle; its min |z|
+#: reads 1 for every integer k) sizes a change to the large-k roots; last, two
+#: k = 17 runs on 65536 points that write their datasets, the only ones above
+#: 32768 rows, the second the only cyclic quadrature dataset (JSON)
 COMMANDS = (
     ("reciprocity", "--preset", "fig1", "--out", "{out}/fig1"),
     ("reciprocity", "--preset", "fig2", "--format", "json", "--out", "{out}/fig2"),
@@ -100,6 +103,9 @@ COMMANDS = (
     ("reciprocity", "--k", "64.59", "--grid-size", "256", "--out", "{out}/k64-coarse"),
     ("berry", "--k", "1", "--grid-size", "16"),
     ("verify", "--k", "3000"),
+    ("reciprocity", "--k", "17", "--grid-size", "65536", "--out", "{out}/k17-65536"),
+    ("reciprocity", "--k", "17", "--grid-size", "65536", "--method", "quadrature",
+     "--format", "json", "--out", "{out}/k17-65536-quad"),
 )
 
 
