@@ -156,10 +156,10 @@ def measure_berry_phase(signals: model.ModelSignals) -> float:
 
     Evaluates D(e) = phase(pi/2 - e) - phase(-pi/2 + e) of the physical phase
     (phase_chi plus ``_physical_ramp``), excluding the genuine jump at the
-    revolution edge, and extrapolates e -> 0 linearly from the two innermost grid samples
-    (e = h/2 and 3h/2).  Near the adiabatic regime the connection is a
-    boundary-layer step of width ~1/(4k) decorated with O(1) oscillations, so
-    extrapolating from coarser offsets inside the oscillation zone would not
+    revolution edge, and extrapolates e -> 0 linearly from the two innermost
+    grid samples (e = h/2 and 3h/2).  Near the adiabatic regime the connection
+    is a boundary-layer step of width ~1/(4k) decorated with O(1) oscillations,
+    so extrapolating from coarser offsets inside the oscillation zone would not
     converge.
     """
     if not signals.params.cyclic:

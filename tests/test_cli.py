@@ -237,9 +237,9 @@ class TestReciprocity:
 
     @pytest.mark.parametrize("method", ["series", "quadrature"])
     def test_peak_is_a_few_curves(self, capsys, method):
-        # every full-size curve is formed once and updated in place: the run
-        # peaked at 13.9 (series) and 13.2 (quadrature) arrays of m float64
-        # when phi1 outlived the Berry phase and each step made a new array
+        # every full-size curve is formed once and updated in place; the run
+        # peaked at 12 to 14 arrays of m float64 (8m bytes each) when phi1
+        # outlived the Berry phase and each step made a new array
         m = 65536
         tracemalloc.start()
         try:

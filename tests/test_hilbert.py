@@ -302,21 +302,13 @@ class TestUnwrap:
             unwrap(np.zeros(8), zeros=[(0.0, 2)])
 
 
-def _call_unwrap(f):
-    return unwrap(f).phase
-
-
-def _call_unwrap_with_zeros(f):
-    return unwrap(f, zeros=model.DRIVE_ZEROS, grid=offset_grid(len(f))).phase
-
-
 class TestInputsUntouched:
     """The in-place steps work on arrays each call forms itself: every input
     stays bit for bit, and no result is a view of it."""
 
     @pytest.mark.parametrize("call", [
-        _call_unwrap,
-        _call_unwrap_with_zeros,
+        lambda f: unwrap(f).phase,
+        lambda f: unwrap(f, zeros=model.DRIVE_ZEROS, grid=offset_grid(len(f))).phase,
         lambda f: periodic_hilbert(f, "series"),
         lambda f: periodic_hilbert(f, "series", 100),
         lambda f: periodic_hilbert(f, "quadrature"),
