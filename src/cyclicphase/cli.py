@@ -321,27 +321,29 @@ SUBCOMMANDS = {
 
 
 def build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The command-line parser; with ``command``, only that subcommand has arguments.
+    """The command-line parser; with a subcommand ``command``, only that one is built.
 
-    Every subcommand is listed either way, so the top-level usage and help do
-    not change, and a run that names its subcommand parses the same.
+    Its usage still names all five, so a run that names its subcommand prints
+    and parses as with the full parser, which any other ``command`` gets.
     """
     parser = argparse.ArgumentParser(
         prog="cyclicphase",
         description="Reciprocal phase / log-modulus relations for cyclic "
                     "two-level wave functions")
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, (help_line, add_arguments) in SUBCOMMANDS.items():
-        p = sub.add_parser(name, help=help_line)
-        if command in (None, name):
-            add_arguments(p)
+    names = [command] if command in SUBCOMMANDS else list(SUBCOMMANDS)
+    # the full parser keeps argparse's own name for errors ("argument command")
+    sub = parser.add_subparsers(dest="command", required=True, metavar=(
+        "{" + ",".join(SUBCOMMANDS) + "}" if len(names) == 1 else None))
+    for name in names:
+        help_line, add_arguments = SUBCOMMANDS[name]
+        add_arguments(sub.add_parser(name, help=help_line))
     return parser
 
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     # the subcommand comes first; anything else (--help, a typo) gets every one
-    parser = build_parser(argv[0] if argv and argv[0] in SUBCOMMANDS else None)
+    parser = build_parser(argv[0] if argv else None)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:  # argparse exits 2 on bad flags

@@ -20,9 +20,10 @@ real C_n, so its real and imaginary boundary parts are the conjugate pair
     log|chi/c_0|     = +(1/pi) H[arg(chi/c_0)],
 
 and the cosine coefficients A_n of log|chi/c_0| equal the sine coefficients
-B_n of arg(chi/c_0).  (The reconstruction signs are fixed by the cos/sin pair
-identities above: check them on chi = exp(e^{is}), whose log-modulus is cos s
-and whose phase is sin s.)
+B_n of arg(chi/c_0): both are the L_n of log(chi(z)/c_0) = sum_n L_n z^n.
+(The reconstruction signs are fixed by the cos/sin pair identities above:
+check them on chi = exp(e^{is}), whose log-modulus is cos s and whose phase
+is sin s.)
 """
 
 from __future__ import annotations
@@ -44,6 +45,9 @@ UNIT_ROOT_TOL = 1e-8
 
 #: ceiling on the analysis grid that log_coefficients may choose for a HelicitySeries
 MAX_ANALYSIS_GRID = 2 ** 20
+
+#: log_coefficients' contour points per n_max / alpha: an aliased tail r^m <= e^{-36}
+CONTOUR_POINTS = 36
 
 #: |A_n - B_n| below this is reported as zero discrepancy (double-precision equality)
 EQUALITY_ABS_TOL = 1e-10
@@ -79,7 +83,8 @@ def _quadrature_kernel_fft(m: int) -> np.ndarray:
     np.divide(h, tan, out=odd[:n])
     np.multiply(tan[:quarter - n][::-1], h, out=odd[n:quarter])
     np.negative(odd[:quarter][::-1], out=odd[quarter:])
-    return np.conj(np.fft.rfft(kernel))
+    spectrum = np.fft.rfft(kernel)
+    return np.conjugate(spectrum, out=spectrum)
 
 
 def periodic_hilbert(samples, method: str = "series",
@@ -263,33 +268,26 @@ def _anchor_unwrapped(phase: np.ndarray) -> np.ndarray:
     return phase
 
 
-def _series_quotient(c, f, n: int) -> list:
-    """The first n coefficients of the power series c(z)/f(z), f[0] nonzero."""
-    q: list = []
-    for i in range(n):
-        acc = c[i]
-        for j in range(1, min(i, len(f) - 1) + 1):
-            acc -= f[j] * q[i - j]
-        q.append(acc / f[0])
-    return q
+def _contour(moduli: np.ndarray, n_max: int) -> tuple[float, int]:
+    """(ln r, m): the circle |z| = r < 1 and the points log_coefficients reads a series on.
 
-
-def _deflate(c, f) -> np.ndarray:
-    """c/f for a factor f of c, divided from both ends (Peters & Wilkinson 1971).
-
-    When round-off keeps f from dividing c exactly, division from the
-    constant term matches c at the quotient's low degrees and division from
-    the leading term at its high degrees; either one alone leaves the whole
-    mismatch at the other end, and ``polydiv``'s remainder, dropped, sits at
-    degrees 0..deg f - 1, where it moves every log coefficient.  The quotient
-    takes its low half from the constant term and its high half from the
-    leading term, so f times it matches c except at the deg f degrees after
-    the join.
+    r = e^{-alpha/n_max}, m the smallest power of two >= CONTOUR_POINTS n_max /
+    alpha, alpha = 1, raised where that m would pass MAX_ANALYSIS_GRID (to 9.0
+    at n_max = 2^18 - 1).  A zero with r <= |z| < 1 - UNIT_ROOT_TOL raises r to
+    (1 + |z|)/2 and m to match.  ValueError, before any allocation, when m or
+    4 n_max + 4 is above MAX_ANALYSIS_GRID.
     """
-    c, f = np.asarray(c, dtype=float).tolist(), np.asarray(f, dtype=float).tolist()
-    n = len(c) - len(f) + 1
-    high = _series_quotient(c[::-1], f[::-1], n - n // 2)
-    return np.array(_series_quotient(c, f, n // 2) + high[::-1])
+    n = max(n_max, 1)
+    m = min(1 << (CONTOUR_POINTS * n - 1).bit_length(), MAX_ANALYSIS_GRID)
+    log_r = -max(1.0, CONTOUR_POINTS * n / m) / n
+    inside = moduli[(moduli >= np.exp(log_r)) & (moduli < 1.0 - UNIT_ROOT_TOL)]
+    if len(inside):
+        log_r = np.log1p((np.max(inside) - 1.0) / 2.0)
+        m = 1 << int(np.ceil(np.log2(CONTOUR_POINTS / -log_r)))
+    if max(m, 4 * n_max + 4) > MAX_ANALYSIS_GRID:
+        raise ValueError(f"analysis grid of {max(m, 4 * n_max + 4)} points (n_max {n_max}, r = "
+                         f"{np.exp(log_r):.9f}) is above the ceiling {MAX_ANALYSIS_GRID}")
+    return float(log_r), m
 
 
 def log_coefficients(chi, n_max: int, grid_size: int) -> ConjugateCoefficients:
@@ -300,26 +298,27 @@ def log_coefficients(chi, n_max: int, grid_size: int) -> ConjugateCoefficients:
     imaginary part (unwrapped phase) sine-analyzed into B_n, both from one
     :func:`~cyclicphase.trigpoly.cos_sin_coefficients` of log|w| + i arg w.
 
-    For a HelicitySeries input the zeros on the unit circle are handled
-    exactly: each unit root e^{i s_r} of multiplicity mu contributes the
-    classical conjugate pair log|2 sin((s - s_r)/2)| and the periodised
-    sawtooth ((s - s_r) mod 2pi - pi)/2, both with coefficients
-    -mu cos(n s_r)/n.  Only those roots are read: their factor is divided out
-    of the coefficients from both ends (:func:`_deflate`), and the quotient
-    R (zero-free near the circle) is evaluated by one
-    :func:`~cyclicphase.trigpoly.polynomial_values` and analyzed.  Plain
-    sampling across the log singularities would lose ~3 decades of accuracy.
-    R can be sampled on any grid, so the analysis grid
-    is raised above ``grid_size`` to 4 n_max + 4 and to the smallest multiple
-    of 4 with rho^-m <= eps, rho the smallest root modulus off the circle:
-    the aliased tail of log R decays like rho^-m (ValueError, before any
-    allocation, when that raised grid exceeds MAX_ANALYSIS_GRID).  Raw-sample
-    inputs are analyzed directly on their own grid and should be zero-free.
+    A HelicitySeries is read on the contour |z| = r < 1 of :func:`_contour`,
+    not on the unit circle: log(chi/c_0) = sum_n L_n z^n is analytic inside
+    every zero, so on |z| = r its cosine and sine coefficients are A_n r^n
+    and B_n r^n, and coefficient n is divided by r^n (the Cauchy contour of
+    Lyness & Moler, SIAM J. Numer. Anal. 4, 1967; Bornemann, Found. Comput.
+    Math. 11, 2011).  The scaled c_d r^d / c_0 are evaluated by one
+    :func:`~cyclicphase.trigpoly.polynomial_values` on m points.  With
+    r = e^{-alpha/n_max} the zeros on the unit circle sit alpha/n_max off
+    the contour, the aliased tail decays like r^m <= e^{-36}, and dividing
+    by r^n_max = e^{-alpha} costs at most a factor e^alpha in round-off; r
+    and m do not depend on the degree of chi.  The contour is raised to
+    enclose every zero inside the unit disk, so such a zero still winds
+    arg w and A_n != B_n reports it; a zero within UNIT_ROOT_TOL of the
+    circle counts as on it.
 
-    For a HelicitySeries ``grid_size`` is only a lower bound, unrelated to
-    the grid the series was read from: reciprocity runs pass 4 n_max + 4, so
-    their A_n = B_n check runs on the series' own grid, max(4 n_max + 4, rho
-    rule), whatever the dataset grid; ``coeffs`` passes its ``--grid-size``.
+    ``grid_size`` is only a lower bound on m for a HelicitySeries, unrelated
+    to the grid the series was read from: reciprocity runs pass 4 n_max + 4,
+    so their A_n = B_n check runs on the contour's own m, whatever the
+    dataset grid; ``coeffs`` passes its ``--grid-size``.  Raw-sample inputs
+    are analyzed directly on their own grid, the unit circle, and should be
+    zero-free.
     """
     if n_max < 0:
         raise ValueError(f"n_max must be >= 0, got {n_max}")
@@ -329,21 +328,10 @@ def log_coefficients(chi, n_max: int, grid_size: int) -> ConjugateCoefficients:
         c0 = chi.c[0]
         if c0 <= 0.0:
             raise ValueError(f"c_0 = {c0:.3e} must be positive for the log expansion")
-        moduli = np.abs(chi.roots)
-        on_circle = chi.roots[np.abs(moduli - 1.0) <= UNIT_ROOT_TOL]
-        rho = _nearest_off_circle(moduli)
-        needed = np.log(1.0 / np.finfo(float).eps) / np.log(rho)  # 0 without such roots
-        analysis = max(4 * n_max + 4, 4 * int(np.ceil(needed / 4)))
-        if analysis > MAX_ANALYSIS_GRID:
-            raise ValueError(f"analysis grid of {analysis} points (n_max {n_max}, root at |z| = "
-                             f"{rho:.9f}) is above the ceiling {MAX_ANALYSIS_GRID}")
-        grid_size = max(grid_size, analysis)
-        # deflated factor R(z)/R(0): the unit roots divided out of the coefficients
-        quotient = _deflate(chi.c, np.polynomial.polynomial.polyfromroots(on_circle).real)
-        w = polynomial_values(quotient, grid_size) / quotient[0]
-        n = np.arange(1, n_max + 1)
-        unit_terms = np.zeros(n_max + 1)
-        unit_terms[1:] = -np.cos(np.outer(np.angle(on_circle), n)).sum(axis=0) / n
+        log_r, m = _contour(np.abs(chi.roots), n_max)
+        grid_size = max(grid_size, m)
+        w = polynomial_values(chi.c / c0 * np.exp(log_r * np.arange(len(chi.c))), grid_size)
+        growth = np.exp(-log_r * np.arange(n_max + 1))  # r^-n
     else:
         if grid_size < 4 * n_max + 4:
             raise ValueError(f"grid_size {grid_size} too small for n_max {n_max}")
@@ -354,11 +342,11 @@ def log_coefficients(chi, n_max: int, grid_size: int) -> ConjugateCoefficients:
         if abs(c0) == 0.0:
             raise ValueError("c_0 (sample mean) vanishes; log expansion undefined")
         w = samples / c0
-        unit_terms = 0.0
+        growth = 1.0
 
     phase = _anchor_unwrapped(unwrap(np.angle(w)).phase)
     a, b = cos_sin_coefficients(np.log(np.abs(w)) + 1j * phase, n_max)
-    return ConjugateCoefficients(a.real + unit_terms, b.real + unit_terms, grid_size)
+    return ConjugateCoefficients(a.real * growth, b.real * growth, grid_size)
 
 
 @dataclass(frozen=True)

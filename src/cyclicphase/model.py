@@ -177,6 +177,9 @@ class Trajectory:
 #: RK4 states, or closed-form points, computed together; bounds the temporaries
 RK4_CHUNK = 4096
 
+#: integrate_ode forms a chunk's powers as RK4_SIDE x RK4_SIDE outer products
+RK4_SIDE = 64
+
 
 def _rk4_increments(g: float, phase, h: float, d: float):
     """(alpha, beta) of D_n = (h/6)(K1 + 2 K2 + 2 K3 + K4), one per drive phase.
@@ -267,12 +270,17 @@ def integrate_ode(params: ModelParams, initial, s_span=(-np.pi, np.pi),
         # the drift is taken block by block, so that no temporary spans the
         # trajectory; np.maximum, not max, so that a nan state still reads nan
         drift = _norm_drift(states[:1])
+        # e^{n rate} for step n = i0 + RK4_SIDE a + b is the product of a row
+        # factor (one exp per a) and a column factor (b, once per run)
+        rates = np.array([[complex(log_mu, theta)], [1j * d]])
+        cols = np.exp(rates * np.arange(RK4_SIDE))
         for i0 in range(1, nsteps + 1, RK4_CHUNK):
-            n = np.arange(i0, min(i0 + RK4_CHUNK, nsteps + 1), dtype=float)
-            w = np.exp(n * complex(log_mu, theta))  # mu^n e^{i n theta}
+            size = min(RK4_CHUNK, nsteps + 1 - i0)
+            row = i0 + RK4_SIDE * np.arange(-(-size // RK4_SIDE))
+            rows = np.exp(rates * row)  # mu^n e^{i n theta}; e^{i n d}, U^n = cos nd I + sin nd J
+            w, z = (np.multiply.outer(r, c).ravel()[:size] for r, c in zip(rows, cols))
             x0, x1 = w.real * u + w.imag * ku, w.real * v + w.imag * kv
-            z = np.exp(1j * d * n)  # U^n = cos nd I + sin nd J
-            block = states[i0:i0 + n.size]
+            block = states[i0:i0 + size]
             block[:, 0] = z.real * x0 + z.imag * x1
             block[:, 1] = z.real * x1 - z.imag * x0
             drift = np.maximum(drift, _norm_drift(block))

@@ -67,8 +67,9 @@ def offset_grid(m_samples: int) -> np.ndarray:
     contain s = +-pi/2 exactly.
     """
     _check_grid_size(m_samples)
-    h = 2.0 * np.pi / m_samples
-    return -np.pi + (np.arange(m_samples) + 0.5) * h
+    s = np.arange(0.5, m_samples)  # j + 1/2, exactly, then scaled and shifted in place
+    s *= 2.0 * np.pi / m_samples
+    return np.subtract(s, np.pi, out=s)
 
 
 def spectrum(values: np.ndarray, n_max: int) -> np.ndarray:

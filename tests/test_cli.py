@@ -419,6 +419,14 @@ class TestOtherCommands:
         assert code == 0
         assert "n= 10" in out
 
+    def test_coeffs_at_large_k(self, capsys):
+        # the roots of the degree-120002 series lie 1.7e-5 off the unit
+        # circle; the contour inside it reads them on 16384 points all the same
+        code, out, err = run_cli(capsys, "coeffs", "--k", "30000")
+        assert code == 0, err
+        assert '"analysis_grid_size": 16384' in out
+        assert '"max_relative_discrepancy": 0.0' in out
+
     def test_berry_output(self, capsys):
         code, out, _ = run_cli(capsys, "berry", "--k", "1",
                                "--grid-size", "4096")

@@ -263,7 +263,7 @@ class TestCoefficientCase:
             run_coefficient_case(fig_params("fig3"))
 
     @pytest.mark.parametrize("params, n_max, grid, analysed", [
-        (model.params_from_k(100), 10, 64, 6904),  # raised to resolve the root at |z| = 1.005
+        (model.params_from_k(100), 10, 64, 512),  # raised to the contour's 2^9 >= 36 n_max
         (fig_params("fig2"), 200, 16384, 16384),
     ])
     def test_reports_the_analysis_grid(self, params, n_max, grid, analysed):

@@ -16,7 +16,7 @@ from conftest import (
 )
 from cyclicphase import model
 from cyclicphase.hilbert import (
-    _deflate,
+    MAX_ANALYSIS_GRID,
     _quadrature_kernel_fft,
     coefficient_equality_check,
     log_coefficients,
@@ -25,7 +25,7 @@ from cyclicphase.hilbert import (
     phase_from_modulus,
     unwrap,
 )
-from cyclicphase.trigpoly import HelicitySeries, offset_grid
+from cyclicphase.trigpoly import HelicitySeries, offset_grid, root_check
 
 METHODS = ("series", "quadrature")
 
@@ -368,17 +368,44 @@ class TestLogCoefficients:
         assert np.max(np.abs(coeffs.A - expected)) <= 3e-14
         assert np.max(np.abs(coeffs.B[1:] - expected[1:])) <= 3e-14
 
-    def test_deflation_leaves_the_mismatch_at_the_join(self, rng):
-        # f no longer divides c: the quotient matches c from both ends, and
-        # f times it misses c only at the deg f = 4 degrees after the join
+    @pytest.mark.parametrize("k", [17, 100, 1000, 10_000])
+    def test_contour_vs_40_digit_log_series(self, k):
+        # reciprocity's check: 2048 points on |z| = e^{-1/50} for every k,
+        # though the degree-(4k + 2) series has roots 1e-4 off the circle at
+        # k = 10^4 and the unit circle would need ~10^6 points to resolve them
+        helicity = model.helicity_series(model.params_from_k(k))
+        coeffs = log_coefficients(helicity, 50, 4 * 50 + 4)
+        expected = log_series_oracle(helicity.c, 50)
+        assert coeffs.grid_size == 2048
+        assert np.max(np.abs(coeffs.A - expected)) <= 3e-14
+        assert np.max(np.abs(coeffs.B[1:] - expected[1:])) <= 3e-14
+
+    def test_zeros_inside_the_disk_are_enclosed(self):
+        # zeros 0.99 e^{+-i} lie outside |z| = e^{-1/50} = 0.980: read there,
+        # log chi would be analytic and A_n = B_n (8e-8); the contour is
+        # raised to |z| = 0.995 around them, and arg w winds
         poly = np.polynomial.polynomial
-        f = poly.polyfromroots([1j, 1j, -1j, -1j]).real
-        c = poly.polymul(rng.standard_normal(41), f)
-        c[[0, -1]] += 1e-6
-        mismatch = np.abs(poly.polymul(_deflate(c, f), f) - c)
-        at_join = np.arange(20, 24)  # the quotient's 41 terms split 20 + 21
-        assert np.max(np.delete(mismatch, at_join)) <= 1e-13
-        assert np.max(mismatch[at_join]) >= 1e-7
+        roots = [0.99 * np.exp(1j), 0.99 * np.exp(-1j), 1j, 1j, -1j, -1j,
+                 1.5, -2.0, 1.3 + 0.4j, 1.3 - 0.4j]
+        c = poly.polyfromroots(roots).real
+        helicity = HelicitySeries(c * np.sign(c[0]))
+        assert not root_check(helicity).passed
+        coeffs = log_coefficients(helicity, 50, 204)
+        assert coeffs.grid_size == 8192  # 36 / ln(1 / 0.995) = 7181 points, rounded up
+        assert coefficient_equality_check(coeffs).max_relative > 1e-2
+
+    def test_largest_n_max_fits_the_ceiling(self):
+        # n_max = 2^18 - 1 would need 36 n_max points at alpha = 1; alpha is
+        # raised to 9.0 and the contour takes MAX_ANALYSIS_GRID = 2^20 points.
+        # log(1 + z^2) = sum_j (-1)^(j+1) z^(2j) / j, with its zeros on the circle
+        n_max = 2 ** 18 - 1
+        coeffs = log_coefficients(HelicitySeries(np.array([1.0, 0.0, 1.0])), n_max, 64)
+        j = np.arange(1, n_max // 2 + 1)
+        expected = np.zeros(n_max + 1)
+        expected[2 * j] = (-1.0) ** (j + 1) / j
+        assert coeffs.grid_size == MAX_ANALYSIS_GRID
+        assert np.max(np.abs(coeffs.A - expected)) <= 1e-12
+        assert np.max(np.abs(coeffs.B[1:] - expected[1:])) <= 1e-12
 
     @pytest.mark.parametrize("roots", [
         [1.0, -1.0, 1.5, -2.0, 1.2 + 0.5j, 1.2 - 0.5j],  # simple unit roots z = +-1
@@ -392,10 +419,10 @@ class TestLogCoefficients:
         assert np.max(np.abs(coeffs.B[1:] - expected[1:])) < 1e-12
 
     @pytest.mark.parametrize("k, dataset_grid, own_grid", [
-        (1, 32768, 204), (17, 16384, 1172), (100, 16384, 6904)])
+        (1, 32768, 2048), (17, 16384, 2048), (100, 16384, 2048)])
     def test_own_grid_against_dataset_grid(self, k, dataset_grid, own_grid):
-        # reciprocity's A_n = B_n check runs on max(4 n_max + 4, rho rule)
-        # points, whatever the dataset grid
+        # reciprocity's A_n = B_n check runs on the contour's 2^11 >= 36 n_max
+        # points for every k, whatever the dataset grid
         helicity = model.evaluate_model(model.params_from_k(k), dataset_grid).helicity
         own = log_coefficients(helicity, 50, 4 * 50 + 4)
         on_dataset_grid = log_coefficients(helicity, 50, dataset_grid)
@@ -434,14 +461,14 @@ class TestLogCoefficients:
             log_coefficients(HelicitySeries(np.array([1.0, 0.0, 0.5])), -1, 64)
 
     def test_coarse_grid_raised_to_resolve_chi(self):
-        # k = 100: the root nearest the circle has |z| = 1.005236, and
-        # ln(1/eps) / ln|z| = 6901.9 rounds up to 6904 points; on the
-        # caller's 64 points log R aliases (A_n != B_n by 21 %)
+        # k = 100, n_max = 10: the contour |z| = e^{-1/10} takes 512 >= 360
+        # points, whatever the caller's 64, and none of the degree-402 series'
+        # root moduli (the nearest off the circle 1.005236) enter the rule
         helicity = model.evaluate_model(model.params_from_k(100), 1024).helicity
         coeffs = log_coefficients(helicity, 10, 64)
-        on_6904 = log_coefficients(helicity, 10, 6904)
-        assert np.array_equal(coeffs.A, on_6904.A) and np.array_equal(coeffs.B, on_6904.B)
-        assert coeffs.grid_size == on_6904.grid_size == 6904
+        on_512 = log_coefficients(helicity, 10, 512)
+        assert np.array_equal(coeffs.A, on_512.A) and np.array_equal(coeffs.B, on_512.B)
+        assert coeffs.grid_size == on_512.grid_size == 512
         report = coefficient_equality_check(coeffs)
         assert report.max_relative == 0.0
         assert abs(report.a0) < 1e-15
@@ -456,7 +483,7 @@ class TestLogCoefficients:
         assert np.array_equal(coeffs.A, on_204.A) and np.array_equal(coeffs.B, on_204.B)
 
     @pytest.mark.parametrize("radius, n_max", [
-        (1.0 + 1e-6, 5),     # the root would need ~3.6e7 points
+        (1.0 - 1e-6, 5),     # the contour |z| = 1 - 5e-7 around the root needs 2^27 points
         (2.0, 2 ** 18),      # n_max would need 4 n_max + 4 = 2^20 + 4 points
     ])
     def test_analysis_grid_ceiling(self, radius, n_max):

@@ -54,7 +54,9 @@ import numpy as np
 #: whose note line (rho, the nearest root off the unit circle; its min |z|
 #: reads 1 for every integer k) sizes a change to the large-k roots; last, two
 #: k = 17 runs on 65536 points that write their datasets, the only ones above
-#: 32768 rows, the second the only cyclic quadrature dataset (JSON)
+#: 32768 rows, the second the only cyclic quadrature dataset (JSON); and two
+#: large-k reads of A_n = B_n, whose roots lie 1.7e-5 and 5e-4 off the unit
+#: circle (coeffs at k = 30000, reciprocity at k = 1000)
 COMMANDS = (
     ("reciprocity", "--preset", "fig1", "--out", "{out}/fig1"),
     ("reciprocity", "--preset", "fig2", "--format", "json", "--out", "{out}/fig2"),
@@ -106,6 +108,8 @@ COMMANDS = (
     ("reciprocity", "--k", "17", "--grid-size", "65536", "--out", "{out}/k17-65536"),
     ("reciprocity", "--k", "17", "--grid-size", "65536", "--method", "quadrature",
      "--format", "json", "--out", "{out}/k17-65536-quad"),
+    ("coeffs", "--k", "30000"),
+    ("reciprocity", "--k", "1000", "--grid-size", "16384"),
 )
 
 
