@@ -382,8 +382,8 @@ class TestLogCoefficients:
 
     def test_zeros_inside_the_disk_are_enclosed(self):
         # zeros 0.99 e^{+-i} lie outside |z| = e^{-1/50} = 0.980: read there,
-        # log chi would be analytic and A_n = B_n (8e-8); the contour is
-        # raised to |z| = 0.995 around them, and arg w winds
+        # log chi would be analytic and A_n = B_n (to 1.3e-11); the contour
+        # is raised to |z| = 0.995 around them, and arg w winds (175)
         poly = np.polynomial.polynomial
         roots = [0.99 * np.exp(1j), 0.99 * np.exp(-1j), 1j, 1j, -1j, -1j,
                  1.5, -2.0, 1.3 + 0.4j, 1.3 - 0.4j]
