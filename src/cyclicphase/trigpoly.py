@@ -35,8 +35,9 @@ ROOT_TOL = 1e-9
 #: each plain Newton pass and the gated polish
 MAX_SWEEPS = 100
 
-#: roots closer than this (balanced coordinates) are one multiple root; see
-#: _refine_root_clusters for the wider reach of ill-conditioned ones
+#: roots closer than this (balanced coordinates), or joined by a chain of such
+#: roots, are one multiple root; see _refine_root_clusters for the wider
+#: reach of ill-conditioned ones
 _CLUSTER_TOL = 1e-5
 
 
@@ -268,59 +269,49 @@ def _newton(weights: tuple[np.ndarray, np.ndarray], x: np.ndarray) -> np.ndarray
     return x
 
 
-def _clusters(roots: np.ndarray, reach: np.ndarray) -> list[np.ndarray]:
-    """Index sets of two or more roots closer to the set's first member than both reaches.
-
-    Roots i and j are close when |roots[i] - roots[j]| < reach[i] + reach[j],
-    tested for every pair at once in one d x d matrix, whose diagonal (each
-    root against itself, reach > 0) is true.  Each set grows from its first
-    member in root order.
-    """
-    near = np.abs(roots[:, None] - roots) < reach[:, None] + reach
-    used = np.count_nonzero(near, axis=1) < 2
-    clusters = []
-    for i in np.flatnonzero(~used).tolist():
-        if not used[i]:
-            members = ~used & near[i]
-            used |= members
-            clusters.append(np.flatnonzero(members))
-    return clusters
-
-
 def _refine_root_clusters(c: np.ndarray, roots: np.ndarray, newton: np.ndarray,
                           tol: float) -> np.ndarray:
     """Polish the multiple and the real roots of sum_m c[m] z^m.
 
-    A cluster of m roots (:func:`_clusters`) is treated as one root of
-    multiplicity m and refined by Newton iteration on the (m-1)-th
-    derivative, where it is simple: the backward-error gate of the iteration
-    leaves a double root with O(sqrt(eps)) errors, too coarse for the
-    unit-circle gate.  Each root reaches tol / 2, or four Newton steps
-    (newton, :func:`_eig_roots`) where that is more, up to 50 tol: the
+    Roots i and j are close when |roots[i] - roots[j]| < reach[i] + reach[j]
+    (every pair at once, in one d x d matrix), and a cluster is a connected
+    component of that graph.  Each root reaches tol / 2, or four Newton
+    steps (newton, :func:`_eig_roots`) where that is more, up to 50 tol: the
     approximations of an m-fold root lie about m Newton steps from it, at
-    most 2 m apart, and this holds them together for m <= 4 however far
-    ill-conditioning leaves them.  A root in no cluster within its reach of
-    the real axis is real, as its conjugate would be in its cluster; it and
-    any cluster centred within tol / 2 of the axis are refined from their
-    real part, so they stay real.  Other simple roots are kept as they are.
+    most 2 m apart, and this joins them for m <= 4 however far
+    ill-conditioning leaves them.  A cluster of m roots is one root of
+    multiplicity m, refined by Newton iteration on the (m-1)-th derivative,
+    where it is simple: the backward-error gate of the iteration leaves a
+    double root with O(sqrt(eps)) errors, too coarse for the unit-circle
+    gate.  A cluster with a member within its reach of the real axis is one
+    real root, refined from its real part.  No other edge crosses the axis,
+    and conjugation maps the graph onto itself, so of the other clusters
+    only those above the axis are refined, and each root below takes the
+    conjugate of its mirror image's result: an input closed under
+    conjugation stays closed.  Other simple roots are kept as they are.
     Roots of one multiplicity are polished together; where Newton does not
     lower the backward error, or moves further than 100 tol, the start is
     kept.
     """
+    d = len(roots)
     reach = np.fmin(np.fmax(4.0 * newton, tol / 2), 50.0 * tol)
-    clusters = _clusters(roots, reach)
-    clustered = np.zeros(len(roots), dtype=bool)
-    for members in clusters:
-        clustered[members] = True
-    real = ~clustered & (np.abs(roots.imag) < reach)
-    clusters += np.flatnonzero(real)[:, None].tolist()
-    if not clusters:
-        return roots
+    near = np.abs(roots[:, None] - roots) < reach[:, None] + reach
+    label = np.arange(d)
+    while True:  # each root takes the least label of its neighbours, until none changes
+        merged = np.min(np.where(near, label, d), axis=1)
+        if np.array_equal(merged, label):
+            break
+        label = merged
+    real = np.isin(label, label[np.abs(roots.imag) < reach])
+    multiple = np.bincount(label, minlength=d)[label] > 1
+    lower = ~real & multiple & (roots.imag < 0)
+    heads = np.unique(label[real | (multiple & (roots.imag > 0))])  # a label is its least member
+    clusters = [np.flatnonzero(label == i) for i in heads]
     mult = np.array([len(members) for members in clusters])
     x0 = np.array([roots[members].mean() for members in clusters])
-    x0 = np.where(np.abs(x0.imag) < tol / 2, x0.real, x0)
+    x0 = np.where(real[heads], x0.real, x0)
     poly = np.polynomial.polynomial  # loaded on first use, not at import
-    roots = roots.copy()
+    refined = roots.copy()
     for mu in set(mult.tolist()):
         sel = np.flatnonzero(mult == mu)
         weights, start = _weights(poly.polyder(c, mu - 1)), x0[sel]
@@ -329,8 +320,10 @@ def _refine_root_clusters(c: np.ndarray, roots: np.ndarray, newton: np.ndarray,
         p, n = np.abs(p), len(sel)  # polished first, then start
         worse = (p[:n] * bound[n:] > p[n:] * bound[:n]) | (np.abs(polished - start) > 100 * tol)
         for i, x in zip(sel.tolist(), np.where(worse, start, polished)):
-            roots[clusters[i]] = x
-    return roots
+            refined[clusters[i]] = x
+    mirror = np.argmin(np.abs(roots[lower, None] - roots.conj()), axis=1)
+    refined[lower] = refined[mirror].conj()
+    return refined
 
 
 def _branch_roots(c0: float, c2: float, c_lo: float, c_hi: float, k: int) -> np.ndarray | None:
@@ -435,10 +428,13 @@ def _eig_roots(q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     balanced q (Edelman & Murakami, Math. Comp. 64, 1995).  Newton takes
     them to round-off (:func:`_newton`), which separates simple roots too
     close to cluster but too ill-conditioned for the gate alone, and
-    :func:`_polish` then holds each to the gate.  Returns the roots and
-    |p / p'| at each, the length of a Newton step there: about the root's
-    distance to the exact root, or a 1/m part of it next to a root of
-    multiplicity m.
+    :func:`_polish` then holds each to the gate.  The eigensolve of a real
+    matrix returns the roots off the real axis in exact conjugate pairs, and
+    each Newton step does the same arithmetic on a root and on its
+    conjugate, so the pairs stay exact (:func:`_refine_root_clusters`
+    mirrors on them).  Returns the roots and |p / p'| at each, the length of
+    a Newton step there: about the root's distance to the exact root, or a
+    1/m part of it next to a root of multiplicity m.
 
     Raises
     ------
@@ -471,13 +467,12 @@ def polynomial_roots(c: np.ndarray) -> np.ndarray:
     of the companion matrix of P(rho w) with rho = |c_0 / c_d|^(1/d), the
     geometric mean of the root moduli, which balances the coefficients;
     Newton then takes each root to round-off and on to the backward-error
-    gate (:func:`_eig_roots`).  Multiple
-    and real roots are then polished on the coefficients c themselves
+    gate (:func:`_eig_roots`), in exact conjugate pairs.  Multiple and real
+    roots are then polished on the coefficients c themselves
     (:func:`_refine_root_clusters`): the balancing perturbs them by
-    O(|log(c_m / c_0)| eps), which can move a double root by ~1e-12.  The
-    eigensolve of the real companion matrix returns the roots off the real
-    axis in exact conjugate pairs, and each Newton step does the same
-    arithmetic on a root and on its conjugate.
+    O(|log(c_m / c_0)| eps), which can move a double root by ~1e-12.  A
+    multiple root off the axis is refined above it and mirrored below, so
+    the set returned is closed under conjugation.
 
     Raises
     ------

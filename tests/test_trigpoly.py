@@ -395,6 +395,29 @@ class TestRootCheck:
         assert np.max(backward_error(c, result.roots)) <= 4 * d * np.finfo(float).eps
         assert not result.passed
 
+    @pytest.mark.parametrize("extra", [[], [2.0], [-1.5], [1.5 + 0.5j, 1.5 - 0.5j]],
+                             ids=["1", "z-2", "z+1.5", "(z-1.5)^2+0.25"])
+    @pytest.mark.parametrize("mu", [2, 3, 4, 5])
+    def test_multiple_real_root_keeps_conjugate_pairs(self, mu, extra):
+        # (z - a)^mu e(z): next to the multiple real root a greedy cluster walk
+        # could take a complex root's partner and leave the set unpaired
+        for a in np.linspace(0.3, 2.5, 23):
+            c = np.polynomial.polynomial.polyfromroots([a] * mu + extra).real
+            d = len(c) - 1
+            roots = polynomial_roots(c)
+            assert len(roots) == d
+            assert np.array_equal(np.sort_complex(roots), np.sort_complex(roots.conj())), a
+            assert np.max(backward_error(c, roots)) <= 4 * d * np.finfo(float).eps
+
+    @pytest.mark.parametrize("a, mu, extra", [(0.5, 4, [2.0]), (1.49, 3, [-1.5]),
+                                              (2.11, 5, [])],
+                             ids=["(z-0.5)^4(z-2)", "(z-1.49)^3(z+1.5)", "(z-2.11)^5"])
+    def test_multiple_real_root_found_to_full_accuracy(self, a, mu, extra):
+        c = np.polynomial.polynomial.polyfromroots([a] * mu + extra).real
+        roots = polynomial_roots(c)
+        assert np.array_equal(np.sort_complex(roots), np.sort_complex(roots.conj()))
+        assert np.count_nonzero(np.abs(roots - a) <= 1e-12) == mu
+
     @settings(max_examples=40, deadline=None)
     @given(pairs=st.lists(st.tuples(st.floats(1.02, 3.0), st.floats(-0.4, 0.4)),
                           min_size=1, max_size=55),
