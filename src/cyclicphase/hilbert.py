@@ -12,6 +12,11 @@ Folding the whole-line kernel over periods gives the equivalent single-period
 form with kernel (1/2) cot((s' - s)/2), which the quadrature method evaluates
 on the interleaved half grid so the singular point is never a node.
 
+H is diagonal in frequency and maps an even f to an odd H[f] and the
+reverse.  The curves of a cyclic run have that parity exactly on the offset
+grid (s_{m-1-j} = -s_j), and such an input is transformed from its first
+half at half the FFT length; any other input at full length.
+
 For a function chi(s) = sum_{m>=0} c_m e^{ims} with c_0 > 0 whose polynomial
 has no zeros inside the unit disk, log(chi/c_0) = sum_{n>0} C_n e^{ins} with
 real C_n, so its real and imaginary boundary parts are the conjugate pair
@@ -87,13 +92,80 @@ def _quadrature_kernel_fft(m: int) -> np.ndarray:
     return np.conjugate(spectrum, out=spectrum)
 
 
+def _parity(f: np.ndarray) -> float:
+    """1.0 if f[j] == f[m-1-j] for every j, -1.0 if f[j] == -f[m-1-j], else 0.0.
+
+    s_{m-1-j} = -s_j on the offset grid, so these are the exactly even and
+    odd samples under s -> -s.
+    """
+    half = len(f) // 2
+    head, tail = f[:half], f[:half - 1:-1]
+    # the first pair settles all but a zero first sample in O(1)
+    if head[0] == tail[0] and np.array_equal(head, tail):
+        return 1.0
+    if head[0] == -tail[0] and np.array_equal(head, np.negative(tail)):
+        return -1.0
+    return 0.0
+
+
+def _half_length_hilbert(f: np.ndarray, mu: np.ndarray, parity: float) -> np.ndarray:
+    """H[f] of an exactly even (parity 1) or odd (parity -1) f, from its first half.
+
+    Bin n of the rfft of f is e^{i pi n/m} times a real cosine transform
+    (even f) or sine transform (odd f) of its first half x, and H multiplies
+    it by i mu_n: the result has the opposite parity, and its half transform
+    is mu_n times the input's.  Both are taken with one real FFT of length
+    m/2 (Makhoul, IEEE Trans. ASSP 28, 1980).  x is gathered as x_0, x_2, ...,
+    then ..., x_3, x_1, the even-indexed part negated for an odd f (a sine
+    transform is the cosine transform of (-1)^j x at reversed frequencies).
+    After the twiddle e^{-i pi n/m}, n = 0..m/4, bin n of its rfft holds the
+    transform at n in its real part and at m/2 - n in its imaginary part;
+    each is scaled by its mu (read reversed for an odd f) and the two parts
+    are swapped.  The conjugate twiddle and an irfft give the result's first
+    half in the gathered order, its odd-indexed part negated for an odd
+    result, and the second half is written as the mirror of the first.
+    """
+    m = len(f)
+    half, quarter = m // 2, m // 4
+    v = np.empty(half)
+    np.multiply(f[0:half:2], parity, out=v[:quarter])
+    v[quarter:] = f[half - 1:0:-2]
+    spectrum = np.fft.rfft(v)
+    del v
+    # e^{-i pi n/m} for n = width r + c: a row factor times a column factor
+    width = int(np.sqrt(quarter)) + 1
+    rows = np.exp(-1j * np.pi / m * width * np.arange(quarter // width + 1))
+    columns = np.exp(-1j * np.pi / m * np.arange(width))
+    twiddle = np.multiply.outer(rows, columns).reshape(-1)[:quarter + 1]
+    spectrum *= twiddle
+    if parity < 0:
+        mu = mu[::-1]
+    re = spectrum.real * mu[:quarter + 1]
+    np.multiply(spectrum.imag, mu[:quarter - 1:-1], out=spectrum.real)
+    spectrum.imag = re
+    del re
+    spectrum *= np.conjugate(twiddle, out=twiddle)
+    del twiddle
+    u = np.fft.irfft(spectrum, half)
+    del spectrum
+    out = np.empty(m)
+    out[0:half:2] = u[:quarter]
+    np.multiply(u[:quarter - 1:-1], -parity, out=out[1:half:2])
+    np.multiply(out[half - 1::-1], -parity, out=out[half:])
+    return out
+
+
 def periodic_hilbert(samples, method: str = "series",
                      fejer_order: int | None = None) -> np.ndarray:
     """H[f](s_j) for real samples f(s_j) on the offset grid.
 
-    Both methods are one multiplier on the real-input spectrum: an rfft of
-    the m samples, the m/2 + 1 bins n = 0..m/2 scaled in place, and an irfft
-    back to m real points.
+    Both methods are one real multiplier i mu_n on the frequencies
+    n = 0..m/2 of the real input.  An input that is exactly even or odd
+    under s -> -s (f[j] == +-f[m-1-j], as the cyclic curves are) is
+    transformed from its first half, with one rfft and one irfft of length
+    m/2 (``_half_length_hilbert``).  Any other input takes an rfft of the m
+    samples, the m/2 + 1 bins scaled in place by i mu_n, and an irfft back
+    to m real points.  The two routes differ by round-off only.
 
     Parameters
     ----------
@@ -107,7 +179,8 @@ def periodic_hilbert(samples, method: str = "series",
         (1/2) cot((s'-s)/2) kernel on the interleaved offset sub-grid
         (spacing 2h), which places every evaluation point halfway between
         integration nodes; its multiplier is the conjugate half spectrum of
-        the real kernel (:func:`_quadrature_kernel_fft`).  That DFT is
+        the real kernel (:func:`_quadrature_kernel_fft`), of which the
+        half-length route takes the imaginary part.  That DFT is
         exactly i pi sign(n) with 0 on the Nyquist bin (Kak, "The discrete
         Hilbert transform", Proc. IEEE 58, 1970), and the Nyquist bin of a
         real input adds nothing to the real output, so the quadrature is the
@@ -121,13 +194,10 @@ def periodic_hilbert(samples, method: str = "series",
     f = _check_real_finite(samples)
     m = len(f)
     _check_grid_size(m)
-    multiplier = None
+    multiplier = weights = None
     if method == "series":
         if fejer_order is not None:
-            # i pi sign(n) on the rfft bins n = 0..m/2, with 0 on the Nyquist bin
-            multiplier = np.zeros(m // 2 + 1, dtype=complex)
-            multiplier[1:-1] = 1j * np.pi
-            multiplier *= np.maximum(0.0, 1.0 - np.arange(m // 2 + 1) / (fejer_order + 1.0))
+            weights = np.maximum(0.0, 1.0 - np.arange(m // 2 + 1) / (fejer_order + 1.0))
     elif method == "quadrature":
         if fejer_order is not None:
             raise ValueError("fejer_order applies to the series method only")
@@ -136,6 +206,21 @@ def periodic_hilbert(samples, method: str = "series",
         multiplier = _quadrature_kernel_fft(m)
     else:
         raise ValueError(f"unknown method {method!r}")
+    parity = _parity(f)
+    if parity:
+        if multiplier is not None:
+            mu = multiplier.imag
+        else:
+            mu = np.full(m // 2 + 1, np.pi)
+            mu[::m // 2] = 0.0
+            if weights is not None:
+                mu *= weights
+        return _half_length_hilbert(f, mu, parity)
+    if weights is not None:
+        # i pi sign(n) on the rfft bins n = 0..m/2, with 0 on the Nyquist bin
+        multiplier = np.zeros(m // 2 + 1, dtype=complex)
+        multiplier[1:-1] = 1j * np.pi
+        multiplier *= weights
     spectrum = np.fft.rfft(f)
     if multiplier is None:
         # the series multiplier bin by bin, with no array of it: the DC and
@@ -151,12 +236,13 @@ def phase_from_modulus(log_modulus, method: str = "series",
                        fejer_order: int | None = None) -> np.ndarray:
     """Reconstruct arg(chi/c_0) from samples of log|chi/c_0|.
 
-    The input mean is subtracted first: the expansion of log(chi/c_0) has no
-    constant term.  The input is never modified: the mean is taken off a
-    copy, and the transform's result is negated and divided by pi in place.
+    The input mean never reaches the result: the expansion of log(chi/c_0)
+    has no constant term, and the transform's multiplier is 0 at n = 0, so
+    no centred copy is formed.  The input is never modified: the transform's
+    result is negated and divided by pi in place.
     """
     f = _check_real_finite(log_modulus)
-    phase = periodic_hilbert(f - f.mean(), method, fejer_order)
+    phase = periodic_hilbert(f, method, fejer_order)
     np.negative(phase, out=phase)
     phase /= np.pi
     return phase
@@ -170,8 +256,9 @@ def modulus_from_phase(phase, method: str = "series",
     makes the underlying infinite-range principal-value integral diverge.
     A trend is detected from the endpoint mismatch and rejected above pi;
     remove it before calling (the non-cyclic pipeline detrends its phase, which
-    leaves a round-off mismatch).  As in :func:`phase_from_modulus`, the input
-    is never modified; the transform's result is divided by pi in place.
+    leaves a round-off mismatch).  As in :func:`phase_from_modulus`, the
+    input mean never reaches the result and the input is never modified; the
+    transform's result is divided by pi in place.
     """
     f = _check_real_finite(phase)
     mismatch = float(f[-1] - f[0])
@@ -180,7 +267,7 @@ def modulus_from_phase(phase, method: str = "series",
             f"phase endpoint mismatch {mismatch:.3f} rad exceeds {np.pi:.3f}: "
             f"linear trend detected; remove it before applying the reciprocal relation"
         )
-    modulus = periodic_hilbert(f - f.mean(), method, fejer_order)
+    modulus = periodic_hilbert(f, method, fejer_order)
     modulus /= np.pi
     return modulus
 

@@ -149,6 +149,15 @@ def evaluate_model(params: ModelParams, m_samples: int) -> ModelSignals:
     so that every trig factor on the grid is a 2m-th root of unity with an
     exact integer angle.  Its error is a few eps absolute, next to the zeros
     included, where ``phi1_values`` on the rounded grid points reads ~k eps.
+
+    phi1(-s) = conj phi1(s), so log|chi| is even and arg chi odd under
+    s -> -s, and s_{m-1-j} = -s_j.  Both curves are formed on the first half
+    of the grid (s < 0) and mirrored: the angle, the zero-aware unwrap and the
+    log are taken on m/2 points, and the unwrapped half is shifted by a
+    multiple of 2 pi onto the branch that is continuous through arg chi(0) = 0.
+    So log_modulus is exactly even and phase_chi exactly odd, bit for bit,
+    which is what sends both reconstructions down the half-length route of
+    ``hilbert.periodic_hilbert``.
     """
     if not params.cyclic:
         raise ValueError("evaluate_model requires a cyclic drive (integer K/omega)")
@@ -157,13 +166,21 @@ def evaluate_model(params: ModelParams, m_samples: int) -> ModelSignals:
     trigpoly.check_resolves(m_samples, n)
     hel = helicity_series(params)
     phi1 = _grid_phi1(params, m_samples)
-    raw = np.angle(phi1)
-    raw += n * grid
-    res = hilbert.unwrap(raw, zeros=DRIVE_ZEROS, grid=grid)
-    phase_chi = hilbert._anchor_unwrapped(res.phase)
-    log_modulus = np.abs(phi1)
-    log_modulus /= hel.c[0]
-    np.log(log_modulus, out=log_modulus)
+    half = m_samples // 2
+    raw = np.angle(phi1[:half])
+    raw += n * grid[:half]
+    head = hilbert.unwrap(raw, zeros=DRIVE_ZEROS, grid=grid[:half]).phase
+    # arg chi(0) = 0 (phi1(0) = 1): the branch that runs continuously through s = 0
+    head -= 2.0 * np.pi * np.round(head[-1] / (2.0 * np.pi))
+    phase_chi = np.empty(m_samples)
+    phase_chi[:half] = head
+    np.negative(head[::-1], out=phase_chi[half:])
+    log_modulus = np.empty(m_samples)
+    lm = log_modulus[:half]
+    np.abs(phi1[:half], out=lm)
+    lm /= hel.c[0]
+    np.log(lm, out=lm)
+    log_modulus[half:] = lm[::-1]
     return ModelSignals(params, grid, phi1, log_modulus, phase_chi, hel)
 
 

@@ -81,9 +81,11 @@ def spectrum(values: np.ndarray, n_max: int) -> np.ndarray:
     band-limited below m/2.  One FFT of the m samples is taken, but the
     offset-grid twiddle (-1)^n e^{-i pi n/m} and the 1/m scaling are formed on
     the returned bins only, so a narrow band costs O(m log m + n_max).  This is
-    the coefficient readout; an operator that is diagonal in frequency needs no
-    twiddle and is applied to a plain FFT instead (see
-    ``hilbert.periodic_hilbert``).
+    the coefficient readout.  An operator that is diagonal in frequency is
+    applied to a plain FFT of a general input, where the twiddle would cancel;
+    ``hilbert.periodic_hilbert`` forms the half-sample twiddle only for an
+    exactly even or odd input, whose cosine or sine transform it takes at half
+    the length.
 
     Raises
     ------

@@ -82,6 +82,20 @@ class TestPeriodicHilbert:
         twice = periodic_hilbert(periodic_hilbert(f, method), method)
         assert np.max(np.abs(twice + np.pi ** 2 * (f - f.mean()))) < 1e-8
 
+    @pytest.mark.parametrize("m", [4, 8, 12, 36, 512, 4100, 65536])
+    @pytest.mark.parametrize("method, fejer_order", [
+        ("series", None), ("series", 3), ("series", "m/2"), ("quadrature", None)])
+    def test_exact_parity_swap(self, m, method, fejer_order, rng):
+        # an exactly even input takes the half-length route and gives an
+        # exactly odd output, and the reverse, byte for byte: the route writes
+        # the result's first half and its mirror (m = 12, 36 and 4100: m/4 odd)
+        fejer_order = m // 2 if fejer_order == "m/2" else fejer_order
+        g = rng.standard_normal(m)
+        odd = periodic_hilbert(g + g[::-1], method, fejer_order)
+        assert odd[::-1].tobytes() == (-odd).tobytes()
+        even = periodic_hilbert(g - g[::-1], method, fejer_order)
+        assert even[::-1].tobytes() == even.tobytes()
+
     def test_parity_swap(self, rng):
         # even input maps to odd output and vice versa
         m = 512
@@ -114,14 +128,16 @@ class TestPeriodicHilbert:
     @given(m=st.integers(1, 1024).map(lambda q: 4 * q),
            method=st.sampled_from(METHODS),
            fejer_order=st.none() | st.integers(0, 5000),
-           kind=st.sampled_from(["normal", "spike", "decades"]),
+           kind=st.sampled_from(["normal", "spike", "decades", "even", "odd"]),
            seed=st.integers(0, 2 ** 32 - 1))
     def test_real_fft_agrees_with_complex_fft(self, m, method, fejer_order, kind, seed):
         # against ifft(fft(f) * multiplier).real on all m bins: series with
         # i pi sign(n) (times the Fejer weight of |n|), quadrature with the
         # conjugate full DFT of the cot kernel.  Both are one forward and one
         # inverse FFT, so they agree to c log2(m) eps max|f|; measured
-        # c <= 2.3 over 3000 inputs of these kinds up to m = 262144.  The
+        # c <= 2.3 over 3000 inputs of these kinds up to m = 262144.  An
+        # exactly even or odd input (f[j] = +-f[m-1-j]) takes the half-length
+        # route, two real FFTs of length m/2, and is held to the same bound.  The
         # reference kernel takes cot(pi d/m) at the angle folded below pi/2,
         # -cot(pi (m - d)/m) past it, so that its own round-off stays at eps,
         # as the package's does: at angles next to pi, cot would amplify the
@@ -134,8 +150,11 @@ class TestPeriodicHilbert:
         elif kind == "spike":
             f = np.zeros(m)
             f[rng.integers(m)] = 1.0
-        else:
+        elif kind == "decades":
             f = rng.uniform(-1.0, 1.0, m) * 10.0 ** rng.integers(-5, 5, m)
+        else:
+            f = rng.standard_normal(m)
+            f = f + f[::-1] if kind == "even" else f - f[::-1]
         n = frequencies(m)
         if method == "series":
             multiplier = 1j * np.pi * np.sign(n)
@@ -211,6 +230,23 @@ class TestReciprocalPair:
         lm_rec = modulus_from_phase(signals.phase_chi)
         d = (lm_rec - lm_oracle)[mask]
         assert np.sqrt(np.mean((d - d.mean()) ** 2)) < 1e-3
+
+    @pytest.mark.parametrize("method", METHODS)
+    @pytest.mark.parametrize("kind", ["even", "odd", "general"])
+    def test_input_mean_never_reaches_the_result(self, method, kind):
+        # no centred copy is formed: the multiplier is 0 at n = 0 on both
+        # routes, so a constant added to the input moves the result by
+        # round-off only (an odd curve plus a constant takes the full route)
+        m = 4100
+        s = offset_grid(m)
+        f = {"even": np.cos(3 * s) + 0.2 * np.cos(8 * s) - 0.6,
+             "odd": np.sin(3 * s) - 0.4 * np.sin(5 * s),
+             "general": 0.3 + np.cos(2 * s) - 0.4 * np.sin(5 * s)}[kind]
+        for reconstruct in (phase_from_modulus, modulus_from_phase):
+            plain = reconstruct(f, method)
+            for c in (-3.7, 1e-3, 2.5, 1e3):
+                bound = 8 * np.log2(m) * np.finfo(float).eps * np.max(np.abs(f + c))
+                assert np.max(np.abs(reconstruct(f + c, method) - plain)) <= bound
 
     def test_trend_rejection(self):
         s = offset_grid(256)

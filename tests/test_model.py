@@ -127,6 +127,20 @@ class TestEvaluateModel:
         assert np.max(np.abs(signals.log_modulus - log_modulus)) <= 1e-14
         assert np.max(np.abs(signals.phase_chi - phase_chi)) <= 2e-12
 
+    @pytest.mark.parametrize("k, m", [(k, m) for k in (1, 3, 17, 100, 1000)
+                                      for m in (8 * k + 8, 4100, 16384) if m >= 8 * k + 8])
+    def test_curves_have_exact_parity(self, k, m):
+        # log|chi| is even and arg chi odd under s -> -s, and s_{m-1-j} = -s_j:
+        # both curves are mirrored from the first half, byte for byte, on
+        # m = 4N + 4, m/4 odd and a power of two.  The phase crosses s = 0 on
+        # the branch of arg chi(0) = 0.  A full-grid unwrap read the odd
+        # phase to 2.3e-13 only (k = 100, m = 16384)
+        p = model.params_from_k(k)
+        signals = model.evaluate_model(p, m)
+        assert signals.log_modulus[::-1].tobytes() == signals.log_modulus.tobytes()
+        assert signals.phase_chi[::-1].tobytes() == (-signals.phase_chi).tobytes()
+        assert abs(signals.phase_chi[m // 2 - 1]) < np.pi / 2
+
     @pytest.mark.parametrize("k", [1, 17, 400])
     def test_series_does_not_depend_on_the_grid(self, k):
         p = model.params_from_k(k)

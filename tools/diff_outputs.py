@@ -56,7 +56,9 @@ import numpy as np
 #: k = 17 runs on 65536 points that write their datasets, the only ones above
 #: 32768 rows, the second the only cyclic quadrature dataset (JSON); and two
 #: large-k reads of A_n = B_n, whose roots lie 1.7e-5 and 5e-4 off the unit
-#: circle (coeffs at k = 30000, reciprocity at k = 1000)
+#: circle (coeffs at k = 30000, reciprocity at k = 1000); last, the only run
+#: of the quadrature multiplier on the half-length transform of a grid with
+#: m/4 odd (k = 3 on 4100 points)
 COMMANDS = (
     ("reciprocity", "--preset", "fig1", "--out", "{out}/fig1"),
     ("reciprocity", "--preset", "fig2", "--format", "json", "--out", "{out}/fig2"),
@@ -110,6 +112,8 @@ COMMANDS = (
      "--format", "json", "--out", "{out}/k17-65536-quad"),
     ("coeffs", "--k", "30000"),
     ("reciprocity", "--k", "1000", "--grid-size", "16384"),
+    ("reciprocity", "--k", "3", "--grid-size", "4100", "--method", "quadrature",
+     "--out", "{out}/k3-4100-quad"),
 )
 
 
