@@ -137,7 +137,8 @@ class TestPeriodicHilbert:
         # inverse FFT, so they agree to c log2(m) eps max|f|; measured
         # c <= 2.3 over 3000 inputs of these kinds up to m = 262144.  An
         # exactly even or odd input (f[j] = +-f[m-1-j]) takes the half-length
-        # route, two real FFTs of length m/2, and is held to the same bound.  The
+        # route, two real FFTs of length m/2, and is held to the same bound
+        # (measured c <= 2.6 on every m = 4..4096).  The
         # reference kernel takes cot(pi d/m) at the angle folded below pi/2,
         # -cot(pi (m - d)/m) past it, so that its own round-off stays at eps,
         # as the package's does: at angles next to pi, cot would amplify the
