@@ -91,22 +91,45 @@ def _wrapped_distance(s: np.ndarray, loc: float) -> np.ndarray:
     return np.minimum(d, 2.0 * np.pi - d)
 
 
-def exclusion_mask(s: np.ndarray, zeros, halfwidth: float) -> np.ndarray:
-    """True where s is at least halfwidth away from every listed zero."""
-    mask = np.ones_like(s, dtype=bool)
+def kept_runs(s: np.ndarray, zeros, halfwidth: float) -> list[tuple[int, int]]:
+    """Index runs [i, j), in order, of the samples of the ascending grid s that
+    are at least halfwidth from every listed zero (a location in [-pi, pi]).
+
+    A sample is kept where ``_wrapped_distance(s, loc) >= halfwidth`` for every
+    zero, so a nan half-width keeps none.  That predicate changes value only
+    where s crosses loc +- halfwidth or loc +- 2 pi -+ halfwidth, which
+    ``searchsorted`` places to within a sample.  The predicate is evaluated on
+    the two samples either side of each proposed end, on the sample after
+    them and on the first; each of these probes stands for the samples up to
+    the next, over which the predicate is constant.
+    """
+    m = len(s)
+    centres = np.array([loc + shift for loc, _ in zeros
+                        for shift in (-2.0 * np.pi, 0.0, 2.0 * np.pi)])
+    ends = np.searchsorted(s, np.concatenate([centres - halfwidth, centres + halfwidth]))
+    # a Python set, not np.unique, whose sort loops add ~1 MB to a run's resident code
+    probes = np.array(sorted({0}.union(*(range(max(e - 2, 0), min(e + 3, m))
+                                         for e in ends.tolist()))))
+    keep = np.ones(len(probes), dtype=bool)
     for loc, _ in zeros:
-        mask &= _wrapped_distance(s, loc) >= halfwidth
-    return mask
+        keep &= _wrapped_distance(s[probes], loc) >= halfwidth
+    edges = np.flatnonzero(np.diff(np.concatenate(([False], keep, [False]))))
+    bounds = np.append(probes, m)
+    return list(zip(bounds[edges[0::2]].tolist(), bounds[edges[1::2]].tolist()))
 
 
 def _masked_error_stats(reconstructed: np.ndarray, direct: np.ndarray,
-                        mask: np.ndarray) -> tuple[float, float]:
-    """RMS and max |d| of d = reconstructed - direct on the mask, less its mean.
+                        runs: list[tuple[int, int]]) -> tuple[float, float]:
+    """RMS and max |d| of d = reconstructed - direct on the kept runs, less its mean.
 
-    One masked copy is formed, and every step after it works in place on it.
+    The differences of the runs are written, in order, into one buffer of the
+    kept length, and every step after it works in place on that buffer.
     """
-    d = reconstructed[mask]
-    d -= direct[mask]
+    d = np.empty(sum(j - i for i, j in runs))
+    at = 0
+    for i, j in runs:
+        np.subtract(reconstructed[i:j], direct[i:j], out=d[at:at + j - i])
+        at += j - i
     d -= d.mean()  # curves are each defined up to the A_0 = 0 normalisation
     np.abs(d, out=d)
     largest = float(np.max(d))
@@ -204,8 +227,10 @@ def run_reciprocity_case(params: model.ModelParams, grid_size: int,
 
     Each column is formed once and then updated in place, and phi1 is dropped
     as soon as the curves (and, for a cyclic drive, the Berry phase) are read
-    from it.  The error statistics are taken first; then one (g - N) s ramp
-    turns both cyclic phase curves into physical phases.  No two columns share
+    from it.  The error statistics are taken first, over the index runs of the
+    samples at least exclusion_halfwidth from the amplitude zeros
+    (``kept_runs``), with no full-size mask; then one (g - N) s ramp turns
+    both cyclic phase curves into physical phases.  No two columns share
     memory.
     """
     if params.cyclic:
@@ -226,8 +251,8 @@ def run_reciprocity_case(params: model.ModelParams, grid_size: int,
         raw += n_eff * s
         ph_direct, slope = _detrended_phase(raw, s)
         del raw
-    mask = exclusion_mask(s, model.DRIVE_ZEROS, exclusion_halfwidth)
-    if not mask.any():
+    runs = kept_runs(s, model.DRIVE_ZEROS, exclusion_halfwidth)
+    if not runs:
         raise ValueError(f"exclusion half-width {exclusion_halfwidth} around the "
                          f"amplitude zeros leaves no sample for the error statistics")
     h = s[1] - s[0]
@@ -238,8 +263,8 @@ def run_reciprocity_case(params: model.ModelParams, grid_size: int,
              "tolerances are artifact-chosen (the underlying agreement is qualitative)"]
     ph_rec = hilbert.phase_from_modulus(lm_direct, method, fejer_order)
     lm_rec = hilbert.modulus_from_phase(ph_direct, method, fejer_order)
-    rms_ph, max_ph = _masked_error_stats(ph_rec, ph_direct, mask)
-    rms_lm, max_lm = _masked_error_stats(lm_rec, lm_direct, mask)
+    rms_ph, max_ph = _masked_error_stats(ph_rec, ph_direct, runs)
+    rms_lm, max_lm = _masked_error_stats(lm_rec, lm_direct, runs)
 
     if params.cyclic:
         ramp = _physical_ramp(params, s)

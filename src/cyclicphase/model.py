@@ -88,11 +88,15 @@ def phi1_values(params: ModelParams, s) -> np.ndarray:
     points: four libm calls per point, on 2ks and s as rounded to doubles,
     so its round-off grows like k eps.  ``verify``, non-cyclic drives and the
     amplitude at the zeros take this path; the offset grid of a cyclic drive
-    takes exact roots of unity instead (``evaluate_model``).
+    takes exact roots of unity instead (``evaluate_model``).  The factors are
+    formed RK4_CHUNK points at a time, so that the result is the only
+    full-size array.
     """
-    factors = _doublet_factors(params, s)
-    phi1 = np.empty(factors[0].shape, dtype=complex)
-    _doublet_slot(params, factors, 1, phi1)
+    points = np.asarray(s, dtype=float).reshape(-1)
+    phi1 = np.empty(points.shape, dtype=complex)
+    for i in range(0, len(points), RK4_CHUNK):
+        block = slice(i, i + RK4_CHUNK)
+        _doublet_slot(params, _doublet_factors(params, points[block]), 1, phi1[block])
     return phi1.reshape(np.shape(s))[()]  # a scalar for scalar s
 
 

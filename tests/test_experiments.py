@@ -15,7 +15,7 @@ from cyclicphase.experiments import (
     PRESETS,
     Table,
     emit_outputs,
-    exclusion_mask,
+    kept_runs,
     match_peaks,
     measure_berry_phase,
     peak_positions,
@@ -84,10 +84,45 @@ class TestPeakMachinery:
         assert unmatched == [1.0]
         assert list(extra) == [5.0]
 
-    def test_exclusion_mask_wraps(self):
+    def test_kept_runs_wrap(self):
         s = offset_grid(64)
-        mask = exclusion_mask(s, ((np.pi, 1),), 0.2)
-        assert not mask[0] and not mask[-1]  # both period ends are near s = pi
+        runs = kept_runs(s, ((np.pi, 1),), 0.2)
+        assert runs[0][0] > 0 and runs[-1][1] < len(s)  # both period ends are near s = pi
+
+
+def _kept_by_oracle(s, zeros, halfwidth):
+    """The kept samples, by the wrapped distance to each zero written out."""
+    keep = np.ones(len(s), dtype=bool)
+    for loc, _ in zeros:
+        d = np.abs(s - loc)
+        keep &= np.minimum(d, 2.0 * np.pi - d) >= halfwidth
+    return keep
+
+
+class TestKeptRuns:
+    ZERO_SETS = (model.DRIVE_ZEROS, ((np.pi, 1),), ((-np.pi, 1), (0.3, 1)))
+
+    @pytest.mark.parametrize("m", [8, 16, 64, 4100, 16384, 65536])
+    @pytest.mark.parametrize("zeros", ZERO_SETS)
+    def test_matches_the_oracle(self, m, zeros):
+        s = offset_grid(m)
+        # one half-width lands exactly on a sample's distance from the zero at
+        # pi/2, so that the boundary of >= is read
+        on_a_sample = abs(s[m // 3] - np.pi / 2)
+        for halfwidth in (0.0, -1.0, 1e-9, 0.05, np.pi / 2, 3.0, np.inf, np.nan,
+                          on_a_sample):
+            runs = kept_runs(s, zeros, halfwidth)
+            got = np.zeros(m, dtype=bool)
+            for i, j in runs:
+                got[i:j] = True
+            assert np.array_equal(got, _kept_by_oracle(s, zeros, halfwidth)), halfwidth
+            # ordered, non-empty and maximal: no two runs touch
+            assert all(i < j for i, j in runs)
+            assert all(a[1] < b[0] for a, b in zip(runs, runs[1:]))
+
+    def test_nan_halfwidth_leaves_no_sample(self):
+        with pytest.raises(ValueError, match="leaves no sample"):
+            run_reciprocity_case(fig_params("fig1"), 256, exclusion_halfwidth=np.nan)
 
 
 class TestReciprocityCase:

@@ -58,7 +58,9 @@ import numpy as np
 #: large-k reads of A_n = B_n, whose roots lie 1.7e-5 and 5e-4 off the unit
 #: circle (coeffs at k = 30000, reciprocity at k = 1000); last, the only run
 #: of the quadrature multiplier on the half-length transform of a grid with
-#: m/4 odd (k = 3 on 4100 points)
+#: m/4 odd (k = 3 on 4100 points); last, three exclusion half-widths other
+#: than the default: 0.3, 1.5 (which keeps only short runs at s = 0 and at
+#: both grid ends) and a non-cyclic 0.01 that writes its CSV
 COMMANDS = (
     ("reciprocity", "--preset", "fig1", "--out", "{out}/fig1"),
     ("reciprocity", "--preset", "fig2", "--format", "json", "--out", "{out}/fig2"),
@@ -114,6 +116,10 @@ COMMANDS = (
     ("reciprocity", "--k", "1000", "--grid-size", "16384"),
     ("reciprocity", "--k", "3", "--grid-size", "4100", "--method", "quadrature",
      "--out", "{out}/k3-4100-quad"),
+    *(("reciprocity", "--k", "17", "--grid-size", "4096", "--epsilon", epsilon)
+      for epsilon in ("0.3", "1.5")),
+    ("reciprocity", "--preset", "fig3", "--grid-size", "4096", "--epsilon", "0.01",
+     "--out", "{out}/fig3-epsilon"),
 )
 
 
