@@ -58,9 +58,9 @@ import numpy as np
 #: large-k reads of A_n = B_n, whose roots lie 1.7e-5 and 5e-4 off the unit
 #: circle (coeffs at k = 30000, reciprocity at k = 1000); last, the only run
 #: of the quadrature multiplier on the half-length transform of a grid with
-#: m/4 odd (k = 3 on 4100 points); last, three exclusion half-widths other
-#: than the default: 0.3, 1.5 (which keeps only short runs at s = 0 and at
-#: both grid ends) and a non-cyclic 0.01 that writes its CSV
+#: m/4 odd (k = 3 on 4100 points); and at the end three exclusion half-widths
+#: other than the default: 0.3, 1.5 (which keeps only short runs at s = 0 and
+#: at both grid ends) and a non-cyclic 0.01 that writes its CSV
 COMMANDS = (
     ("reciprocity", "--preset", "fig1", "--out", "{out}/fig1"),
     ("reciprocity", "--preset", "fig2", "--format", "json", "--out", "{out}/fig2"),
