@@ -15,7 +15,10 @@ on the interleaved half grid so the singular point is never a node.
 H is diagonal in frequency and maps an even f to an odd H[f] and the
 reverse.  The curves of a cyclic run have that parity exactly on the offset
 grid (s_{m-1-j} = -s_j), and such an input is transformed from its first
-half at half the FFT length; any other input at full length.
+half at half the FFT length.  They also repeat after pi (chi is a
+polynomial in z^2), and such an input holds only the even harmonics: one
+period of m/2 samples is transformed, at a quarter of the FFT length, and
+written twice.  Any other input is transformed at full length.
 
 For a function chi(s) = sum_{m>=0} c_m e^{ims} with c_0 > 0 whose polynomial
 has no zeros inside the unit disk, log(chi/c_0) = sum_{n>0} C_n e^{ins} with
@@ -109,33 +112,38 @@ def _parity(f: np.ndarray) -> float:
 
 
 def _half_length_hilbert(f: np.ndarray, mu: np.ndarray, parity: float) -> np.ndarray:
-    """H[f] of an exactly even (parity 1) or odd (parity -1) f, from its first half.
+    """H[f] of an exactly even (parity 1) or odd (parity -1) f, from half a period.
 
-    Bin n of the rfft of f is e^{i pi n/m} times a real cosine transform
-    (even f) or sine transform (odd f) of its first half x, and H multiplies
-    it by i mu_n: the result has the opposite parity, and its half transform
-    is mu_n times the input's.  Both are taken with one real FFT of length
-    m/2 (Makhoul, IEEE Trans. ASSP 28, 1980).  x is gathered as x_0, x_2, ...,
-    then ..., x_3, x_1, the even-indexed part negated for an odd f (a sine
-    transform is the cosine transform of (-1)^j x at reversed frequencies).
-    After the twiddle e^{-i pi n/m}, n = 0..m/4, bin n of its rfft holds the
-    transform at n in its real part and at m/2 - n in its imaginary part;
-    each is scaled by its mu (read reversed for an odd f) and the two parts
-    are swapped.  The conjugate twiddle and an irfft give the result's first
-    half in the gathered order, its odd-indexed part negated for an odd
-    result, and the second half is written as the mirror of the first.
+    mu holds the multiplier on the bins n = 0..L/2 of one period of L samples,
+    L = 2 (len(mu) - 1), and f is that period written m/L times (L = m, or
+    L = m/2 for a pi-periodic f).  Bin n of the rfft of the period is
+    e^{i pi n/L} times a real cosine transform (even f) or sine transform
+    (odd f) of its first half x, and H multiplies it by i mu_n: the result
+    has the opposite parity, and its half transform is mu_n times the
+    input's.  Both are taken with one real FFT of length L/2 (Makhoul, IEEE
+    Trans. ASSP 28, 1980).  x is gathered as x_0, x_2, ..., then ..., x_3,
+    x_1, the even-indexed part negated for an odd f (a sine transform is the
+    cosine transform of (-1)^j x at reversed frequencies).  After the
+    twiddle e^{-i pi n/L}, n = 0..L/4, bin n of its rfft holds the transform
+    at n in its real part and at L/2 - n in its imaginary part; each is
+    scaled by its mu (read reversed for an odd f) and the two parts are
+    swapped.  The conjugate twiddle and an irfft give the result's first
+    half-period in the gathered order, its odd-indexed part negated for an
+    odd result; the rest of the period is written as the mirror of that
+    half, and the rest of the m samples as copies of the period, all into
+    the one output array.
     """
-    m = len(f)
-    half, quarter = m // 2, m // 4
+    m, period = len(f), 2 * (len(mu) - 1)
+    half, quarter = period // 2, period // 4
     v = np.empty(half)
     np.multiply(f[0:half:2], parity, out=v[:quarter])
     v[quarter:] = f[half - 1:0:-2]
     spectrum = np.fft.rfft(v)
     del v
-    # e^{-i pi n/m} for n = width r + c: a row factor times a column factor
+    # e^{-i pi n/L} for n = width r + c: a row factor times a column factor
     width = int(np.sqrt(quarter)) + 1
-    rows = np.exp(-1j * np.pi / m * width * np.arange(quarter // width + 1))
-    columns = np.exp(-1j * np.pi / m * np.arange(width))
+    rows = np.exp(-1j * np.pi / period * width * np.arange(quarter // width + 1))
+    columns = np.exp(-1j * np.pi / period * np.arange(width))
     twiddle = np.multiply.outer(rows, columns).reshape(-1)[:quarter + 1]
     spectrum *= twiddle
     if parity < 0:
@@ -151,7 +159,8 @@ def _half_length_hilbert(f: np.ndarray, mu: np.ndarray, parity: float) -> np.nda
     out = np.empty(m)
     out[0:half:2] = u[:quarter]
     np.multiply(u[:quarter - 1:-1], -parity, out=out[1:half:2])
-    np.multiply(out[half - 1::-1], -parity, out=out[half:])
+    np.multiply(out[half - 1::-1], -parity, out=out[half:period])
+    out[period:] = out[:m - period]
     return out
 
 
@@ -163,9 +172,14 @@ def periodic_hilbert(samples, method: str = "series",
     n = 0..m/2 of the real input.  An input that is exactly even or odd
     under s -> -s (f[j] == +-f[m-1-j], as the cyclic curves are) is
     transformed from its first half, with one rfft and one irfft of length
-    m/2 (``_half_length_hilbert``).  Any other input takes an rfft of the m
-    samples, the m/2 + 1 bins scaled in place by i mu_n, and an irfft back
-    to m real points.  The two routes differ by round-off only.
+    m/2 (``_half_length_hilbert``).  If it also repeats after pi
+    (f[:m/2] == f[m/2:], m a multiple of 8, as the cyclic curves do), it
+    holds only the even harmonics 2n: its first m/2 samples are the offset
+    grid of m/2 points in t = 2s + pi, and that period is transformed with
+    FFTs of length m/4, at the multiplier of harmonic 2n, and written
+    twice.  Any other input takes an rfft of the m samples, the m/2 + 1 bins
+    scaled in place by i mu_n, and an irfft back to m real points.  The
+    routes differ by round-off only.
 
     Parameters
     ----------
@@ -185,7 +199,10 @@ def periodic_hilbert(samples, method: str = "series",
         Hilbert transform", Proc. IEEE 58, 1970), and the Nyquist bin of a
         real input adds nothing to the real output, so the quadrature is the
         series transform plus the round-off of the kernel and its FFT, not
-        an independent check of it.
+        an independent check of it.  A pi-periodic input takes the kernel of
+        m/2 points: the m-point kernel folded over half its period is
+        K[d] + K[d + m/2] = 2h cot(d h), the kernel of m/2 points, so this
+        is the m-point rule exactly, not an approximation of it.
     fejer_order : int, optional
         Cesaro resummation order for the series path (harmonic n weighted by
         max(0, 1 - n/(order+1))); used near singularities where the raw series
@@ -194,25 +211,34 @@ def periodic_hilbert(samples, method: str = "series",
     f = _check_real_finite(samples)
     m = len(f)
     _check_grid_size(m)
+    if method not in ("series", "quadrature"):
+        raise ValueError(f"unknown method {method!r}")
+    if method == "quadrature" and fejer_order is not None:
+        raise ValueError("fejer_order applies to the series method only")
+    # the period transformed: m/2 for an input that repeats after pi; the
+    # first pair settles all but an input with f[0] == f[m/2] in O(1)
+    half = m // 2
+    period = half if (m % 8 == 0 and f[0] == f[half]
+                      and np.array_equal(f[:half], f[half:])) else m
+    parity = _parity(f[:period])
+    if not parity:
+        period = m
     multiplier = weights = None
     if method == "series":
         if fejer_order is not None:
-            weights = np.maximum(0.0, 1.0 - np.arange(m // 2 + 1) / (fejer_order + 1.0))
-    elif method == "quadrature":
-        if fejer_order is not None:
-            raise ValueError("fejer_order applies to the series method only")
+            # bin n of the period is harmonic (m / period) n
+            harmonic = (m // period) * np.arange(period // 2 + 1)
+            weights = np.maximum(0.0, 1.0 - harmonic / (fejer_order + 1.0))
+    else:
         # circular cross-correlation g_i = sum_j f_j K[(j - i) mod m]; the
         # kernel is built before the spectrum of f is held, which bounds the peak
-        multiplier = _quadrature_kernel_fft(m)
-    else:
-        raise ValueError(f"unknown method {method!r}")
-    parity = _parity(f)
+        multiplier = _quadrature_kernel_fft(period)
     if parity:
         if multiplier is not None:
             mu = multiplier.imag
         else:
-            mu = np.full(m // 2 + 1, np.pi)
-            mu[::m // 2] = 0.0
+            mu = np.full(period // 2 + 1, np.pi)
+            mu[::period // 2] = 0.0
             if weights is not None:
                 mu *= weights
         return _half_length_hilbert(f, mu, parity)

@@ -154,14 +154,19 @@ def evaluate_model(params: ModelParams, m_samples: int) -> ModelSignals:
     exact integer angle.  Its error is a few eps absolute, next to the zeros
     included, where ``phi1_values`` on the rounded grid points reads ~k eps.
 
-    phi1(-s) = conj phi1(s), so log|chi| is even and arg chi odd under
-    s -> -s, and s_{m-1-j} = -s_j.  Both curves are formed on the first half
-    of the grid (s < 0) and mirrored: the angle, the zero-aware unwrap and the
-    log are taken on m/2 points, and the unwrapped half is shifted by a
-    multiple of 2 pi onto the branch that is continuous through arg chi(0) = 0.
-    So log_modulus is exactly even and phase_chi exactly odd, bit for bit,
-    which is what sends both reconstructions down the half-length route of
-    ``hilbert.periodic_hilbert``.
+    phi1(-s) = conj phi1(s) and phi1(s + pi) = -phi1(s) (chi is a polynomial
+    in z^2), so log|chi| is even and arg chi odd under s -> -s, and both
+    repeat after pi; on the grid s_{m-1-j} = -s_j and s_{j+m/2} = s_j + pi.
+    Both curves are formed on the first quarter of the grid, s in
+    [-pi, -pi/2), which holds no drive zero: the angle, the unwrap and the log
+    are taken on m/4 points, and the unwrapped quarter q is shifted by a
+    multiple of 2 pi onto the branch that runs continuously through
+    arg chi(-pi) = arg chi(0) = 0.  The curves are laid out as
+    [q, -+q~, q, -+q~], q~ the quarter reversed: the genuine -2 pi jumps at
+    the second-order amplitude zeros s = +-pi/2 fall between the quarters.
+    So log_modulus is exactly even and phase_chi exactly odd, and both
+    exactly pi-periodic, bit for bit, which is what sends both
+    reconstructions down the pi-period route of ``hilbert.periodic_hilbert``.
     """
     if not params.cyclic:
         raise ValueError("evaluate_model requires a cyclic drive (integer K/omega)")
@@ -170,21 +175,24 @@ def evaluate_model(params: ModelParams, m_samples: int) -> ModelSignals:
     trigpoly.check_resolves(m_samples, n)
     hel = helicity_series(params)
     phi1 = _grid_phi1(params, m_samples)
-    half = m_samples // 2
-    raw = np.angle(phi1[:half])
-    raw += n * grid[:half]
-    head = hilbert.unwrap(raw, zeros=DRIVE_ZEROS, grid=grid[:half]).phase
-    # arg chi(0) = 0 (phi1(0) = 1): the branch that runs continuously through s = 0
-    head -= 2.0 * np.pi * np.round(head[-1] / (2.0 * np.pi))
+    half, quarter = m_samples // 2, m_samples // 4
+    raw = np.angle(phi1[:quarter])
+    raw += n * grid[:quarter]
+    head = hilbert.unwrap(raw).phase
+    # arg chi(-pi) = arg chi(0) = 0 (phi1(0) = 1): the branch that runs
+    # continuously through s = -pi
+    head -= 2.0 * np.pi * np.round(head[0] / (2.0 * np.pi))
     phase_chi = np.empty(m_samples)
-    phase_chi[:half] = head
-    np.negative(head[::-1], out=phase_chi[half:])
+    phase_chi[:quarter] = head
+    np.negative(head[::-1], out=phase_chi[quarter:half])
+    phase_chi[half:] = phase_chi[:half]
     log_modulus = np.empty(m_samples)
-    lm = log_modulus[:half]
-    np.abs(phi1[:half], out=lm)
+    lm = log_modulus[:quarter]
+    np.abs(phi1[:quarter], out=lm)
     lm /= hel.c[0]
     np.log(lm, out=lm)
-    log_modulus[half:] = lm[::-1]
+    log_modulus[quarter:half] = lm[::-1]
+    log_modulus[half:] = log_modulus[:half]
     return ModelSignals(params, grid, phi1, log_modulus, phase_chi, hel)
 
 
@@ -345,26 +353,22 @@ def _unit_roots(q, m: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _odd_roots(m: int) -> tuple[np.ndarray, np.ndarray]:
-    """cos(pi d/m) and sin(pi d/m) on the odd d = 1, 3, ..., m - 1, m a multiple of 4.
+    """cos(pi d/m) and sin(pi d/m) on the odd d = 1, 3, ..., m/2 - 1, m a multiple of 4.
 
     e^{i s_j} = -e^{i pi (2j + 1)/m} on the offset grid, so these are the
-    first half of the grid's cos s and sin s, negated.  libm sees only the
-    first octant, the angles pi d/m <= pi/4; the rest of (0, pi) is that
-    octant reflected: cos and sin swap across pi/4 (d -> m/2 - d), and cos
-    changes sign across pi/2 (d -> m - d).  The reflections are exact, so a
-    small value keeps its relative accuracy, and the angles pi d/m and
-    pi (m - d)/m get the same sin and opposite cos bit for bit.
+    first quarter of the grid's cos s and sin s, negated.  libm sees only the
+    first octant, the angles pi d/m <= pi/4; the rest of (0, pi/2) is that
+    octant reflected, with cos and sin swapped (d -> m/2 - d).  The
+    reflection is exact, so a small value keeps its relative accuracy.
     """
     quarter = m // 4
     octant = np.arange(1, quarter + 1, 2) * (np.pi / m)
     n, rest = len(octant), quarter - len(octant)
-    cos, sin = np.empty(m // 2), np.empty(m // 2)
+    cos, sin = np.empty(quarter), np.empty(quarter)
     np.cos(octant, out=cos[:n])
     np.sin(octant, out=sin[:n])
-    cos[n:quarter] = sin[:rest][::-1]
-    sin[n:quarter] = cos[:rest][::-1]
-    np.negative(cos[:quarter][::-1], out=cos[quarter:])
-    sin[quarter:] = sin[:quarter][::-1]
+    cos[n:] = sin[:rest][::-1]
+    sin[n:] = cos[:rest][::-1]
     return cos, sin
 
 
@@ -373,27 +377,32 @@ _GRID_BLOCK = 512
 
 
 def _grid_factors(params: ModelParams, m_samples: int):
-    """cos 2ks, sin 2ks, sin s and cos s on the first half of the offset grid, k an integer.
+    """cos 2ks, sin 2ks, sin s and cos s on the first quarter of the offset grid, k an integer.
 
     On s_j = -pi + pi (2j + 1)/m every factor is a root of unity with an
     exact integer angle: e^{i s_j} = -e^{i pi (2j + 1)/m}, and for integer k,
-    e^{2iks_j} = e^{i pi n_j/m} with n_j = 2k (2j + 1) mod 2m.  sin s and
-    cos s are ``_odd_roots`` negated: libm on the first octant only,
+    counting i = m/4 - 1 - j back from the zero at s = -pi/2,
+    e^{2iks_j} = e^{i pi n_i/m} with n_i = km - 2k (2i + 1) mod 2m.  sin s
+    and cos s are ``_odd_roots`` negated: libm on the first octant only,
     so a small value keeps its relative accuracy.  For e^{2iks} the points
-    j = B r + c (B = _GRID_BLOCK) split the angle into a row part 4kB r and a
-    column part 2k (2c + 1), both reduced mod 2m in integers and taken by
-    ``_unit_roots``; one angle addition per point forms the product
-    as an outer product of the row and column factors.  k is round(params.k).
+    i = B r + c (B = _GRID_BLOCK) split the angle into a row part -4kB r and
+    a column part km - 2k (2c + 1), both reduced mod 2m in integers and taken
+    by ``_unit_roots``; one angle addition per point forms the product as an
+    outer product of the row and column factors.  Row 0 is the factor 1, so
+    the B points next to the zero, where phi1 is small and its angle
+    ill-conditioned, take e^{2iks} from libm alone, small values at full
+    relative accuracy.  k is round(params.k).
     """
     cos_s, sin_s = _odd_roots(m_samples)
     np.negative(cos_s, out=cos_s)
     np.negative(sin_s, out=sin_s)
-    half, period = m_samples // 2, 2 * m_samples
-    width = min(_GRID_BLOCK, half)
-    step = 2 * round(params.k) % period
+    quarter, period = m_samples // 4, 2 * m_samples
+    width = min(_GRID_BLOCK, quarter)
+    k = round(params.k)
+    step = 2 * k % period
     cos, sin = _unit_roots(np.concatenate((
-        step * np.arange(1, 2 * width, 2),                              # columns
-        (2 * width * step % period) * np.arange(-(-half // width)))),  # rows
+        k % 2 * m_samples - step * np.arange(1, 2 * width, 2),          # columns
+        (-2 * width * step % period) * np.arange(-(-quarter // width)))),  # rows
         m_samples)
     col_c, row_c, col_s, row_s = cos[:width], cos[width:], sin[:width], sin[width:]
     # cos(a + b) = cos a cos b - sin a sin b, sin(a + b) = sin a cos b + cos a sin b
@@ -401,19 +410,28 @@ def _grid_factors(params: ModelParams, m_samples: int):
     cos_2ks -= t
     sin_2ks = np.multiply.outer(row_s, col_c)
     sin_2ks += np.multiply.outer(row_c, col_s, out=t)
-    return cos_2ks.reshape(-1)[:half], sin_2ks.reshape(-1)[:half], sin_s, cos_s
+    # back from i to j = m/4 - 1 - i
+    back = slice(quarter - 1, None, -1)
+    return cos_2ks.reshape(-1)[back], sin_2ks.reshape(-1)[back], sin_s, cos_s
 
 
 def _grid_phi1(params: ModelParams, m_samples: int) -> np.ndarray:
     """phi1 on the offset grid of a cyclic drive, from ``_grid_factors``.
 
-    The first half is the lower slot of the doublet on those factors; the
-    second half is its mirror: s_{m-1-j} = -s_j and phi1(-s) = conj phi1(s).
+    The first quarter q is the lower slot of the doublet on those factors,
+    and the other three follow exactly: s_{m/2-1-j} = -pi - s_j and
+    s_{j+m/2} = s_j + pi, with phi1(-s) = conj phi1(s) and
+    phi1(s + pi) = -phi1(s) for integer k.  So phi1 is
+    [q, -conj q~, -q, conj q~], q~ the quarter reversed, and its second
+    half is the mirror of its first, phi1(s_{m-1-j}) = conj phi1(s_j).
     """
-    half = m_samples // 2
+    half, quarter = m_samples // 2, m_samples // 4
     phi1 = np.empty(m_samples, dtype=complex)
-    _doublet_slot(params, _grid_factors(params, m_samples), 1, phi1[:half])
-    np.conjugate(phi1[half - 1::-1], out=phi1[half:])
+    _doublet_slot(params, _grid_factors(params, m_samples), 1, phi1[:quarter])
+    second = phi1[quarter:half]
+    np.conjugate(phi1[quarter - 1::-1], out=second)
+    np.negative(second, out=second)
+    np.negative(phi1[:half], out=phi1[half:])
     return phi1
 
 

@@ -17,6 +17,7 @@ from conftest import (
 from cyclicphase import model
 from cyclicphase.hilbert import (
     MAX_ANALYSIS_GRID,
+    _half_length_hilbert,
     _quadrature_kernel_fft,
     coefficient_equality_check,
     log_coefficients,
@@ -28,6 +29,27 @@ from cyclicphase.hilbert import (
 from cyclicphase.trigpoly import HelicitySeries, offset_grid, root_check
 
 METHODS = ("series", "quadrature")
+
+
+def complex_fft_reference(f, method, fejer_order):
+    """ifft(fft(f) * multiplier).real on all m bins: series with i pi sign(n)
+    (times the Fejer weight of |n|), quadrature with the conjugate full DFT
+    of the cot kernel.  The kernel takes cot(pi d/m) at the angle folded
+    below pi/2, -cot(pi (m - d)/m) past it, so that its own round-off stays
+    at eps, as the package's does: at angles next to pi, cot would amplify
+    the rounding of the angle to O(m eps)."""
+    m = len(f)
+    n = frequencies(m)
+    if method == "series":
+        multiplier = 1j * np.pi * np.sign(n)
+        if fejer_order is not None:
+            multiplier *= np.maximum(0.0, 1.0 - np.abs(n) / (fejer_order + 1.0))
+    else:
+        h, d = 2.0 * np.pi / m, np.arange(1, m, 2)
+        kernel = np.zeros(m)
+        kernel[1::2] = np.sign(m - 2 * d) * h / np.tan(np.pi * np.minimum(d, m - d) / m)
+        multiplier = np.conj(np.fft.fft(kernel))
+    return np.fft.ifft(np.fft.fft(f) * multiplier).real
 
 
 class TestPeriodicHilbert:
@@ -131,18 +153,12 @@ class TestPeriodicHilbert:
            kind=st.sampled_from(["normal", "spike", "decades", "even", "odd"]),
            seed=st.integers(0, 2 ** 32 - 1))
     def test_real_fft_agrees_with_complex_fft(self, m, method, fejer_order, kind, seed):
-        # against ifft(fft(f) * multiplier).real on all m bins: series with
-        # i pi sign(n) (times the Fejer weight of |n|), quadrature with the
-        # conjugate full DFT of the cot kernel.  Both are one forward and one
+        # against complex_fft_reference.  Both are one forward and one
         # inverse FFT, so they agree to c log2(m) eps max|f|; measured
         # c <= 2.3 over 3000 inputs of these kinds up to m = 262144.  An
         # exactly even or odd input (f[j] = +-f[m-1-j]) takes the half-length
         # route, two real FFTs of length m/2, and is held to the same bound
-        # (measured c <= 2.6 on every m = 4..4096).  The
-        # reference kernel takes cot(pi d/m) at the angle folded below pi/2,
-        # -cot(pi (m - d)/m) past it, so that its own round-off stays at eps,
-        # as the package's does: at angles next to pi, cot would amplify the
-        # rounding of the angle to O(m eps).
+        # (measured c <= 2.6 on every m = 4..4096).
         if method == "quadrature":
             fejer_order = None  # Fejer weights apply to the series method only
         rng = np.random.default_rng(seed)
@@ -156,20 +172,62 @@ class TestPeriodicHilbert:
         else:
             f = rng.standard_normal(m)
             f = f + f[::-1] if kind == "even" else f - f[::-1]
-        n = frequencies(m)
-        if method == "series":
-            multiplier = 1j * np.pi * np.sign(n)
-            if fejer_order is not None:
-                multiplier *= np.maximum(0.0, 1.0 - np.abs(n) / (fejer_order + 1.0))
-        else:
-            h, d = 2.0 * np.pi / m, np.arange(1, m, 2)
-            kernel = np.zeros(m)
-            kernel[1::2] = np.sign(m - 2 * d) * h / np.tan(np.pi * np.minimum(d, m - d) / m)
-            multiplier = np.conj(np.fft.fft(kernel))
-        expected = np.fft.ifft(np.fft.fft(f) * multiplier).real
+        expected = complex_fft_reference(f, method, fejer_order)
         out = periodic_hilbert(f, method, fejer_order)
         bound = 8 * np.log2(m) * np.finfo(float).eps * np.max(np.abs(f))
         assert np.max(np.abs(out - expected)) <= bound
+
+    @staticmethod
+    def pi_periodic(rng, m, parity):
+        # g(2s) with random even or odd harmonics: a random period of m/2
+        # samples (the offset grid of m/2 points in t = 2s + pi) made exactly
+        # even or odd, written twice
+        g = rng.standard_normal(m // 2)
+        return np.tile(g + parity * g[::-1], 2)
+
+    @pytest.mark.parametrize("m", [8, 16, 24, 144, 4104, 65536])
+    @pytest.mark.parametrize("method, fejer_order", [
+        ("series", None), ("series", 3), ("series", "m/2"), ("quadrature", None)])
+    @pytest.mark.parametrize("parity", [1, -1])
+    def test_pi_periodic_input_agrees_with_complex_fft(self, m, method, fejer_order,
+                                                       parity, rng):
+        # an input that repeats after pi with exact parity is transformed as
+        # one period of m/2 samples, at FFT length m/4 and the multiplier of
+        # harmonic 2n, and written twice (so the result repeats bit for bit);
+        # held to test_real_fft_agrees_with_complex_fft's bound (measured c <= 1.7)
+        fejer_order = m // 2 if fejer_order == "m/2" else fejer_order
+        f = self.pi_periodic(rng, m, parity)
+        out = periodic_hilbert(f, method, fejer_order)
+        assert out[m // 2:].tobytes() == out[:m // 2].tobytes()
+        bound = 8 * np.log2(m) * np.finfo(float).eps * np.max(np.abs(f))
+        assert np.max(np.abs(out - complex_fft_reference(f, method, fejer_order))) <= bound
+
+    @pytest.mark.parametrize("m", [12, 4100])
+    @pytest.mark.parametrize("method, fejer_order", [
+        ("series", None), ("series", 3), ("quadrature", None)])
+    @pytest.mark.parametrize("parity", [1, -1])
+    def test_pi_periodic_input_with_m_over_4_odd_keeps_its_route(self, m, method,
+                                                                 fejer_order, parity, rng):
+        # with m/2 not a multiple of 4 the period has no half-length route:
+        # the input takes the m-point one, byte for byte
+        f = self.pi_periodic(rng, m, parity)
+        if method == "quadrature":
+            mu = _quadrature_kernel_fft(m).imag
+        else:
+            mu = np.full(m // 2 + 1, np.pi)
+            mu[::m // 2] = 0.0
+            if fejer_order is not None:
+                mu *= np.maximum(0.0, 1.0 - np.arange(m // 2 + 1) / (fejer_order + 1.0))
+        expected = _half_length_hilbert(f, mu, float(parity))
+        assert periodic_hilbert(f, method, fejer_order).tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("m", [8, 4096, 262144])
+    def test_quadrature_kernel_folds_to_half_the_grid(self, m):
+        # K_m[d] + K_m[d + m/2] = 2h cot(d h) = K_{m/2}[d], so the even bins
+        # of the m-point kernel are the m/2-point kernel: a pi-periodic input
+        # takes the m-point rule exactly.  Measured <= 4.0e-15 (18 eps)
+        folded = _quadrature_kernel_fft(m)[::2]
+        assert np.max(np.abs(folded - _quadrature_kernel_fft(m // 2))) <= 32 * np.finfo(float).eps
 
     @pytest.mark.parametrize("m", [16, 4096, 262144])
     def test_quadrature_kernel_is_the_series_multiplier(self, m):

@@ -141,6 +141,24 @@ class TestEvaluateModel:
         assert signals.phase_chi[::-1].tobytes() == (-signals.phase_chi).tobytes()
         assert abs(signals.phase_chi[m // 2 - 1]) < np.pi / 2
 
+    @pytest.mark.parametrize("k, m", [(k, m) for k in (1, 3, 17, 100, 1000)
+                                      for m in (8 * k + 8, 4100, 16384) if m >= 8 * k + 8])
+    def test_curves_repeat_after_half_the_grid(self, k, m):
+        # chi is a polynomial in z^2, so phi1(s + pi) = -phi1(s) and both
+        # curves repeat after pi, s_{j+m/2} = s_j + pi: bit for bit, as the
+        # other three quarters are written from the first.  phi1 reads the
+        # 40-digit closed form in all four quarters, next to both zeros too
+        p = model.params_from_k(k)
+        signals = model.evaluate_model(p, m)
+        half = m // 2
+        assert signals.log_modulus[half:].tobytes() == signals.log_modulus[:half].tobytes()
+        assert signals.phase_chi[half:].tobytes() == signals.phase_chi[:half].tobytes()
+        assert signals.phi1[half:].tobytes() == (-signals.phi1[:half]).tobytes()
+        j = TestGridPath.oracle_points(m)
+        assert set(j * 4 // m) == {0, 1, 2, 3}
+        error = signals.phi1[j] - oracle.phi1_grid_oracle(p, m, j)
+        assert np.max(np.abs(error)) <= 8 * np.finfo(float).eps
+
     @pytest.mark.parametrize("k", [1, 17, 400])
     def test_series_does_not_depend_on_the_grid(self, k):
         p = model.params_from_k(k)
@@ -207,7 +225,7 @@ class TestGridPath:
                 assert trigpoly._model_roots(scaled) is not None, k
 
     def test_memory_peak_per_point(self):
-        # measured 64 B per point (72 with phi1 from phi1_values)
+        # measured 44 B per point (72 with phi1 from phi1_values)
         p, m = model.params_from_k(17), 262144
         model.evaluate_model(p, 4096)  # imports and caches outside the window
         tracemalloc.start()

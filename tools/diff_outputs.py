@@ -60,7 +60,11 @@ import numpy as np
 #: of the quadrature multiplier on the half-length transform of a grid with
 #: m/4 odd (k = 3 on 4100 points); and at the end three exclusion half-widths
 #: other than the default: 0.3, 1.5 (which keeps only short runs at s = 0 and
-#: at both grid ends) and a non-cyclic 0.01 that writes its CSV
+#: at both grid ends) and a non-cyclic 0.01 that writes its CSV; last, the
+#: pi-period route on the smallest grid of k = 17, m = 4N + 4 = 144, whose
+#: first quarter holds N + 1 = 36 points (Fejer-resummed series, and the
+#: quadrature as a JSON dataset), and the Berry phase at k = 1000 on 16384
+#: points, whose four samples are copies of the first quarter
 COMMANDS = (
     ("reciprocity", "--preset", "fig1", "--out", "{out}/fig1"),
     ("reciprocity", "--preset", "fig2", "--format", "json", "--out", "{out}/fig2"),
@@ -120,6 +124,10 @@ COMMANDS = (
       for epsilon in ("0.3", "1.5")),
     ("reciprocity", "--preset", "fig3", "--grid-size", "4096", "--epsilon", "0.01",
      "--out", "{out}/fig3-epsilon"),
+    ("reciprocity", "--k", "17", "--grid-size", "144", "--fejer", "--out", "{out}/k17-144-fejer"),
+    ("reciprocity", "--k", "17", "--grid-size", "144", "--method", "quadrature",
+     "--format", "json", "--out", "{out}/k17-144-quad"),
+    ("berry", "--k", "1000", "--grid-size", "16384"),
 )
 
 
