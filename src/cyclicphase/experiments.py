@@ -225,19 +225,19 @@ def run_reciprocity_case(params: model.ModelParams, grid_size: int,
     ones.  A non-cyclic log-modulus is log|phi1| minus its mean, the same
     A_0 = 0 normalisation the error statistics use.
 
-    Each column is formed once and then updated in place, and phi1 is dropped
-    as soon as the curves (and, for a cyclic drive, the Berry phase) are read
-    from it.  The error statistics are taken first, over the index runs of the
-    samples at least exclusion_halfwidth from the amplitude zeros
-    (``kept_runs``), with no full-size mask; then one (g - N) s ramp turns
-    both cyclic phase curves into physical phases.  No two columns share
-    memory.
+    Each column is formed once and then updated in place; a non-cyclic
+    phi1 is dropped as soon as the curves are read from it, and a cyclic run
+    never holds phi1 at full size (``model.evaluate_model``).  The error
+    statistics are taken first, over the index runs of the samples at least
+    exclusion_halfwidth from the amplitude zeros (``kept_runs``), with no
+    full-size mask; then the (g - N) s ramp, formed RK4_CHUNK points at a
+    time, turns both cyclic phase curves into physical phases in place.  No
+    two columns share memory.
     """
     if params.cyclic:
         signals = model.evaluate_model(params, grid_size)
         s, lm_direct, ph_direct = signals.grid, signals.log_modulus, signals.phase_chi
         helicity, berry_measured = signals.helicity, measure_berry_phase(signals)
-        del signals  # phi1, 16m bytes, has no reader after the Berry phase
     else:
         s = trigpoly.offset_grid(grid_size)
         phi1 = model.phi1_values(params, s)
@@ -267,9 +267,11 @@ def run_reciprocity_case(params: model.ModelParams, grid_size: int,
     rms_lm, max_lm = _masked_error_stats(lm_rec, lm_direct, runs)
 
     if params.cyclic:
-        ramp = _physical_ramp(params, s)
-        ph_direct += ramp
-        ph_rec += ramp
+        for i in range(0, grid_size, model.RK4_CHUNK):
+            block = slice(i, i + model.RK4_CHUNK)
+            ramp = _physical_ramp(params, s[block])
+            ph_direct[block] += ramp
+            ph_rec[block] += ramp
         del ramp
         # on the series' own grid: R is a polynomial, so the dataset grid adds nothing
         coeffs = hilbert.log_coefficients(helicity, n_max, 4 * n_max + 4)

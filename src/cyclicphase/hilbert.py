@@ -267,8 +267,7 @@ def phase_from_modulus(log_modulus, method: str = "series",
     no centred copy is formed.  The input is never modified: the transform's
     result is negated and divided by pi in place.
     """
-    f = _check_real_finite(log_modulus)
-    phase = periodic_hilbert(f, method, fejer_order)
+    phase = periodic_hilbert(log_modulus, method, fejer_order)
     np.negative(phase, out=phase)
     phase /= np.pi
     return phase
@@ -287,6 +286,7 @@ def modulus_from_phase(phase, method: str = "series",
     transform's result is divided by pi in place.
     """
     f = _check_real_finite(phase)
+    _check_grid_size(len(f))
     mismatch = float(f[-1] - f[0])
     if abs(mismatch) > np.pi:
         raise ValueError(
@@ -304,16 +304,14 @@ class UnwrapResult:
     jumps: list  # (index, size) pairs; jump sits between index and index + 1
 
 
-def unwrap(phase_raw, zeros=None, grid=None) -> UnwrapResult:
-    """One-dimensional phase unwrapping with genuine-jump bookkeeping.
+def unwrap(phase_raw) -> UnwrapResult:
+    """One-dimensional phase unwrapping that records its large steps.
 
-    Adjacent differences are wrapped into (-pi, pi] and accumulated.  Where a
-    known amplitude zero lies between two samples (``zeros`` as a list of
-    (location, multiplicity) pairs, with ``grid``), the boundary value of the
-    conjugate phase genuinely jumps by -pi * multiplicity; the difference
-    across that interval is steered to the branch nearest the jump and the
-    jump is recorded instead of smoothed.  Any remaining difference larger
-    than pi/2 is recorded as well.
+    Adjacent differences are wrapped into [-pi, pi) and accumulated (Itoh,
+    Appl. Opt. 21, 1982), and every wrapped difference larger than pi/2 in
+    magnitude is recorded as a jump, in index order.  Genuine jumps at known
+    zeros are not steered here: ``model.evaluate_model`` unwraps a quarter of
+    the grid that holds no zero.  An empty input gives an empty phase.
 
     The result is the one array formed at the input's size: the wrapped
     differences are written into it after a leading 0 and summed there in
@@ -321,7 +319,8 @@ def unwrap(phase_raw, zeros=None, grid=None) -> UnwrapResult:
     """
     raw = _check_real_finite(phase_raw)
     phase = np.empty_like(raw)
-    phase[0] = 0.0
+    # [:1], not [0]: an empty input passes through every step
+    phase[:1] = 0.0
     # (d + pi) % 2pi - pi, with the remainder taken only where it moves
     # d + pi: in [0, 2pi) np.remainder returns its argument exactly
     d = np.subtract(raw[1:], raw[:-1], out=phase[1:])
@@ -330,24 +329,10 @@ def unwrap(phase_raw, zeros=None, grid=None) -> UnwrapResult:
     wrap |= d >= 2.0 * np.pi
     np.remainder(d, 2.0 * np.pi, out=d, where=wrap)
     d -= np.pi
-    jumps: list[tuple[int, float]] = []
-    if zeros:
-        if grid is None:
-            raise ValueError("zero locations require the sample grid")
-        grid = np.asarray(grid, dtype=float)
-        for loc, mult in zeros:
-            j = int(np.searchsorted(grid, loc)) - 1
-            if 0 <= j < len(d):
-                target = -np.pi * mult
-                d[j] += 2.0 * np.pi * np.round((target - d[j]) / (2.0 * np.pi))
-                jumps.append((j, float(d[j])))
-    marked = {j for j, _ in jumps}
-    for j in np.where((d > np.pi / 2) | (d < -np.pi / 2))[0]:
-        if int(j) not in marked:
-            jumps.append((int(j), float(d[j])))
-    jumps.sort()
+    jumps = [(j, float(d[j])) for j in
+             np.flatnonzero((d > np.pi / 2) | (d < -np.pi / 2)).tolist()]
     np.cumsum(phase, out=phase)
-    phase += raw[0]
+    phase += raw[:1]
     return UnwrapResult(phase, jumps)
 
 

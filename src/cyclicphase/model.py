@@ -19,8 +19,9 @@ highest harmonic N = 2k + 1 and amplitude zeros of order two at s = +-pi/2
 (``analytic_state_pair``), and so is the doublet's derivative
 (``state_pair_derivative``).  One per-slot kernel writes them all, in real
 arithmetic; ``phi1_values`` is its lower slot alone, at any points.  On
-the offset grid of a cyclic drive the same slot takes factors that are exact
-roots of unity (``_grid_factors``).  ``solution_residual`` checks the
+the first quarter of the offset grid of a cyclic drive the same slot takes
+factors that are exact roots of unity (``_grid_factors``), and the rest of
+the grid follows by symmetry.  ``solution_residual`` checks the
 Schrodinger equation with the state and its derivative, on both rows.
 """
 
@@ -102,15 +103,15 @@ def phi1_values(params: ModelParams, s) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ModelSignals:
-    """phi1 of a cyclic drive on the offset grid, and the curves of chi = e^{iNs} phi1.
+    """The curves of chi = e^{iNs} phi1 of a cyclic drive on the offset grid.
 
     ``helicity`` is the closed-form ``helicity_series``, the same on every grid
-    (c_0 is ``helicity.c[0]``); the log-modulus and phase fields come from phi1.
+    (c_0 is ``helicity.c[0]``); the log-modulus and phase fields come from the
+    first quarter of phi1 on the grid, which is not kept.
     """
 
     params: ModelParams
     grid: np.ndarray = field(repr=False)
-    phi1: np.ndarray = field(repr=False)
     log_modulus: np.ndarray = field(repr=False)
     phase_chi: np.ndarray = field(repr=False)
     helicity: trigpoly.HelicitySeries
@@ -136,7 +137,7 @@ def helicity_series(params: ModelParams) -> trigpoly.HelicitySeries:
 
 
 def evaluate_model(params: ModelParams, m_samples: int) -> ModelSignals:
-    """Sample phi1 of a cyclic drive on the offset grid, with the curves of chi = e^{iNs} phi1.
+    """The curves of chi = e^{iNs} phi1 of a cyclic drive on the offset grid.
 
     The returned log_modulus is log|chi/c_0| and phase_chi is the unwrapped
     boundary phase of chi/c_0, with the genuine -2pi jumps at the
@@ -157,11 +158,11 @@ def evaluate_model(params: ModelParams, m_samples: int) -> ModelSignals:
     phi1(-s) = conj phi1(s) and phi1(s + pi) = -phi1(s) (chi is a polynomial
     in z^2), so log|chi| is even and arg chi odd under s -> -s, and both
     repeat after pi; on the grid s_{m-1-j} = -s_j and s_{j+m/2} = s_j + pi.
-    Both curves are formed on the first quarter of the grid, s in
-    [-pi, -pi/2), which holds no drive zero: the angle, the unwrap and the log
-    are taken on m/4 points, and the unwrapped quarter q is shifted by a
-    multiple of 2 pi onto the branch that runs continuously through
-    arg chi(-pi) = arg chi(0) = 0.  The curves are laid out as
+    phi1 is formed on the first quarter of the grid only, s in [-pi, -pi/2),
+    which holds no drive zero: the log, the angle and the unwrap are taken on
+    its m/4 points and the quarter is dropped.  The unwrapped quarter q is
+    shifted by a multiple of 2 pi onto the branch that runs continuously
+    through arg chi(-pi) = arg chi(0) = 0.  The curves are laid out as
     [q, -+q~, q, -+q~], q~ the quarter reversed: the genuine -2 pi jumps at
     the second-order amplitude zeros s = +-pi/2 fall between the quarters.
     So log_modulus is exactly even and phase_chi exactly odd, and both
@@ -174,9 +175,19 @@ def evaluate_model(params: ModelParams, m_samples: int) -> ModelSignals:
     n = params.n_harmonic
     trigpoly.check_resolves(m_samples, n)
     hel = helicity_series(params)
-    phi1 = _grid_phi1(params, m_samples)
     half, quarter = m_samples // 2, m_samples // 4
-    raw = np.angle(phi1[:quarter])
+    # log_modulus before the quarter, phase_chi after it is dropped: phase_chi
+    # then reuses the memory of the quarter and its factors (fewer page faults)
+    log_modulus = np.empty(m_samples)
+    phi1 = _grid_phi1(params, m_samples)
+    lm = log_modulus[:quarter]
+    np.abs(phi1, out=lm)
+    lm /= hel.c[0]
+    np.log(lm, out=lm)
+    log_modulus[quarter:half] = lm[::-1]
+    log_modulus[half:] = log_modulus[:half]
+    raw = np.angle(phi1)
+    del phi1
     raw += n * grid[:quarter]
     head = hilbert.unwrap(raw).phase
     # arg chi(-pi) = arg chi(0) = 0 (phi1(0) = 1): the branch that runs
@@ -186,14 +197,7 @@ def evaluate_model(params: ModelParams, m_samples: int) -> ModelSignals:
     phase_chi[:quarter] = head
     np.negative(head[::-1], out=phase_chi[quarter:half])
     phase_chi[half:] = phase_chi[:half]
-    log_modulus = np.empty(m_samples)
-    lm = log_modulus[:quarter]
-    np.abs(phi1[:quarter], out=lm)
-    lm /= hel.c[0]
-    np.log(lm, out=lm)
-    log_modulus[quarter:half] = lm[::-1]
-    log_modulus[half:] = log_modulus[:half]
-    return ModelSignals(params, grid, phi1, log_modulus, phase_chi, hel)
+    return ModelSignals(params, grid, log_modulus, phase_chi, hel)
 
 
 @dataclass(frozen=True)
@@ -416,22 +420,14 @@ def _grid_factors(params: ModelParams, m_samples: int):
 
 
 def _grid_phi1(params: ModelParams, m_samples: int) -> np.ndarray:
-    """phi1 on the offset grid of a cyclic drive, from ``_grid_factors``.
+    """phi1 on the first quarter of the offset grid of a cyclic drive, s in [-pi, -pi/2).
 
-    The first quarter q is the lower slot of the doublet on those factors,
-    and the other three follow exactly: s_{m/2-1-j} = -pi - s_j and
-    s_{j+m/2} = s_j + pi, with phi1(-s) = conj phi1(s) and
-    phi1(s + pi) = -phi1(s) for integer k.  So phi1 is
-    [q, -conj q~, -q, conj q~], q~ the quarter reversed, and its second
-    half is the mirror of its first, phi1(s_{m-1-j}) = conj phi1(s_j).
+    The lower slot of the doublet on ``_grid_factors``, m/4 points.  The rest
+    of the grid follows from phi1(-s) = conj phi1(s) and
+    phi1(s + pi) = -phi1(s), which ``evaluate_model`` applies to the curves.
     """
-    half, quarter = m_samples // 2, m_samples // 4
-    phi1 = np.empty(m_samples, dtype=complex)
-    _doublet_slot(params, _grid_factors(params, m_samples), 1, phi1[:quarter])
-    second = phi1[quarter:half]
-    np.conjugate(phi1[quarter - 1::-1], out=second)
-    np.negative(second, out=second)
-    np.negative(phi1[:half], out=phi1[half:])
+    phi1 = np.empty(m_samples // 4, dtype=complex)
+    _doublet_slot(params, _grid_factors(params, m_samples), 1, phi1)
     return phi1
 
 

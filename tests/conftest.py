@@ -34,9 +34,14 @@ The oracles here deliberately avoid the code paths they are used to check:
 * ``log_series_oracle``   the coefficients of log(c(z)/c_0) as a power series,
   by the recursion n L_n = n p_n - sum_j j L_j p_{n-j} in 40-digit mpmath (no
   roots, no deflation, no sampling).
+* ``grid_phi1``   phi1 on the whole offset grid of a cyclic drive, laid out
+  from the package's first quarter by phi1(-s) = conj phi1(s) and
+  phi1(s + pi) = -phi1(s).
 * ``chi_curves``   the direct curves of a cyclic drive read through
-  chi = e^{iNs} phi1 itself: chi/c_0 formed on the whole grid, then its angle
-  and log-modulus (no shortcut through arg phi1 + Ns or |phi1|/c_0).
+  chi = e^{iNs} phi1 itself: chi/c_0 formed on the whole grid, then its angle,
+  unwrapped here with the -2 pi jumps at the drive zeros steered in, and its
+  log-modulus (no shortcut through arg phi1 + Ns or |phi1|/c_0, no package
+  unwrap).
 * ``frequencies``   the signed integer frequency of each FFT bin, from
   ``np.fft.fftfreq`` (for the oracles that build multipliers bin by bin).
 * ``csv_oracle`` / ``json_oracle``   the dataset bytes written cell by cell:
@@ -50,7 +55,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from cyclicphase import hilbert
+from cyclicphase import model
 from cyclicphase.model import DRIVE_ZEROS, ModelParams
 from cyclicphase.trigpoly import offset_grid
 
@@ -310,16 +315,37 @@ def log_series_oracle(c, n_max: int) -> np.ndarray:
         return np.array([float(x) for x in log])
 
 
+def grid_phi1(params: ModelParams, m: int) -> np.ndarray:
+    """phi1 on the whole offset grid of a cyclic drive, from ``model._grid_phi1``.
+
+    The package forms the first quarter q only.  s_{m/2-1-j} = -pi - s_j and
+    s_{j+m/2} = s_j + pi, so phi1(-s) = conj phi1(s) and
+    phi1(s + pi) = -phi1(s) give [q, -conj q~, -q, conj q~], q~ the quarter
+    reversed.
+    """
+    q = model._grid_phi1(params, m)
+    half = np.concatenate((q, -np.conj(q[::-1])))
+    return np.concatenate((half, -half))
+
+
 def chi_curves(params: ModelParams, grid, phi1, c0):
     """(log|chi/c_0|, phase_chi) of a cyclic drive from chi itself.
 
-    chi = e^{iNs} phi1 and w = chi/c_0 are formed on the whole grid; arg w is
-    unwrapped with the drive's double zeros at s = +-pi/2 and anchored to the
-    2 pi branch nearest its mean (the package's unwrap and anchoring).
+    chi = e^{iNs} phi1 and w = chi/c_0 are formed on the whole grid.  Each
+    difference of arg w is wrapped into [-pi, pi), the difference across
+    each drive zero of multiplicity mu (s = +-pi/2, mu = 2) is moved onto
+    the 2 pi branch nearest -pi mu, and the sum is anchored to the 2 pi
+    branch nearest its mean.
     """
     w = np.exp(1j * params.n_harmonic * grid) * phi1 / c0
-    res = hilbert.unwrap(np.angle(w), zeros=DRIVE_ZEROS, grid=grid)
-    return np.log(np.abs(w)), hilbert._anchor_unwrapped(res.phase)
+    raw = np.angle(w)
+    d = (np.diff(raw) + np.pi) % (2.0 * np.pi) - np.pi
+    for loc, mult in DRIVE_ZEROS:
+        j = np.searchsorted(grid, loc) - 1
+        d[j] += 2.0 * np.pi * np.round((-np.pi * mult - d[j]) / (2.0 * np.pi))
+    phase = raw[0] + np.concatenate(([0.0], np.cumsum(d)))
+    phase -= 2.0 * np.pi * np.round(phase.mean() / (2.0 * np.pi))
+    return np.log(np.abs(w)), phase
 
 
 def frequencies(m: int) -> np.ndarray:

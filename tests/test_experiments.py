@@ -36,8 +36,8 @@ class TestMeasureBerryPhase:
         # only the drive, the grid and phase_chi enter the measurement
         grid = offset_grid(4096)
         return model.ModelSignals(
-            params=params, grid=grid, phi1=np.exp(1j * grid),
-            log_modulus=np.zeros_like(grid), phase_chi=phase_chi(grid),
+            params=params, grid=grid, log_modulus=np.zeros_like(grid),
+            phase_chi=phase_chi(grid),
             helicity=model.helicity_series(model.params_from_k(1)))
 
     def test_linear_phase_control(self):

@@ -307,6 +307,15 @@ class TestReciprocalPair:
                 bound = 8 * np.log2(m) * np.finfo(float).eps * np.max(np.abs(f + c))
                 assert np.max(np.abs(reconstruct(f + c, method) - plain)) <= bound
 
+    def test_empty_input_names_the_grid_size(self):
+        # both directions refuse an empty input with the same one-line message
+        with pytest.raises(ValueError) as expected:
+            phase_from_modulus([])
+        with pytest.raises(ValueError) as refused:
+            modulus_from_phase([])
+        assert "positive multiple of 4" in str(refused.value)
+        assert str(refused.value) == str(expected.value)
+
     def test_trend_rejection(self):
         s = offset_grid(256)
         with pytest.raises(ValueError, match="trend"):
@@ -332,20 +341,12 @@ class TestDirectPair:
         assert abs(self._model_signals().log_modulus.mean()) < 5e-3
 
 
-def _unwrap_every_difference(raw, zeros, grid):
+def _unwrap_every_difference(raw):
     # unwrap with (d + pi) % 2pi - pi taken on every difference: the form
     # the masked remainder in hilbert.unwrap must reproduce byte for byte
     d = (np.diff(raw) + np.pi) % (2.0 * np.pi) - np.pi
-    jumps = []
-    for loc, mult in zeros:
-        j = int(np.searchsorted(grid, loc)) - 1
-        if 0 <= j < len(d):
-            d[j] += 2.0 * np.pi * np.round((-np.pi * mult - d[j]) / (2.0 * np.pi))
-            jumps.append((j, float(d[j])))
-    marked = {j for j, _ in jumps}
-    jumps += [(int(j), float(d[j])) for j in np.where(np.abs(d) > np.pi / 2)[0]
-              if int(j) not in marked]
-    return raw[0] + np.concatenate(([0.0], np.cumsum(d))), sorted(jumps)
+    jumps = [(int(j), float(d[j])) for j in np.where(np.abs(d) > np.pi / 2)[0]]
+    return raw[0] + np.concatenate(([0.0], np.cumsum(d))), jumps
 
 
 #: samples whose differences hit the wrap's edges: exactly +-pi, +-2pi, +-3pi
@@ -355,13 +356,11 @@ EDGE_SAMPLES = (0.0, np.pi, -np.pi, 2 * np.pi, 3 * np.pi, -3 * np.pi, np.pi / 2)
 class TestUnwrap:
     @settings(max_examples=300, deadline=None)
     @given(raw=st.lists(st.sampled_from(EDGE_SAMPLES) | st.floats(-20.0, 20.0)
-                        | st.floats(-1e6, 1e6), min_size=2, max_size=64),
-           zeros=st.lists(st.tuples(st.floats(-1.2, 1.2), st.integers(1, 3)), max_size=3))
-    def test_masked_remainder_bit_for_bit(self, raw, zeros):
+                        | st.floats(-1e6, 1e6), min_size=2, max_size=64))
+    def test_masked_remainder_bit_for_bit(self, raw):
         raw = np.array(raw)
-        grid = np.linspace(-1.0, 1.0, len(raw))
-        phase, jumps = _unwrap_every_difference(raw, zeros, grid)
-        res = unwrap(raw, zeros, grid)
+        phase, jumps = _unwrap_every_difference(raw)
+        res = unwrap(raw)
         assert res.phase.tobytes() == phase.tobytes()
         assert repr(res.jumps) == repr(jumps)  # signed zeros included
 
@@ -380,21 +379,30 @@ class TestUnwrap:
         assert res.jumps == []
 
     def test_k1_double_zero_jumps(self):
-        # arg(chi/c0) for k = 1 genuinely drops by 2 pi at each double zero
+        # arg(chi/c0) for k = 1 genuinely drops by 2 pi at each double zero:
+        # evaluate_model lays the drops between the quarters of the grid.
+        # unwrap steers no zero, so on that curve it smooths both drops over
+        # and records none
         params = model.derive_params(np.sqrt(3.0))
         signals = model.evaluate_model(params, 4096)
-        s = signals.grid
-        chi = np.exp(1j * params.n_harmonic * s) * signals.phi1
-        res = unwrap(np.angle(chi / signals.helicity.c[0]),
-                     zeros=model.DRIVE_ZEROS, grid=s)
-        assert len(res.jumps) == 2
-        for (idx, size), loc in zip(res.jumps, (-np.pi / 2, np.pi / 2)):
+        s, phase = signals.grid, signals.phase_chi
+        d = np.diff(phase)
+        drops = np.flatnonzero(np.abs(d) > np.pi / 2)
+        assert len(drops) == 2
+        for idx, loc in zip(drops, (-np.pi / 2, np.pi / 2)):
             assert abs(s[idx] - loc) < (s[1] - s[0])
-            assert abs(size + 2 * np.pi) < 0.05
+            assert abs(d[idx] + 2 * np.pi) < 0.05
+        res = unwrap(phase)
+        assert res.jumps == []
+        branch = np.repeat([0.0, 2 * np.pi, 4 * np.pi],
+                           np.diff([0, drops[0] + 1, drops[1] + 1, len(s)]))
+        assert np.allclose(res.phase - phase, branch, rtol=0.0, atol=1e-12)
 
-    def test_zeros_require_grid(self):
-        with pytest.raises(ValueError, match="grid"):
-            unwrap(np.zeros(8), zeros=[(0.0, 2)])
+    def test_empty_input(self):
+        # as np.unwrap: an empty phase and nothing recorded
+        res = unwrap([])
+        assert res.phase.shape == (0,) and res.phase.dtype == float
+        assert res.jumps == []
 
 
 class TestInputsUntouched:
@@ -403,13 +411,12 @@ class TestInputsUntouched:
 
     @pytest.mark.parametrize("call", [
         lambda f: unwrap(f).phase,
-        lambda f: unwrap(f, zeros=model.DRIVE_ZEROS, grid=offset_grid(len(f))).phase,
         lambda f: periodic_hilbert(f, "series"),
         lambda f: periodic_hilbert(f, "series", 100),
         lambda f: periodic_hilbert(f, "quadrature"),
         *(lambda f, method=method: phase_from_modulus(f, method) for method in METHODS),
         *(lambda f, method=method: modulus_from_phase(f, method) for method in METHODS),
-    ], ids=["unwrap", "unwrap-zeros", "series", "fejer", "quadrature",
+    ], ids=["unwrap", "series", "fejer", "quadrature",
             "phase_from_modulus-series", "phase_from_modulus-quadrature",
             "modulus_from_phase-series", "modulus_from_phase-quadrature"])
     def test_input_bit_for_bit(self, call):

@@ -123,7 +123,7 @@ class TestEvaluateModel:
         p = model.params_from_k(k)
         signals = model.evaluate_model(p, m)
         log_modulus, phase_chi = oracle.chi_curves(
-            p, signals.grid, signals.phi1, signals.helicity.c[0])
+            p, signals.grid, oracle.grid_phi1(p, m), signals.helicity.c[0])
         assert np.max(np.abs(signals.log_modulus - log_modulus)) <= 1e-14
         assert np.max(np.abs(signals.phase_chi - phase_chi)) <= 2e-12
 
@@ -146,18 +146,12 @@ class TestEvaluateModel:
     def test_curves_repeat_after_half_the_grid(self, k, m):
         # chi is a polynomial in z^2, so phi1(s + pi) = -phi1(s) and both
         # curves repeat after pi, s_{j+m/2} = s_j + pi: bit for bit, as the
-        # other three quarters are written from the first.  phi1 reads the
-        # 40-digit closed form in all four quarters, next to both zeros too
+        # other three quarters are written from the first
         p = model.params_from_k(k)
         signals = model.evaluate_model(p, m)
         half = m // 2
         assert signals.log_modulus[half:].tobytes() == signals.log_modulus[:half].tobytes()
         assert signals.phase_chi[half:].tobytes() == signals.phase_chi[:half].tobytes()
-        assert signals.phi1[half:].tobytes() == (-signals.phi1[:half]).tobytes()
-        j = TestGridPath.oracle_points(m)
-        assert set(j * 4 // m) == {0, 1, 2, 3}
-        error = signals.phi1[j] - oracle.phi1_grid_oracle(p, m, j)
-        assert np.max(np.abs(error)) <= 8 * np.finfo(float).eps
 
     @pytest.mark.parametrize("k", [1, 17, 400])
     def test_series_does_not_depend_on_the_grid(self, k):
@@ -195,22 +189,31 @@ class TestGridPath:
     def test_matches_the_40_digit_closed_form(self, k, m):
         # measured <= 1.2 eps (the libm path reads 10, 160, 910 and 4700 eps
         # at k = 1, 17, 100 and 400 on these grids); k = 17.0000000005 is
-        # cyclic, and its angles take round(k) = 17
+        # cyclic, and its angles take round(k) = 17.  The points lie in all
+        # four quarters, laid out from the first by the oracle's symmetries
         p = model.params_from_k(k)
         m = 4 * p.n_harmonic + 4 if m == "4N+4" else m
         j = self.oracle_points(m)
-        error = model.evaluate_model(p, m).phi1[j] - oracle.phi1_grid_oracle(p, m, j)
+        assert set(j * 4 // m) == {0, 1, 2, 3}
+        error = oracle.grid_phi1(p, m)[j] - oracle.phi1_grid_oracle(p, m, j)
         assert np.max(np.abs(error)) <= 8 * np.finfo(float).eps
 
     @pytest.mark.parametrize("m", [16, 4100, 65536])
     @pytest.mark.parametrize("k", [1, 17, 400])
     def test_second_half_is_the_mirror(self, k, m):
-        # phi1(s_{m-1-j}) = conj phi1(s_j) bit for bit, signed zeros included
+        # phi1(s_{m-1-j}) = conj phi1(s_j): the curves read the second half of
+        # the grid from the first quarter through this mirror, so the
+        # quarter's conjugate matches the 40-digit closed form at the mirrored
+        # points of the last quarter, next to s = pi/2 too
         p = model.params_from_k(k)
         if m < 4 * p.n_harmonic + 4:
             m = 4 * p.n_harmonic + 4
-        phi1 = model.evaluate_model(p, m).phi1
-        assert phi1[::-1].tobytes() == np.conj(phi1).tobytes()
+        q = model._grid_phi1(p, m)
+        assert len(q) == m // 4
+        j = self.oracle_points(m)
+        j = j[j < m // 4]
+        error = np.conj(q[j]) - oracle.phi1_grid_oracle(p, m, m - 1 - j)
+        assert np.max(np.abs(error)) <= 8 * np.finfo(float).eps
 
     def test_series_is_four_terms_up_to_round_off(self):
         # the helicity series of every k <= 1000 holds only its four terms,
@@ -225,7 +228,9 @@ class TestGridPath:
                 assert trigpoly._model_roots(scaled) is not None, k
 
     def test_memory_peak_per_point(self):
-        # measured 44 B per point (72 with phi1 from phi1_values)
+        # measured 32 B per point: s, log_modulus, and phi1 on a quarter of
+        # the grid with its factors (44 with phi1 kept at full size, 72 with
+        # it from phi1_values)
         p, m = model.params_from_k(17), 262144
         model.evaluate_model(p, 4096)  # imports and caches outside the window
         tracemalloc.start()
@@ -234,7 +239,7 @@ class TestGridPath:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak / m <= 76
+        assert peak / m <= 36
 
 
 class TestHelicitySeries:
@@ -263,7 +268,7 @@ class TestHelicitySeries:
         assert np.max(np.abs(np.delete(reference, kept))) <= 1e-30
         assert np.max(np.abs(reference.imag)) <= 1e-30
         sampled = trigpoly.HelicitySeries.from_samples(
-            model.evaluate_model(p, 4 * n + 4).phi1, n).c
+            oracle.grid_phi1(p, 4 * n + 4), n).c
         assert np.max(np.abs(sampled - c)) <= 4 * scale
 
 

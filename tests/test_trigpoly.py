@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import companion_roots, frequencies
+from conftest import companion_roots, frequencies, grid_phi1
 from cyclicphase import hilbert, model, trigpoly
 from cyclicphase.trigpoly import (
     HelicitySeries,
@@ -244,7 +244,7 @@ class TestHelicityLayout:
             c = signals.helicity.c
             sign = np.sign(np.sum(c))  # sum(c) = +-phi1(0) = +-1
             assert np.isclose(abs(np.sum(c)), 1.0, atol=1e-12)
-            chi = np.exp(1j * params.n_harmonic * signals.grid) * signals.phi1
+            chi = np.exp(1j * params.n_harmonic * signals.grid) * grid_phi1(params, m)
             assert np.max(np.abs(polynomial_values(c, m) - sign * chi)) <= 1e-10
 
     def test_parseval(self, rng):
@@ -611,7 +611,7 @@ class TestModelRoots:
         # the FFT readout of k = 17's samples leaves ~0.1 eps on other degrees
         params = model.params_from_k(17)
         n = params.n_harmonic
-        c = HelicitySeries.from_samples(model.evaluate_model(params, 4 * n + 4).phi1, n).c
+        c = HelicitySeries.from_samples(grid_phi1(params, 4 * n + 4), n).c
         assert np.count_nonzero(c) > 4
         roots = polynomial_roots(c)
         assert eigensolve_calls == [70]
