@@ -348,7 +348,12 @@ class CoefficientCaseReport:
 
 
 def _decay_exponent(n: np.ndarray, values: np.ndarray) -> float | None:
-    """Log-log slope of |values| over the top decade of n (nonzero entries)."""
+    """Log-log slope of |values| over the top decade of n (nonzero entries).
+
+    None from fewer than three such entries, an empty n included.
+    """
+    if len(n) < 3:
+        return None
     sel = (n > n[-1] / 10) & (np.abs(values) > 1e-12)
     if np.count_nonzero(sel) < 3:
         return None

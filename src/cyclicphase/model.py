@@ -298,8 +298,11 @@ def integrate_ode(params: ModelParams, initial, s_span=(-np.pi, np.pi),
         nu = np.hypot(e.imag, np.abs(f))
         theta = np.arctan2(nu, 1.0 + e.real)
         log_mu = 0.5 * np.log1p(e.real * (2.0 + e.real) + nu * nu)
-        ku = (1j * e.imag * u + f * v) / nu
-        kv = (-np.conj(f) * u - 1j * e.imag * v) / nu
+        # nu = 0 (a zero span, h = 0) leaves M = (1 + Re e) I: no K terms
+        ku = kv = 0.0
+        if nu:
+            ku = (1j * e.imag * u + f * v) / nu
+            kv = (-np.conj(f) * u - 1j * e.imag * v) / nu
         # the drift is taken block by block, so that no temporary spans the
         # trajectory; np.maximum, not max, so that a nan state still reads nan
         drift = _norm_drift(states[:1])

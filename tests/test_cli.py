@@ -237,8 +237,11 @@ class TestReciprocity:
 
     @pytest.mark.parametrize("argv, bound", [
         pytest.param(("--k", "17", "--method", "series"), 6.5, id="series"),
-        pytest.param(("--k", "17", "--method", "quadrature"), 7.5, id="quadrature"),
-        pytest.param(("--k", "16.59",), 6.5, id="non-cyclic")])
+        pytest.param(("--k", "17", "--method", "quadrature"), 6.5, id="quadrature"),
+        pytest.param(("--k", "16.59",), 6.5, id="non-cyclic"),
+        pytest.param(("--k", "16.59", "--fejer"), 6.5, id="non-cyclic-fejer"),
+        pytest.param(("--k", "16.59", "--method", "quadrature"), 6.75,
+                     id="non-cyclic-quadrature")])
     def test_peak_is_a_few_curves(self, capsys, argv, bound):
         # every full-size curve is formed once and updated in place, the error
         # statistics hold one buffer of the kept differences and phi1 is sampled

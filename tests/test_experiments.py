@@ -297,6 +297,11 @@ class TestCoefficientCase:
         with pytest.raises(ValueError, match="cyclic"):
             run_coefficient_case(fig_params("fig3"))
 
+    def test_no_harmonics(self):
+        # n_max = 0 leaves no n to fit: no exponent, as for fewer than three points
+        report, table = run_coefficient_case(fig_params("fig1"), n_max=0)
+        assert report.decay_exponent is None and table.n_rows == 0
+
     @pytest.mark.parametrize("params, n_max, grid, analysed", [
         (model.params_from_k(100), 10, 64, 512),  # raised to the contour's 2^9 >= 36 n_max
         (fig_params("fig2"), 200, 16384, 16384),

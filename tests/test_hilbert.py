@@ -212,7 +212,7 @@ class TestPeriodicHilbert:
         # the input takes the m-point one, byte for byte
         f = self.pi_periodic(rng, m, parity)
         if method == "quadrature":
-            mu = _quadrature_kernel_fft(m).imag
+            mu = _quadrature_kernel_fft(m)
         else:
             mu = np.full(m // 2 + 1, np.pi)
             mu[::m // 2] = 0.0
@@ -238,11 +238,11 @@ class TestPeriodicHilbert:
         # the FFT's alone; it read O(m eps) (1.9e-11 at m = 262144) while
         # cot(d h / 2) amplified the rounding of d h / 2 next to pi.
         # Measured 4.4e-16, 1.8e-15 and 2.9e-15 (<= 13 eps).  The kernel
-        # holds the rfft bins n = 0..m/2 only.
-        exact = np.zeros(m // 2 + 1, dtype=complex)
-        exact[1:-1] = 1j * np.pi
+        # holds the real mu_n on the rfft bins n = 0..m/2 only.
+        exact = np.zeros(m // 2 + 1)
+        exact[1:-1] = np.pi
         kernel = _quadrature_kernel_fft(m)
-        assert kernel.shape == exact.shape
+        assert kernel.shape == exact.shape and kernel.dtype == np.float64
         assert np.max(np.abs(kernel - exact)) <= 32 * np.finfo(float).eps
 
     def test_rejects_bad_input(self):
@@ -252,6 +252,12 @@ class TestPeriodicHilbert:
             periodic_hilbert(np.ones(256), method="simpson")
         with pytest.raises(ValueError, match="series"):
             periodic_hilbert(np.ones(256), method="quadrature", fejer_order=8)
+
+    @pytest.mark.parametrize("fejer_order", [-1, -2, np.nan])
+    def test_rejects_a_negative_fejer_order(self, fejer_order):
+        # -1 would divide by zero, -2 weight harmonics above 1 and nan give nan
+        with pytest.raises(ValueError, match="fejer_order must be >= 0"):
+            periodic_hilbert(np.ones(256), fejer_order=fejer_order)
 
 
 class TestReciprocalPair:

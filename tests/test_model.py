@@ -326,6 +326,14 @@ class TestIntegrateOde:
         assert traj.norm_drift > 1e-6
         assert traj.states.shape[0] == 41
 
+    def test_zero_span_keeps_the_state(self):
+        # h = 0 takes one step of the identity map, whose K terms would be 0/0
+        p = model.params_from_k(1)
+        psi0 = model.analytic_state_pair(p, 0.3)
+        traj = model.integrate_ode(p, psi0, (0.3, 0.3))
+        assert np.array_equal(traj.states, [psi0, psi0])
+        assert traj.norm_drift <= 1e-15
+
     def test_rejects_unnormalised_state(self):
         p = model.derive_params(2.0)
         with pytest.raises(ValueError, match="normalised"):

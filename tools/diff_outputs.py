@@ -64,7 +64,9 @@ import numpy as np
 #: pi-period route on the smallest grid of k = 17, m = 4N + 4 = 144, whose
 #: first quarter holds N + 1 = 36 points (Fejer-resummed series, and the
 #: quadrature as a JSON dataset), and the Berry phase at k = 1000 on 16384
-#: points, whose four samples are copies of the first quarter
+#: points, whose four samples are copies of the first quarter; last, the
+#: Fejer-resummed series on the full-length route (non-cyclic fig3), the
+#: only command that scales the m-point spectrum by Fejer weights
 COMMANDS = (
     ("reciprocity", "--preset", "fig1", "--out", "{out}/fig1"),
     ("reciprocity", "--preset", "fig2", "--format", "json", "--out", "{out}/fig2"),
@@ -128,6 +130,8 @@ COMMANDS = (
     ("reciprocity", "--k", "17", "--grid-size", "144", "--method", "quadrature",
      "--format", "json", "--out", "{out}/k17-144-quad"),
     ("berry", "--k", "1000", "--grid-size", "16384"),
+    ("reciprocity", "--preset", "fig3", "--grid-size", "4096", "--fejer",
+     "--out", "{out}/fig3-fejer"),
 )
 
 
