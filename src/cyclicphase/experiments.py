@@ -409,7 +409,11 @@ def check_writable(path) -> Path:
     """
     path = Path(path)
     try:
-        path.parent.mkdir(parents=True, exist_ok=True)
+        try:
+            path.parent.mkdir(parents=True, exist_ok=True)
+        except FileExistsError:  # the parent exists, but is no directory
+            raise NotADirectoryError(errno.ENOTDIR, os.strerror(errno.ENOTDIR),
+                                     str(path.parent)) from None
         if path.is_dir():
             raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(path))
         target = path if path.exists() else path.parent

@@ -210,9 +210,6 @@ class Trajectory:
 #: RK4 states, or closed-form points, computed together; bounds the temporaries
 RK4_CHUNK = 4096
 
-#: integrate_ode forms a chunk's powers as RK4_SIDE x RK4_SIDE outer products
-RK4_SIDE = 64
-
 
 def _rk4_increments(g: float, phase, h: float, d: float):
     """(alpha, beta) of D_n = (h/6)(K1 + 2 K2 + 2 K3 + K4), one per drive phase.
@@ -239,16 +236,21 @@ def _rk4_increments(g: float, phase, h: float, d: float):
 
 def integrate_ode(params: ModelParams, initial, s_span=(-np.pi, np.pi),
                   step: float | None = None,
-                  freeze_s: float | None = None) -> Trajectory:
+                  freeze_s: float | None = None, at=None) -> Trajectory:
     """Classic fixed-step RK4 for i dPsi/dt = H(t) Psi, driven in s units.
 
     dt = 2 ds (omega = 1 internally), so the right-hand side is
     dPsi/ds = A(s) Psi with A(s) = -2i H(2s).  ``freeze_s`` holds the
     Hamiltonian at a fixed time (useful for checking against the constant-H
-    matrix exponential).  The norm drift over the run is reported in
-    ``norm_drift`` for the caller to judge; a large drift does not stop the
-    run.  The span may run backward (s1 < s0); the step count is
+    matrix exponential).  The norm drift over the states returned is reported
+    in ``norm_drift`` for the caller to judge; a large drift does not stop
+    the run.  The span may run backward (s1 < s0); the step count is
     ceil(|s1 - s0|/step) up to rounding, so that step = span/n takes n steps.
+
+    With ``at``, a 1-D integer array of step indices in [0, nsteps]
+    (ValueError otherwise), only the states Psi_n at those n are formed, at
+    s = s0 + h n: the cost follows len(at), whatever the step count.  Without
+    it ``at`` is every index, and the trajectory holds nsteps + 1 states.
 
     The equation is linear, so one RK4 step is exactly Psi <- S_n Psi with
     S_n = I + D_n, D_n = (h/6)(K1 + 2 K2 + 2 K3 + K4), K1 = A(s_n),
@@ -259,7 +261,8 @@ def integrate_ode(params: ModelParams, initial, s_span=(-np.pi, np.pi),
     Psi_n = U^n M^n Psi_0 for the one map M = U^-1 S_0.  M is
     [[a, b], [-conj(b), conj(a)]], that is mu (cos theta I + sin theta K) with
     K^2 = -I, so M^n = mu^n (cos n theta I + sin n theta K) and every state
-    follows from mu^n e^{i n theta} and e^{i n d}, RK4_CHUNK states at a time.
+    follows from mu^n e^{i n theta} and e^{i n d}, one exp per index,
+    RK4_CHUNK states at a time.
     E = M - I is formed in increment form (cos d - 1 = -2 sin^2(d/2)) and
     mu, theta are read from E, so that n theta and mu^n keep the relative
     precision of the per-step loop's increments.
@@ -280,9 +283,13 @@ def integrate_ode(params: ModelParams, initial, s_span=(-np.pi, np.pi),
     nsteps = max(1, int(np.ceil(abs(s1 - s0) / step * (1.0 - 4.0 * np.finfo(float).eps))))
     h = (s1 - s0) / nsteps
 
-    s_out = s0 + h * np.arange(nsteps + 1)
-    states = np.empty((nsteps + 1, 2), dtype=complex)
-    states[0] = psi
+    at = np.arange(nsteps + 1) if at is None else np.asarray(at)
+    if (at.ndim != 1 or not len(at) or not np.issubdtype(at.dtype, np.integer)
+            or at.min() < 0 or at.max() > nsteps):
+        raise ValueError(f"at must be a non-empty 1-D array of integer step "
+                         f"indices from 0 to {nsteps}")
+    s_out = s0 + h * at
+    states = np.empty((len(at), 2), dtype=complex)
     u, v = psi
     d = h if freeze_s is None else 0.0
     phase = 2.0 * (s0 + h / 2 if freeze_s is None else freeze_s)
@@ -303,20 +310,15 @@ def integrate_ode(params: ModelParams, initial, s_span=(-np.pi, np.pi),
         if nu:
             ku = (1j * e.imag * u + f * v) / nu
             kv = (-np.conj(f) * u - 1j * e.imag * v) / nu
+        rates = np.array([[complex(log_mu, theta)], [1j * d]])
         # the drift is taken block by block, so that no temporary spans the
         # trajectory; np.maximum, not max, so that a nan state still reads nan
-        drift = _norm_drift(states[:1])
-        # e^{n rate} for step n = i0 + RK4_SIDE a + b is the product of a row
-        # factor (one exp per a) and a column factor (b, once per run)
-        rates = np.array([[complex(log_mu, theta)], [1j * d]])
-        cols = np.exp(rates * np.arange(RK4_SIDE))
-        for i0 in range(1, nsteps + 1, RK4_CHUNK):
-            size = min(RK4_CHUNK, nsteps + 1 - i0)
-            row = i0 + RK4_SIDE * np.arange(-(-size // RK4_SIDE))
-            rows = np.exp(rates * row)  # mu^n e^{i n theta}; e^{i n d}, U^n = cos nd I + sin nd J
-            w, z = (np.multiply.outer(r, c).ravel()[:size] for r, c in zip(rows, cols))
+        drift = 0.0
+        for i in range(0, len(at), RK4_CHUNK):
+            # e^{n rate}: mu^n e^{i n theta}; e^{i n d}, U^n = cos nd I + sin nd J
+            w, z = np.exp(rates * at[i:i + RK4_CHUNK])
+            block = states[i:i + RK4_CHUNK]
             x0, x1 = w.real * u + w.imag * ku, w.real * v + w.imag * kv
-            block = states[i0:i0 + size]
             block[:, 0] = z.real * x0 + z.imag * x1
             block[:, 1] = z.real * x1 - z.imag * x0
             drift = np.maximum(drift, _norm_drift(block))

@@ -310,8 +310,10 @@ class TestOtherCommands:
         assert cli.default_rk4_steps(params.g) == 20000
 
     def test_rk4_default_reaches_the_ceiling(self):
+        # the g^1.2 rule holds up to g ~ 8.9e7 (1e12 steps); only beyond is it capped
         assert cli.default_rk4_steps(model.params_from_k(200.3).g) == 385929
-        assert cli.default_rk4_steps(model.params_from_k(1000).g) == MAX_RK4_STEPS
+        assert cli.default_rk4_steps(model.params_from_k(1000).g) == 2657610
+        assert cli.default_rk4_steps(1e150) == MAX_RK4_STEPS
 
     def test_rk4_default_holds_the_fig2_drift(self):
         # the drift goes as g^6 / steps^5, so the default steps keep fig2's drift
@@ -340,10 +342,8 @@ class TestOtherCommands:
         assert err == ""
 
     def test_verify_reference_stays_small_beside_the_trajectory(self, capsys):
-        # RK4 is compared with the closed form RK4_CHUNK states at a time;
-        # the whole reference at once peaked at 4.2 times the trajectory
-        params = model.params_from_k(200.3)
-        trajectory_bytes = (cli.default_rk4_steps(params.g) + 1) * (2 * 16 + 8)
+        # 385,929 steps, RK4_CHUNK + 1 states formed and compared: the whole
+        # trajectory, compared RK4_CHUNK states at a time, peaked at 16.0 MB
         tracemalloc.start()
         try:
             code, out, _ = run_cli(capsys, "verify", "--k", "200.3", "--grid-size", "64")
@@ -351,36 +351,74 @@ class TestOtherCommands:
         finally:
             tracemalloc.stop()
         assert code == 0 and "FAIL" not in out
-        assert peak <= 2 * trajectory_bytes, peak / trajectory_bytes
+        assert peak <= 256 * model.RK4_CHUNK, peak / model.RK4_CHUNK
 
-    def test_verify_peak_is_the_trajectory_and_one_block(self, capsys):
-        # integrate_ode takes the norm drift RK4_CHUNK states at a time: beyond
-        # the trajectory (states and s), only block-sized temporaries are live.
-        # The drift over the whole trajectory at once peaked at 1.62 times it
-        params = model.params_from_k(200.3)
-        trajectory_bytes = (cli.default_rk4_steps(params.g) + 1) * (2 * 16 + 8)
-        block_bytes = 256 * model.RK4_CHUNK
+    @pytest.mark.parametrize("steps", [4097, 10**6, MAX_RK4_STEPS])
+    def test_verify_peak_is_the_trajectory_and_one_block(self, capsys, steps):
+        # the same bound at every step count; the 1e6-step trajectory peaked
+        # at 40.6 MB when every state was formed
         tracemalloc.start()
         try:
-            code, out, _ = run_cli(capsys, "verify", "--k", "200.3", "--grid-size", "64")
+            code, out, _ = run_cli(capsys, "verify", "--k", "17", "--grid-size", "4096",
+                                   "--rk4-steps", str(steps))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert code == 0 and "FAIL" not in out
-        assert peak <= trajectory_bytes + block_bytes, (peak - trajectory_bytes) / block_bytes
+        assert (code == 0) == (steps > 4097) and "FAIL  solution" not in out
+        assert peak <= 256 * model.RK4_CHUNK, peak / model.RK4_CHUNK
 
-    def test_verify_compares_every_rk4_state(self, capsys, monkeypatch):
-        # the reference comes in RK4_CHUNK slices; together they are the RK4 grid
+    @pytest.mark.parametrize("steps", [50, model.RK4_CHUNK, model.RK4_CHUNK + 1,
+                                       3 * model.RK4_CHUNK + 5])
+    def test_verify_compares_every_rk4_state(self, capsys, monkeypatch, steps):
+        # every state up to RK4_CHUNK steps; above, RK4_CHUNK + 1 states spread
+        # evenly over the run, sorted and distinct, the first and last included
         seen, pair = [], model.analytic_state_pair
         monkeypatch.setattr(model, "analytic_state_pair",
                             lambda p, s: seen.append(np.asarray(s)) or pair(p, s))
-        steps = 3 * model.RK4_CHUNK + 5
-        code, _, _ = run_cli(capsys, "verify", "--k", "1", "--grid-size", "64",
-                             "--rk4-steps", str(steps))
+        code, out, _ = run_cli(capsys, "verify", "--k", "1", "--grid-size", "64",
+                               "--rk4-steps", str(steps))
         s = trigpoly.offset_grid(64)
-        assert code == 0 and seen[0] == s[0]  # the initial state
-        assert np.array_equal(np.concatenate(seen[1:]),
-                              s[0] + (s[-1] - s[0]) / steps * np.arange(steps + 1))
+        h = (s[-1] - s[0]) / steps
+        assert code == (1 if steps == 50 else 0) and seen[0] == s[0]  # the initial state
+        (compared,) = seen[1:]
+        n = np.round((compared - s[0]) / h).astype(int)
+        assert np.array_equal(compared, s[0] + h * n)
+        if steps <= model.RK4_CHUNK:
+            assert np.array_equal(n, np.arange(steps + 1))
+        else:
+            assert len(n) == model.RK4_CHUNK + 1 and n[0] == 0 and n[-1] == steps
+            assert set(np.diff(n)) <= {steps // model.RK4_CHUNK,
+                                       steps // model.RK4_CHUNK + 1}
+        assert (f"note: RK4 compared at {len(n)} of its {steps + 1} states, "
+                f"the last included\n") in out
+
+    @pytest.mark.parametrize("k, m", [(17, 4096), (50, 4096), (100, 4096),
+                                      (200.3, 4096), (1000, 4096), (17, 64)])
+    def test_sampled_rk4_error_is_the_trajectory_maximum(self, capsys, k, m):
+        # away from round-off the error and the drift over every state read
+        # as over the states verify compares, to the 4 digits it prints; the
+        # states are formed 2^18 at a time (k = 1000 takes 2,657,610 steps)
+        code, out, _ = run_cli(capsys, "verify", "--k", str(k), "--grid-size", str(m))
+        params = model.params_from_k(k)
+        s = trigpoly.offset_grid(m)
+        psi0, steps = model.analytic_state_pair(params, s[0]), cli.default_rk4_steps(params.g)
+        err = drift = 0.0
+        for i in range(0, steps + 1, 1 << 18):
+            traj = model.integrate_ode(params, psi0, (s[0], s[-1]),
+                                       step=(s[-1] - s[0]) / steps,
+                                       at=np.arange(i, min(i + (1 << 18), steps + 1)))
+            err = max(err, np.max(np.abs(traj.states
+                                         - model.analytic_state_pair(params, traj.s))))
+            drift = max(drift, traj.norm_drift)
+        assert code == 0 and steps > model.RK4_CHUNK
+        assert f"PASS  RK4 vs analytic < 1e-6  ({err:.3e})" in out
+        assert f"PASS  norm drift < 1e-8  ({drift:.3e})" in out
+
+    @pytest.mark.parametrize("k", ["1000", "10000"])
+    def test_verify_large_k_passes_at_the_default_steps(self, capsys, k):
+        # 2,657,610 and 42,120,284 steps; the 1e6-step cap failed both
+        code, out, err = run_cli(capsys, "verify", "--k", k)
+        assert code == 0 and err == "" and "FAIL" not in out
 
     def test_verify_zero_gate_beyond_the_dataset_grid(self, capsys):
         # N = 2001 needs 8008 samples, more than the 4096-point grid: the gate
@@ -476,6 +514,8 @@ class TestOtherCommands:
                                "--out", str(target))
         assert code == 1
         assert err.startswith(f"error: failed writing {target}")
+        # the parent is named as no directory, not as a file that exists
+        assert err.endswith(f": [Errno 20] Not a directory: '{blocker}'\n")
         assert err.count("\n") == 1
 
     @pytest.mark.parametrize("command", [("sweep", "--k-values", "2"),

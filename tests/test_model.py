@@ -8,7 +8,7 @@ import pytest
 import conftest as oracle
 from conftest import eliminated_partner, itoh_unwrap, rk4_reference
 from cyclicphase import experiments, model, trigpoly
-from cyclicphase.cli import MAX_RK4_STEPS, default_rk4_steps
+from cyclicphase.cli import MAX_RK4_STEPS
 from cyclicphase.trigpoly import offset_grid, spectrum
 
 
@@ -349,14 +349,58 @@ class TestIntegrateOde:
             traj = model.integrate_ode(p, psi0, (s[0], s[-1]), step=(s[-1] - s[0]) / steps)
             assert len(traj.s) - 1 == steps
 
-    def test_step_count_ceiling(self):
-        # verify --k 1000 --grid-size 36 takes MAX_RK4_STEPS steps, not one more
+    @pytest.mark.parametrize("steps", [10**6, MAX_RK4_STEPS])
+    def test_step_count_ceiling(self, steps):
+        # verify --k 1000 --grid-size 36 --rk4-steps N takes N steps, not one
+        # more: N is the last step index that ``at`` accepts
         p, s = model.params_from_k(1000), offset_grid(36)
-        steps = default_rk4_steps(p.g)
-        assert steps == MAX_RK4_STEPS
-        traj = model.integrate_ode(p, model.analytic_state_pair(p, s[0]), (s[0], s[-1]),
-                                   step=(s[-1] - s[0]) / steps)
-        assert len(traj.s) - 1 == steps
+        psi0, span = model.analytic_state_pair(p, s[0]), (s[0], s[-1])
+        model.integrate_ode(p, psi0, span, step=(s[-1] - s[0]) / steps, at=[steps])
+        with pytest.raises(ValueError, match=f"from 0 to {steps}$"):
+            model.integrate_ode(p, psi0, span, step=(s[-1] - s[0]) / steps, at=[steps + 1])
+
+
+class TestIntegrateOdeAt:
+    """States at chosen step indices against the full trajectory's rows."""
+
+    @pytest.mark.parametrize("span, nsteps, freeze_s", [
+        ((-np.pi, np.pi), 20_000, None),       # forward, verify's fig1 steps
+        ((2.0, -1.5), 5_000, None),            # backward
+        ((0.0, 3.0), 4_096, 0.4),              # Hamiltonian frozen
+        ((-0.7, 0.2), 1, None),                # one step
+        ((-np.pi, np.pi), 4_097, None),        # one state past RK4_CHUNK
+    ])
+    def test_rows_match_the_trajectory(self, span, nsteps, freeze_s):
+        p = model.params_from_k(17)
+        psi0 = model.analytic_state_pair(p, span[0])
+        step = abs(span[1] - span[0]) / nsteps
+        full = model.integrate_ode(p, psi0, span, step=step, freeze_s=freeze_s)
+        at = np.unique(np.r_[0, nsteps, np.random.default_rng(nsteps).integers(
+            0, nsteps + 1, 300)])
+        sampled = model.integrate_ode(p, psi0, span, step=step, freeze_s=freeze_s, at=at)
+        assert len(full.s) == nsteps + 1
+        assert np.array_equal(sampled.s, full.s[at])
+        assert np.max(np.abs(sampled.states - full.states[at])) <= 1e-12
+        assert sampled.norm_drift == pytest.approx(
+            model._norm_drift(full.states[at]), rel=1e-6, abs=1e-14)
+
+    def test_order_and_repeats_are_kept(self):
+        p = model.params_from_k(2)
+        psi0 = model.analytic_state_pair(p, -np.pi)
+        at = np.array([7, 0, 7, 10_000, 3])
+        sampled = model.integrate_ode(p, psi0, at=at)
+        assert np.array_equal(sampled.states[0], sampled.states[2])
+        assert np.array_equal(sampled.states[1], psi0)
+        full = model.integrate_ode(p, psi0)
+        assert np.max(np.abs(sampled.states - full.states[at])) <= 1e-12
+
+    @pytest.mark.parametrize("at", [[-1], [10_001], [0, 10_001], [0.5], [True],
+                                    [], [[0, 1]]])
+    def test_rejects_indices_off_the_run(self, at):
+        p = model.params_from_k(2)
+        psi0 = model.analytic_state_pair(p, -np.pi)
+        with pytest.raises(ValueError, match="integer step indices from 0 to 10000"):
+            model.integrate_ode(p, psi0, at=at)
 
 
 def assert_drift_matches(drift, oracle_drift, nsteps):

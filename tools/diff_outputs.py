@@ -36,14 +36,16 @@ import numpy as np
 #: the large JSON datasets of fig1 (32768 rows) and of coeffs, two
 #: non-cyclic verify runs, on a coarse grid and at large k, and the k = 400
 #: root pass (reciprocity and coeffs), verify runs whose RK4 steps scale
-#: with g (k = 50, 100 and 200.3 take the step rule below its ceiling), one at
-#: the 1e6-step ceiling, one at an odd step count and one of a single step;
+#: with g (k = 50, 100, 200.3 and 1000, whose 2,657,610 steps passed the
+#: old 1e6-step ceiling), one at an odd step count and one of a single step;
 #: then the parser's help and usage errors, a verify whose RK4 grid
 #: passes through s = 0, and a grid below k = 17's 4N + 4 = 144 points:
 #: reciprocity and berry refuse it (aliasing), coeffs takes its closed-form
 #: series all the same; last, two verify runs whose step span/steps
-#: divides the span only up to rounding (91 steps, and the 1e6-step ceiling
-#: on a 36-point grid), and a non-cyclic reciprocity run at half-integer k;
+#: divides the span only up to rounding (91 steps, and 1e6 steps at
+#: k = 1000 on a 36-point grid, its default until the ceiling was raised;
+#: its default 2,657,610 divides exactly), and a non-cyclic reciprocity run
+#: at half-integer k;
 #: then the edges of the exact-root grid path of a cyclic drive: m/4 odd and
 #: m no multiple of 512 (k = 3 on 4100 points), m = 4N + 4 (k = 1 on 16), and
 #: a cyclic k that is not an integer in floating point, whose angles take
@@ -66,7 +68,12 @@ import numpy as np
 #: quadrature as a JSON dataset), and the Berry phase at k = 1000 on 16384
 #: points, whose four samples are copies of the first quarter; last, the
 #: Fejer-resummed series on the full-length route (non-cyclic fig3), the
-#: only command that scales the m-point spectrum by Fejer weights
+#: only command that scales the m-point spectrum by Fejer weights; last, the
+#: RK4 cross-check past the old 1e6-step ceiling (k = 10000 at its default
+#: 42,120,284 steps), the 1e6 steps on 36 points named above, the RK4
+#: cross-check on either side of the step count up to which verify compares
+#: every state (4096 and 4097 steps at k = 17), and at the 1e12-step ceiling
+#: (fig2)
 COMMANDS = (
     ("reciprocity", "--preset", "fig1", "--out", "{out}/fig1"),
     ("reciprocity", "--preset", "fig2", "--format", "json", "--out", "{out}/fig2"),
@@ -132,6 +139,11 @@ COMMANDS = (
     ("berry", "--k", "1000", "--grid-size", "16384"),
     ("reciprocity", "--preset", "fig3", "--grid-size", "4096", "--fejer",
      "--out", "{out}/fig3-fejer"),
+    ("verify", "--k", "10000"),
+    ("verify", "--k", "1000", "--grid-size", "36", "--rk4-steps", "1000000"),
+    ("verify", "--k", "17", "--rk4-steps", "4096"),
+    ("verify", "--k", "17", "--rk4-steps", "4097"),
+    ("verify", "--preset", "fig2", "--rk4-steps", "1000000000000"),
 )
 
 
