@@ -118,13 +118,14 @@ def cmd_reciprocity(args) -> int:
                    "epsilon": args.epsilon, "n_max": args.n_max,
                    "out": args.out, "format": args.format})
     _check_out_prefix(args)
-    report, dataset = experiments.run_reciprocity_case(
-        params, grid, method=args.method, fejer=args.fejer, n_max=args.n_max,
-        exclusion_halfwidth=args.epsilon)
+    options = dict(method=args.method, fejer=args.fejer, n_max=args.n_max,
+                   exclusion_halfwidth=args.epsilon)
     if args.out:
+        report, dataset = experiments.run_reciprocity_case(params, grid, **options)
         for path in experiments.emit_outputs(report, dataset, args.out, args.format):
             print(f"wrote {path}")
-    else:
+    else:  # no dataset is formed
+        report, _ = experiments.reciprocity_report(params, grid, **options)
         print(json.dumps(experiments.report_to_dict(report), indent=2))
     return 0
 
@@ -221,8 +222,7 @@ def cmd_berry(args) -> int:
         raise ConfigError("berry requires a cyclic drive (integer K/omega)")
     _print_config("berry", params, {"grid_size": grid})
     predicted = model.berry_phase_predicted(params)
-    signals = model.evaluate_model(params, grid)
-    measured = experiments.measure_berry_phase(signals)
+    measured = experiments.measure_berry_phase(model.half_period_signals(params, grid))
     print(f"berry predicted = {predicted:.12f} rad")
     print(f"berry measured  = {measured:.12f} rad")
     print(f"|difference|    = {abs(measured - predicted):.3e} rad")
@@ -246,7 +246,7 @@ def cmd_sweep(args) -> int:
         experiments.check_writable(args.out)
     reports = []
     for params in params_list:
-        report, _ = experiments.run_reciprocity_case(params, grid)
+        report, _ = experiments.reciprocity_report(params, grid)
         reports.append(report)
         print(f"k={params.k:<10.6g} cyclic={params.cyclic!s:5}  "
               f"rms_phase={report.rms_phase_error:.3e}  "

@@ -118,18 +118,28 @@ def kept_runs(s: np.ndarray, zeros, halfwidth: float) -> list[tuple[int, int]]:
     return list(zip(bounds[edges[0::2]].tolist(), bounds[edges[1::2]].tolist()))
 
 
-def _masked_error_stats(reconstructed: np.ndarray, direct: np.ndarray,
+def _masked_error_stats(reconstructed, direct,
                         runs: list[tuple[int, int]]) -> tuple[float, float]:
     """RMS and max |d| of d = reconstructed - direct on the kept runs, less its mean.
 
     The differences of the runs are written, in order, into one buffer of the
-    kept length, and every step after it works in place on that buffer.
+    kept length, and every step after it works in place on that buffer.  Two
+    ``hilbert.HalfPeriod`` curves of one parity are subtracted on their heads
+    and the buffer is read from that difference: (+-a) - (+-b) = +-(a - b)
+    exactly, so the buffer holds the differences of the laid-out curves.
     """
     d = np.empty(sum(j - i for i, j in runs))
     at = 0
-    for i, j in runs:
-        np.subtract(reconstructed[i:j], direct[i:j], out=d[at:at + j - i])
-        at += j - i
+    if isinstance(direct, hilbert.HalfPeriod):
+        difference = hilbert.HalfPeriod(reconstructed.head - direct.head, direct.parity,
+                                        direct.m)
+        for i, j in runs:
+            difference.read(i, d[at:at + j - i])
+            at += j - i
+    else:
+        for i, j in runs:
+            np.subtract(reconstructed[i:j], direct[i:j], out=d[at:at + j - i])
+            at += j - i
     d -= d.mean()  # curves are each defined up to the A_0 = 0 normalisation
     np.abs(d, out=d)
     largest = float(np.max(d))
@@ -183,7 +193,9 @@ def measure_berry_phase(signals: model.ModelSignals) -> float:
     grid samples (e = h/2 and 3h/2).  Near the adiabatic regime the connection
     is a boundary-layer step of width ~1/(4k) decorated with O(1) oscillations,
     so extrapolating from coarser offsets inside the oscillation zone would not
-    converge.
+    converge.  The phase_chi of ``model.half_period_signals`` is a
+    ``hilbert.HalfPeriod``, and the four samples are read from its head:
+    index 3m/4 - 1 is head[m/4 - 1], for instance.
     """
     if not signals.params.cyclic:
         raise ValueError("Berry-phase measurement requires cyclic signals")
@@ -212,30 +224,61 @@ def _detrended_phase(raw_angle: np.ndarray, s: np.ndarray) -> tuple[np.ndarray, 
     return phase, float(slope)
 
 
+@dataclass(frozen=True)
+class ReciprocityCurves:
+    """The grid and the four curves of a reciprocity run, as its report step leaves them.
+
+    A cyclic run's curves are ``hilbert.HalfPeriod`` values, its phases
+    phase_chi and its reconstruction, without the (g - N) s ramp; a
+    non-cyclic run's are arrays of m samples, as the dataset holds them.
+    """
+
+    s: np.ndarray
+    log_modulus_direct: np.ndarray | hilbert.HalfPeriod
+    log_modulus_reconstructed: np.ndarray | hilbert.HalfPeriod
+    phase_direct: np.ndarray | hilbert.HalfPeriod
+    phase_reconstructed: np.ndarray | hilbert.HalfPeriod
+
+
 def run_reciprocity_case(params: model.ModelParams, grid_size: int,
                          method: str = "series", fejer: bool = False,
                          n_max: int = 50,
                          exclusion_halfwidth: float = EXCLUSION_HALFWIDTH):
     """Run both reconstruction directions and collect the comparison report.
 
-    Returns (ReciprocityReport, Table).  The dataset columns are
-    (s, t, log_modulus_direct, log_modulus_reconstructed, phase_direct,
-    phase_reconstructed); phases are the physical ones (dynamic phase
-    removed) for cyclic drives and the detrended window phases for non-cyclic
-    ones.  A non-cyclic log-modulus is log|phi1| minus its mean, the same
-    A_0 = 0 normalisation the error statistics use.
+    Returns (ReciprocityReport, Table): the report of ``reciprocity_report``
+    and the dataset ``reciprocity_dataset`` lays out from its curves.  A
+    caller that writes no dataset calls ``reciprocity_report`` alone.
+    """
+    report, curves = reciprocity_report(params, grid_size, method, fejer, n_max,
+                                        exclusion_halfwidth)
+    return report, reciprocity_dataset(params, curves)
 
-    Each column is formed once and then updated in place; a non-cyclic
-    phi1 is dropped as soon as the curves are read from it, and a cyclic run
-    never holds phi1 at full size (``model.evaluate_model``).  The error
-    statistics are taken first, over the index runs of the samples at least
+
+def reciprocity_report(params: model.ModelParams, grid_size: int,
+                       method: str = "series", fejer: bool = False,
+                       n_max: int = 50,
+                       exclusion_halfwidth: float = EXCLUSION_HALFWIDTH):
+    """The report of a reciprocity run, and the curves its dataset is laid out from.
+
+    Returns (ReciprocityReport, ReciprocityCurves).  A non-cyclic
+    log-modulus is log|phi1| minus its mean, the same A_0 = 0 normalisation
+    the error statistics use, and a non-cyclic phase is the detrended window
+    phase.
+
+    A cyclic run is held on the first half-period of its curves
+    (``model.half_period_signals``): both transforms take and return
+    ``hilbert.HalfPeriod`` values, the Berry phase reads its four samples
+    from the head, and no curve is laid out at full size: the grid and the
+    kept-sample buffer of the error statistics are its only arrays of about
+    m samples.  A non-cyclic run forms each curve once and updates it in
+    place; phi1 is dropped as soon as the curves are read from it.  The
+    error statistics are taken over the index runs of the samples at least
     exclusion_halfwidth from the amplitude zeros (``kept_runs``), with no
-    full-size mask; then the (g - N) s ramp, formed RK4_CHUNK points at a
-    time, turns both cyclic phase curves into physical phases in place.  No
-    two columns share memory.
+    full-size mask.
     """
     if params.cyclic:
-        signals = model.evaluate_model(params, grid_size)
+        signals = model.half_period_signals(params, grid_size)
         s, lm_direct, ph_direct = signals.grid, signals.log_modulus, signals.phase_chi
         helicity, berry_measured = signals.helicity, measure_berry_phase(signals)
     else:
@@ -267,12 +310,6 @@ def run_reciprocity_case(params: model.ModelParams, grid_size: int,
     rms_lm, max_lm = _masked_error_stats(lm_rec, lm_direct, runs)
 
     if params.cyclic:
-        for i in range(0, grid_size, model.RK4_CHUNK):
-            block = slice(i, i + model.RK4_CHUNK)
-            ramp = _physical_ramp(params, s[block])
-            ph_direct[block] += ramp
-            ph_rec[block] += ramp
-        del ramp
         # on the series' own grid: R is a polynomial, so the dataset grid adds nothing
         coeffs = hilbert.log_coefficients(helicity, n_max, 4 * n_max + 4)
         regime_fields = dict(
@@ -315,9 +352,33 @@ def run_reciprocity_case(params: model.ModelParams, grid_size: int,
         rms_phase_error=rms_ph, max_phase_error=max_ph,
         rms_logmod_error=rms_lm, max_logmod_error=max_lm,
         notes="; ".join(notes), **regime_fields)
+    return report, ReciprocityCurves(s, lm_direct, lm_rec, ph_direct, ph_rec)
+
+
+def reciprocity_dataset(params: model.ModelParams, curves: ReciprocityCurves) -> Table:
+    """The dataset of a reciprocity run, laid out from the curves of its report step.
+
+    The columns are (s, t, log_modulus_direct, log_modulus_reconstructed,
+    phase_direct, phase_reconstructed).  A cyclic run's curves are laid out
+    here, one at a time (``hilbert.HalfPeriod.full``), and the (g - N) s
+    ramp, formed RK4_CHUNK points at a time, turns both phase curves into
+    physical phases (dynamic phase removed) in place.  A non-cyclic run's
+    columns are its curves as they are.  No two columns share memory.
+    """
+    s = curves.s
+    lm_direct, lm_rec, ph_direct, ph_rec = (
+        c.full() if isinstance(c, hilbert.HalfPeriod) else c
+        for c in (curves.log_modulus_direct, curves.log_modulus_reconstructed,
+                  curves.phase_direct, curves.phase_reconstructed))
+    if params.cyclic:
+        for i in range(0, len(s), model.RK4_CHUNK):
+            block = slice(i, i + model.RK4_CHUNK)
+            ramp = _physical_ramp(params, s[block])
+            ph_direct[block] += ramp
+            ph_rec[block] += ramp
     t = 2.0 * s
     t /= params.omega
-    dataset = Table(
+    return Table(
         ("s", "t", "log_modulus_direct", "log_modulus_reconstructed",
          "phase_direct", "phase_reconstructed"),
         {
@@ -328,7 +389,6 @@ def run_reciprocity_case(params: model.ModelParams, grid_size: int,
             "phase_direct": ph_direct,
             "phase_reconstructed": ph_rec,
         })
-    return report, dataset
 
 
 @dataclass(frozen=True)

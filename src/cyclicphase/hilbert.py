@@ -18,7 +18,9 @@ grid (s_{m-1-j} = -s_j), and such an input is transformed from its first
 half at half the FFT length.  They also repeat after pi (chi is a
 polynomial in z^2), and such an input holds only the even harmonics: one
 period of m/2 samples is transformed, at a quarter of the FFT length, and
-written twice.  Any other input is transformed at full length.
+written twice.  Such a curve can be held as a ``HalfPeriod``, the first
+half of its period, and is then transformed into one with no full-size
+array formed.  Any other input is transformed at full length.
 
 For a function chi(s) = sum_{m>=0} c_m e^{ims} with c_0 > 0 whose polynomial
 has no zeros inside the unit disk, log(chi/c_0) = sum_{n>0} C_n e^{ins} with
@@ -118,33 +120,116 @@ def _parity(f: np.ndarray) -> float:
     return 0.0
 
 
-def _half_length_hilbert(f: np.ndarray, mu: np.ndarray, parity: float) -> np.ndarray:
-    """H[f] of an exactly even (parity 1) or odd (parity -1) f, from half a period.
+@dataclass(frozen=True)
+class HalfPeriod:
+    """A real curve on the offset grid of m points, held as the first half of its period.
+
+    The curve is exactly even (parity 1) or odd (parity -1) under s -> -s,
+    f[j] == parity f[m-1-j], and repeats after its period of 2 len(head)
+    points: [head, parity head reversed], written m / (2 len(head)) times
+    (``full``).  The head is m/4 points for a curve that also repeats after
+    pi, m a multiple of 8, and m/2 points otherwise; ValueError for any
+    other length, a parity other than +-1 or m not a positive multiple of 4.
+    ``len`` is m, and an integer index (or an array of them, negative ones
+    counted from the end) reads the curve's samples from the head.
+
+    ``periodic_hilbert`` transforms such a value from its head alone and
+    returns one, so a chain of transforms holds no full-size array.
+    """
+
+    head: np.ndarray
+    parity: float
+    m: int
+
+    def __post_init__(self):
+        _check_grid_size(self.m)
+        if self.parity not in (1.0, -1.0):
+            raise ValueError(f"parity must be 1 or -1, got {self.parity}")
+        if not (2 * len(self.head) == self.m
+                or (4 * len(self.head) == self.m and self.m % 8 == 0)):
+            raise ValueError(f"a head of {len(self.head)} points is no half-period "
+                             f"of {self.m} points")
+
+    @classmethod
+    def from_quarter(cls, quarter: np.ndarray, parity: float, m: int) -> "HalfPeriod":
+        """The pi-periodic curve [q, parity q~, q, parity q~] of m points.
+
+        q~ is the quarter q reversed.  The period is m/2 points, and q is its
+        head when m is a multiple of 8; otherwise the head is the whole
+        period, [q, parity q~].
+        """
+        if m % 8:
+            quarter = np.concatenate((quarter, np.multiply(quarter[::-1], parity)))
+        return cls(quarter, parity, m)
+
+    def __len__(self) -> int:
+        return self.m
+
+    def __getitem__(self, j):
+        half = len(self.head)
+        p = np.asarray(j) % (2 * half)
+        mirrored = p >= half
+        values = self.head[np.where(mirrored, 2 * half - 1 - p, p)]
+        return np.where(mirrored, np.multiply(values, self.parity), values)
+
+    def read(self, start: int, out: np.ndarray) -> None:
+        """Write the samples start, start + 1, ... of the curve into out, in order."""
+        half, done = len(self.head), 0
+        while done < len(out):
+            run, p = divmod(start + done, half)
+            n = min(half - p, len(out) - done)
+            if run % 2:  # the reversed half: sample half + p is parity head[half - 1 - p]
+                np.multiply(self.head[half - p - n:half - p][::-1], self.parity,
+                            out=out[done:done + n])
+            else:
+                out[done:done + n] = self.head[p:p + n]
+            done += n
+
+    def full(self) -> np.ndarray:
+        """The m samples of the curve."""
+        out = np.empty(self.m)
+        self.read(0, out)
+        return out
+
+
+def _half_period(f: np.ndarray) -> HalfPeriod | None:
+    """f as a HalfPeriod (its head a view of f) if it is exactly even or odd, else None.
+
+    The period is m/2 for an f that repeats after pi, m a multiple of 8; the
+    first pair settles all but an f with f[0] == f[m/2] in O(1).
+    """
+    m, half = len(f), len(f) // 2
+    period = half if (m % 8 == 0 and f[0] == f[half]
+                      and np.array_equal(f[:half], f[half:])) else m
+    parity = _parity(f[:period])
+    return HalfPeriod(f[:period // 2], parity, m) if parity else None
+
+
+def _half_length_hilbert(head: np.ndarray, mu: np.ndarray, parity: float) -> np.ndarray:
+    """The head of H[f] from the head of an exactly even (parity 1) or odd (parity -1) f.
 
     mu holds the multiplier on the bins n = 0..L/2 of one period of L samples,
-    L = 2 (len(mu) - 1), and f is that period written m/L times (L = m, or
-    L = m/2 for a pi-periodic f).  Bin n of the rfft of the period is
-    e^{i pi n/L} times a real cosine transform (even f) or sine transform
-    (odd f) of its first half x, and H multiplies it by i mu_n: the result
-    has the opposite parity, and its half transform is mu_n times the
-    input's.  Both are taken with one real FFT of length L/2 (Makhoul, IEEE
-    Trans. ASSP 28, 1980).  x is gathered as x_0, x_2, ..., then ..., x_3,
-    x_1, the even-indexed part negated for an odd f (a sine transform is the
-    cosine transform of (-1)^j x at reversed frequencies).  After the
+    L = 2 (len(mu) - 1), and head is the first half of that period, x.  Bin n
+    of the rfft of the period is e^{i pi n/L} times a real cosine transform
+    (even f) or sine transform (odd f) of x, and H multiplies it by i mu_n:
+    the result has the opposite parity, and its half transform is mu_n times
+    the input's.  Both are taken with one real FFT of length L/2 (Makhoul,
+    IEEE Trans. ASSP 28, 1980).  x is gathered as x_0, x_2, ..., then ...,
+    x_3, x_1, the even-indexed part negated for an odd f (a sine transform is
+    the cosine transform of (-1)^j x at reversed frequencies).  After the
     twiddle e^{-i pi n/L}, n = 0..L/4, bin n of its rfft holds the transform
     at n in its real part and at L/2 - n in its imaginary part; each is
     scaled by its mu (read reversed for an odd f) and the two parts are
     swapped.  The conjugate twiddle and an irfft give the result's first
     half-period in the gathered order, its odd-indexed part negated for an
-    odd result; the rest of the period is written as the mirror of that
-    half, and the rest of the m samples as copies of the period, all into
-    the one output array.
+    odd result.  That half-period, L/2 points, is returned; the rest of the
+    curve is its layout (``HalfPeriod.full``, parity -parity).
     """
-    m, period = len(f), 2 * (len(mu) - 1)
+    period = 2 * (len(mu) - 1)
     half, quarter = period // 2, period // 4
     v = np.empty(half)
-    np.multiply(f[0:half:2], parity, out=v[:quarter])
-    v[quarter:] = f[half - 1:0:-2]
+    np.multiply(head[0::2], parity, out=v[:quarter])
+    v[quarter:] = head[half - 1:0:-2]
     spectrum = np.fft.rfft(v)
     del v
     # e^{-i pi n/L} for n = width r + c: a row factor times a column factor
@@ -163,35 +248,42 @@ def _half_length_hilbert(f: np.ndarray, mu: np.ndarray, parity: float) -> np.nda
     del twiddle
     u = np.fft.irfft(spectrum, half)
     del spectrum
-    out = np.empty(m)
-    out[0:half:2] = u[:quarter]
-    np.multiply(u[:quarter - 1:-1], -parity, out=out[1:half:2])
-    np.multiply(out[half - 1::-1], -parity, out=out[half:period])
-    out[period:] = out[:m - period]
+    out = np.empty(half)
+    out[0::2] = u[:quarter]
+    np.multiply(u[:quarter - 1:-1], -parity, out=out[1::2])
     return out
 
 
+#: rfft bins multiplied by i mu_n at a time on the full-length route
+_MULTIPLY_BLOCK = 4096
+
+
 def periodic_hilbert(samples, method: str = "series",
-                     fejer_order: int | None = None) -> np.ndarray:
+                     fejer_order: int | None = None):
     """H[f](s_j) for real samples f(s_j) on the offset grid.
 
     Both methods are one real multiplier i mu_n on the frequencies
     n = 0..m/2 of the real input.  An input that is exactly even or odd
     under s -> -s (f[j] == +-f[m-1-j], as the cyclic curves are) is
-    transformed from its first half, with one rfft and one irfft of length
-    m/2 (``_half_length_hilbert``).  If it also repeats after pi
-    (f[:m/2] == f[m/2:], m a multiple of 8, as the cyclic curves do), it
-    holds only the even harmonics 2n: its first m/2 samples are the offset
-    grid of m/2 points in t = 2s + pi, and that period is transformed with
-    FFTs of length m/4, at the multiplier of harmonic 2n, and written
-    twice.  Any other input takes an rfft of the m samples, the m/2 + 1 bins
-    scaled in place by mu_n and then by i, and an irfft back to m real
+    transformed from the first half of its period, with one rfft and one
+    irfft of length m/2 (``_half_length_hilbert``).  If it also repeats
+    after pi (f[:m/2] == f[m/2:], m a multiple of 8, as the cyclic curves
+    do), it holds only the even harmonics 2n: its first m/2 samples are the
+    offset grid of m/2 points in t = 2s + pi, and that period is transformed
+    with FFTs of length m/4, at the multiplier of harmonic 2n.  Such an
+    input may be passed as a :class:`HalfPeriod`, and then the result is the
+    HalfPeriod of H[f], opposite parity, with no full-size array formed; an
+    array input is wrapped as one (its head a view), transformed the same
+    way and the result laid out (``HalfPeriod.full``).  Any other input
+    takes an rfft of the m samples, the m/2 + 1 bins multiplied by i mu_n
+    (one complex multiplier formed _MULTIPLY_BLOCK bins at a time, so the
+    bits are those of the one complex multiply), and an irfft back to m real
     points.  Every method and route forms the one real array mu of the
     period's bins.  The routes differ by round-off only.
 
     Parameters
     ----------
-    samples : array_like
+    samples : array_like or HalfPeriod
         Real samples on the offset grid (length a multiple of 4).
     method : {"series", "quadrature"}
         "series" multiplies frequency n by i pi sign(n), which maps
@@ -217,23 +309,23 @@ def periodic_hilbert(samples, method: str = "series",
         max(0, 1 - n/(order+1))); used near singularities where the raw series
         converges non-uniformly.  ValueError unless it is >= 0.
     """
-    f = _check_real_finite(samples)
-    m = len(f)
-    _check_grid_size(m)
+    held = isinstance(samples, HalfPeriod)
+    if held:
+        _check_real_finite(samples.head)
+        wave, m = samples, samples.m
+    else:
+        f = _check_real_finite(samples)
+        m = len(f)
+        _check_grid_size(m)
     if method not in ("series", "quadrature"):
         raise ValueError(f"unknown method {method!r}")
     if method == "quadrature" and fejer_order is not None:
         raise ValueError("fejer_order applies to the series method only")
     if fejer_order is not None and not fejer_order >= 0:
         raise ValueError(f"fejer_order must be >= 0, got {fejer_order}")
-    # the period transformed: m/2 for an input that repeats after pi; the
-    # first pair settles all but an input with f[0] == f[m/2] in O(1)
-    half = m // 2
-    period = half if (m % 8 == 0 and f[0] == f[half]
-                      and np.array_equal(f[:half], f[half:])) else m
-    parity = _parity(f[:period])
-    if not parity:
-        period = m
+    if not held:
+        wave = _half_period(f)
+    period = m if wave is None else 2 * len(wave.head)
     if method == "series":
         mu = np.full(period // 2 + 1, np.pi)
         mu[::period // 2] = 0.0
@@ -246,44 +338,55 @@ def periodic_hilbert(samples, method: str = "series",
         # circular cross-correlation g_i = sum_j f_j K[(j - i) mod m]; the
         # kernel is built before the spectrum of f is held, which bounds the peak
         mu = _quadrature_kernel_fft(period)
-    if parity:
-        return _half_length_hilbert(f, mu, parity)
+    if wave is not None:
+        result = HalfPeriod(_half_length_hilbert(wave.head, mu, wave.parity),
+                            -wave.parity, m)
+        return result if held else result.full()
     spectrum = np.fft.rfft(f)
-    spectrum *= mu
+    for i in range(0, len(mu), _MULTIPLY_BLOCK):
+        spectrum[i:i + _MULTIPLY_BLOCK] *= 1j * mu[i:i + _MULTIPLY_BLOCK]
     # released before the irfft allocates its output, which bounds the peak
     del mu
-    spectrum *= 1j
     return np.fft.irfft(spectrum, m)
 
 
+def _values(curve) -> np.ndarray:
+    """The array that holds the samples of curve: its head for a HalfPeriod."""
+    return curve.head if isinstance(curve, HalfPeriod) else curve
+
+
 def phase_from_modulus(log_modulus, method: str = "series",
-                       fejer_order: int | None = None) -> np.ndarray:
+                       fejer_order: int | None = None):
     """Reconstruct arg(chi/c_0) from samples of log|chi/c_0|.
 
     The input mean never reaches the result: the expansion of log(chi/c_0)
     has no constant term, and the transform's multiplier is 0 at n = 0, so
     no centred copy is formed.  The input is never modified: the transform's
-    result is negated and divided by pi in place.
+    result is negated and divided by pi in place.  A :class:`HalfPeriod`
+    input gives a HalfPeriod result, as in :func:`periodic_hilbert`.
     """
     phase = periodic_hilbert(log_modulus, method, fejer_order)
-    np.negative(phase, out=phase)
-    phase /= np.pi
+    values = _values(phase)
+    np.negative(values, out=values)
+    values /= np.pi
     return phase
 
 
 def modulus_from_phase(phase, method: str = "series",
-                       fejer_order: int | None = None) -> np.ndarray:
+                       fejer_order: int | None = None):
     """Reconstruct log|chi/c_0| from samples of the unwrapped arg(chi/c_0).
 
     The input must be of bounded variation over the period: a linear trend
     makes the underlying infinite-range principal-value integral diverge.
-    A trend is detected from the endpoint mismatch and rejected above pi;
-    remove it before calling (the non-cyclic pipeline detrends its phase, which
-    leaves a round-off mismatch).  As in :func:`phase_from_modulus`, the
-    input mean never reaches the result and the input is never modified; the
-    transform's result is divided by pi in place.
+    A trend is detected from the endpoint mismatch f[-1] - f[0] and rejected
+    above pi (a HalfPeriod reads f[-1] = parity head[0]); remove it before
+    calling (the non-cyclic pipeline detrends its phase, which leaves a
+    round-off mismatch).  As in :func:`phase_from_modulus`, the input mean
+    never reaches the result, the input is never modified and a HalfPeriod
+    input gives a HalfPeriod result; the transform's result is divided by
+    pi in place.
     """
-    f = _check_real_finite(phase)
+    f = phase if isinstance(phase, HalfPeriod) else _check_real_finite(phase)
     _check_grid_size(len(f))
     mismatch = float(f[-1] - f[0])
     if abs(mismatch) > np.pi:
@@ -292,7 +395,8 @@ def modulus_from_phase(phase, method: str = "series",
             f"linear trend detected; remove it before applying the reciprocal relation"
         )
     modulus = periodic_hilbert(f, method, fejer_order)
-    modulus /= np.pi
+    values = _values(modulus)
+    values /= np.pi
     return modulus
 
 

@@ -27,7 +27,7 @@ Schrodinger equation with the state and its derivative, on both rows.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -38,6 +38,11 @@ CYCLIC_TOL = 1e-9
 
 #: k at or above this is reported as the near-adiabatic regime
 ADIABATIC_K = 10.0
+
+#: ceiling on the highest harmonic N = 2k + 1 of a helicity series (k up to 2e6):
+#: its 2N + 1 coefficients and their roots take ~370 MB at k = 1e6 and grow
+#: linearly, so a larger k is refused before anything is allocated
+MAX_HARMONIC = 4_000_001
 
 #: (location, multiplicity) of the drive's amplitude zeros, s = +-pi/2 (t = +-pi/w);
 #: exact and of order two for cyclic drives, near-zeros otherwise
@@ -107,13 +112,15 @@ class ModelSignals:
 
     ``helicity`` is the closed-form ``helicity_series``, the same on every grid
     (c_0 is ``helicity.c[0]``); the log-modulus and phase fields come from the
-    first quarter of phi1 on the grid, which is not kept.
+    first quarter of phi1 on the grid, which is not kept.  They are arrays of
+    m samples from ``evaluate_model``, and ``hilbert.HalfPeriod`` values,
+    the first half-period of each curve, from ``half_period_signals``.
     """
 
     params: ModelParams
     grid: np.ndarray = field(repr=False)
-    log_modulus: np.ndarray = field(repr=False)
-    phase_chi: np.ndarray = field(repr=False)
+    log_modulus: np.ndarray | hilbert.HalfPeriod = field(repr=False)
+    phase_chi: np.ndarray | hilbert.HalfPeriod = field(repr=False)
     helicity: trigpoly.HelicitySeries
 
 
@@ -126,9 +133,13 @@ def helicity_series(params: ModelParams) -> trigpoly.HelicitySeries:
     params.k and params.g, the degrees round(k), as the grid samples do
     (``_grid_phi1``); every other coefficient is exactly zero.  Every command
     takes its series here, whatever grid it samples its datasets on.
+    N above MAX_HARMONIC is refused (ValueError) before the series is formed.
     """
     if not params.cyclic:
         raise ValueError("the helicity series requires a cyclic drive (integer K/omega)")
+    if params.n_harmonic > MAX_HARMONIC:
+        raise ValueError(f"k = {params.k:.10g} needs N = {params.n_harmonic} harmonics, above "
+                         f"the ceiling N = {MAX_HARMONIC} (k = {MAX_HARMONIC // 2})")
     k, g = params.k, params.g
     c = np.zeros(2 * params.n_harmonic + 1)
     terms = np.array([2 * k - 1 + g, 2 * k + 1 + g, 2 * k + 1 - g, 2 * k - 1 - g])
@@ -149,6 +160,22 @@ def evaluate_model(params: ModelParams, m_samples: int) -> ModelSignals:
     that resolve phi1 (ValueError otherwise).  A non-cyclic drive has no
     series and is refused (ValueError); sample it with ``phi1_values``.
 
+    The curves are those of ``half_period_signals``, laid out on the m
+    points (``hilbert.HalfPeriod.full``): [q, -+q~, q, -+q~], q the first
+    quarter and q~ the quarter reversed.  The genuine -2 pi jumps at the
+    second-order amplitude zeros s = +-pi/2 fall between the quarters.  So
+    log_modulus is exactly even and phase_chi exactly odd, and both exactly
+    pi-periodic, bit for bit, which is what sends both reconstructions down
+    the pi-period route of ``hilbert.periodic_hilbert``.
+    """
+    signals = half_period_signals(params, m_samples)
+    return replace(signals, log_modulus=signals.log_modulus.full(),
+                   phase_chi=signals.phase_chi.full())
+
+
+def half_period_signals(params: ModelParams, m_samples: int) -> ModelSignals:
+    """``evaluate_model``'s curves, each held as its first half-period (``hilbert.HalfPeriod``).
+
     phi1 comes from exact roots of unity (``_grid_phi1``): k is taken as
     round(k), the integer that makes the drive cyclic (and N = 2 round(k) + 1),
     so that every trig factor on the grid is a 2m-th root of unity with an
@@ -160,14 +187,12 @@ def evaluate_model(params: ModelParams, m_samples: int) -> ModelSignals:
     repeat after pi; on the grid s_{m-1-j} = -s_j and s_{j+m/2} = s_j + pi.
     phi1 is formed on the first quarter of the grid only, s in [-pi, -pi/2),
     which holds no drive zero: the log, the angle and the unwrap are taken on
-    its m/4 points and the quarter is dropped.  The unwrapped quarter q is
+    its m/4 points and the quarter is dropped.  The unwrapped quarter is
     shifted by a multiple of 2 pi onto the branch that runs continuously
-    through arg chi(-pi) = arg chi(0) = 0.  The curves are laid out as
-    [q, -+q~, q, -+q~], q~ the quarter reversed: the genuine -2 pi jumps at
-    the second-order amplitude zeros s = +-pi/2 fall between the quarters.
-    So log_modulus is exactly even and phase_chi exactly odd, and both
-    exactly pi-periodic, bit for bit, which is what sends both
-    reconstructions down the pi-period route of ``hilbert.periodic_hilbert``.
+    through arg chi(-pi) = arg chi(0) = 0.  The two quarters are the heads
+    of the pi-periodic curves (``HalfPeriod.from_quarter``: the first m/2
+    points when m/4 is odd), and the grid is the full offset grid.  No other
+    array of m samples is formed.  ValueError as for ``evaluate_model``.
     """
     if not params.cyclic:
         raise ValueError("evaluate_model requires a cyclic drive (integer K/omega)")
@@ -175,29 +200,20 @@ def evaluate_model(params: ModelParams, m_samples: int) -> ModelSignals:
     n = params.n_harmonic
     trigpoly.check_resolves(m_samples, n)
     hel = helicity_series(params)
-    half, quarter = m_samples // 2, m_samples // 4
-    # log_modulus before the quarter, phase_chi after it is dropped: phase_chi
-    # then reuses the memory of the quarter and its factors (fewer page faults)
-    log_modulus = np.empty(m_samples)
     phi1 = _grid_phi1(params, m_samples)
-    lm = log_modulus[:quarter]
-    np.abs(phi1, out=lm)
-    lm /= hel.c[0]
-    np.log(lm, out=lm)
-    log_modulus[quarter:half] = lm[::-1]
-    log_modulus[half:] = log_modulus[:half]
+    log_modulus = np.abs(phi1)
+    log_modulus /= hel.c[0]
+    np.log(log_modulus, out=log_modulus)
     raw = np.angle(phi1)
     del phi1
-    raw += n * grid[:quarter]
-    head = hilbert.unwrap(raw).phase
+    raw += n * grid[:m_samples // 4]
+    phase = hilbert.unwrap(raw).phase
     # arg chi(-pi) = arg chi(0) = 0 (phi1(0) = 1): the branch that runs
     # continuously through s = -pi
-    head -= 2.0 * np.pi * np.round(head[0] / (2.0 * np.pi))
-    phase_chi = np.empty(m_samples)
-    phase_chi[:quarter] = head
-    np.negative(head[::-1], out=phase_chi[quarter:half])
-    phase_chi[half:] = phase_chi[:half]
-    return ModelSignals(params, grid, log_modulus, phase_chi, hel)
+    phase -= 2.0 * np.pi * np.round(phase[0] / (2.0 * np.pi))
+    return ModelSignals(params, grid,
+                        hilbert.HalfPeriod.from_quarter(log_modulus, 1.0, m_samples),
+                        hilbert.HalfPeriod.from_quarter(phase, -1.0, m_samples), hel)
 
 
 @dataclass(frozen=True)
@@ -429,7 +445,7 @@ def _grid_phi1(params: ModelParams, m_samples: int) -> np.ndarray:
 
     The lower slot of the doublet on ``_grid_factors``, m/4 points.  The rest
     of the grid follows from phi1(-s) = conj phi1(s) and
-    phi1(s + pi) = -phi1(s), which ``evaluate_model`` applies to the curves.
+    phi1(s + pi) = -phi1(s), which ``half_period_signals`` applies to the curves.
     """
     phi1 = np.empty(m_samples // 4, dtype=complex)
     _doublet_slot(params, _grid_factors(params, m_samples), 1, phi1)

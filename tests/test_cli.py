@@ -236,19 +236,25 @@ class TestReciprocity:
         assert "assumptions violated" in parsed["notes"]
 
     @pytest.mark.parametrize("argv, bound", [
-        pytest.param(("--k", "17", "--method", "series"), 6.5, id="series"),
-        pytest.param(("--k", "17", "--method", "quadrature"), 6.5, id="quadrature"),
+        pytest.param(("--k", "17", "--method", "series"), 4.25, id="series"),
+        pytest.param(("--k", "17", "--method", "quadrature"), 4.25, id="quadrature"),
         pytest.param(("--k", "16.59",), 6.5, id="non-cyclic"),
         pytest.param(("--k", "16.59", "--fejer"), 6.5, id="non-cyclic-fejer"),
         pytest.param(("--k", "16.59", "--method", "quadrature"), 6.75,
-                     id="non-cyclic-quadrature")])
-    def test_peak_is_a_few_curves(self, capsys, argv, bound):
+                     id="non-cyclic-quadrature"),
+        pytest.param(("--k", "17", "--out", "{out}"), 10.0, id="cyclic-out")])
+    def test_peak_is_a_few_curves(self, capsys, tmp_path, argv, bound):
         # every full-size curve is formed once and updated in place, the error
         # statistics hold one buffer of the kept differences and phi1 is sampled
         # in blocks: s, the two direct curves and the two reconstructions, plus
-        # the quadrature's cached kernel, are near all the run holds at its peak
-        # (in arrays of m float64, 8m bytes each)
+        # the quadrature's cached kernel, are near all a non-cyclic run holds
+        # at its peak (in arrays of m float64, 8m bytes each).  A cyclic run
+        # without --out holds its curves as quarter-length heads: s and the
+        # kept buffer are its only full-size arrays (3.26 and 3.51 measured).
+        # With --out it lays out the six columns, and the CSV text peaks
+        # above them (9.75 measured, as when every curve was full-size)
         m = 65536
+        argv = [a.format(out=tmp_path / "run") for a in argv]
         # a first run on a small grid takes the modules a run imports out of the count
         assert run_cli(capsys, "reciprocity", *argv, "--grid-size", "4096")[0] == 0
         tracemalloc.start()
@@ -259,6 +265,25 @@ class TestReciprocity:
             tracemalloc.stop()
         assert code == 0
         assert peak <= bound * 8 * m, peak / (8 * m)
+
+    @pytest.mark.parametrize("command", [("reciprocity", "--k", "17"),
+                                         ("reciprocity", "--k", "16.59"),
+                                         ("sweep", "--k-values", "1,16.59")])
+    def test_no_dataset_without_a_file(self, capsys, tmp_path, monkeypatch, command):
+        calls = []
+        original = experiments.reciprocity_dataset
+
+        def spy(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(experiments, "reciprocity_dataset", spy)
+        assert run_cli(capsys, *command, "--grid-size", "4096")[0] == 0
+        assert calls == []
+        if command[0] == "reciprocity":  # the spy sees the dataset of a written run
+            assert run_cli(capsys, *command, "--grid-size", "4096",
+                           "--out", str(tmp_path / "run"))[0] == 0
+            assert len(calls) == 1
 
     def test_deterministic_across_invocations(self, capsys, tmp_path):
         argv = ["reciprocity", "--preset", "fig3", "--grid-size", "4096"]
@@ -271,6 +296,15 @@ class TestReciprocity:
 
 
 class TestOtherCommands:
+    @pytest.mark.parametrize("command", ["verify", "coeffs"])
+    def test_k_above_the_harmonic_ceiling_exits_1(self, capsys, command):
+        # 2N + 1 = 4e10 helicity coefficients (298 GiB) are refused before
+        # they are allocated, in one line
+        code, _, err = run_cli(capsys, command, "--k", "1e10")
+        assert code == 1
+        assert err.startswith("error: k = 1e+10 needs N = 20000000001 harmonics")
+        assert err.count("\n") == 1 and "Traceback" not in err
+
     def test_verify_k1(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "--k", "1",
                                "--grid-size", "4096", "--rk4-steps", "10000")
@@ -524,7 +558,7 @@ class TestOtherCommands:
     def test_unwritable_out_refused_before_computing(self, capsys, tmp_path,
                                                      monkeypatch, command):
         calls = []
-        for name in ("run_reciprocity_case", "run_coefficient_case"):
+        for name in ("run_reciprocity_case", "reciprocity_report", "run_coefficient_case"):
             monkeypatch.setattr(experiments, name,
                                 lambda *args, name=name, **kwargs: calls.append(name))
         blocker = tmp_path / "file"
@@ -539,7 +573,7 @@ class TestOtherCommands:
 
     def test_directory_as_out_refused_before_computing(self, capsys, tmp_path,
                                                        monkeypatch):
-        monkeypatch.setattr(experiments, "run_reciprocity_case",
+        monkeypatch.setattr(experiments, "reciprocity_report",
                             lambda *args, **kwargs: pytest.fail("computed"))
         code, _, err = run_cli(capsys, "sweep", "--k-values", "2", "--grid-size", "256",
                                "--out", str(tmp_path))

@@ -12,8 +12,10 @@ from hypothesis import strategies as st
 from conftest import csv_oracle, json_oracle
 from cyclicphase import experiments, hilbert, model, trigpoly
 from cyclicphase.experiments import (
+    EXCLUSION_HALFWIDTH,
     PRESETS,
     Table,
+    _masked_error_stats,
     emit_outputs,
     kept_runs,
     match_peaks,
@@ -272,6 +274,43 @@ class TestReciprocityCase:
         shift = lm - np.log(np.abs(phi1))
         assert np.ptp(shift) <= 1e-13
         assert abs(lm.mean()) <= 1e-13
+
+
+def _full_size_case(params, m, method, fejer):
+    """The cyclic report's statistics and Berry phase, and the dataset, at full size:
+    evaluate_model's arrays through the array route of periodic_hilbert."""
+    signals = model.evaluate_model(params, m)
+    s, lm, ph = signals.grid, signals.log_modulus, signals.phase_chi
+    fejer_order = m // 2 if fejer else None
+    ph_rec = hilbert.phase_from_modulus(lm, method, fejer_order)
+    lm_rec = hilbert.modulus_from_phase(ph, method, fejer_order)
+    runs = kept_runs(s, model.DRIVE_ZEROS, EXCLUSION_HALFWIDTH)
+    stats = (*_masked_error_stats(ph_rec, ph, runs), *_masked_error_stats(lm_rec, lm, runs))
+    ramp = (params.g - params.n_harmonic) * s
+    columns = (s, 2.0 * s / params.omega, lm, lm_rec, ph + ramp, ph_rec + ramp)
+    return stats, measure_berry_phase(signals), columns
+
+
+class TestHalfPeriodRun:
+    """A cyclic run on the first half-period of its curves is the full-size run."""
+
+    @pytest.mark.parametrize("method, fejer", [("series", False), ("quadrature", False),
+                                               ("series", True)])
+    @pytest.mark.parametrize("k, m", [(k, m) for k in (1, 3, 17, 100)
+                                      for m in (8 * k + 8, 4096, 4100, 65536)])
+    def test_report_and_dataset_are_the_full_size_ones(self, k, m, method, fejer):
+        # m = 4N + 4 = 8k + 8, a power of two and m/4 odd (4100): the head is
+        # m/4 points, or m/2 on 4100
+        params = model.params_from_k(k)
+        report, dataset = run_reciprocity_case(params, m, method, fejer)
+        stats, berry, columns = _full_size_case(params, m, method, fejer)
+        assert (report.rms_phase_error, report.max_phase_error, report.rms_logmod_error,
+                report.max_logmod_error) == stats
+        assert report.berry_measured == berry
+        for name, expected in zip(dataset.columns, columns):
+            assert dataset.data[name].tobytes() == expected.tobytes(), name
+        held, _ = experiments.reciprocity_report(params, m, method, fejer)
+        assert held == report
 
 
 class TestCoefficientCase:

@@ -4,7 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import (
@@ -17,6 +17,7 @@ from conftest import (
 from cyclicphase import model
 from cyclicphase.hilbert import (
     MAX_ANALYSIS_GRID,
+    HalfPeriod,
     _half_length_hilbert,
     _quadrature_kernel_fft,
     coefficient_equality_check,
@@ -132,9 +133,13 @@ class TestPeriodicHilbert:
     @given(m=st.integers(1, 1024).map(lambda q: 4 * q),
            fejer_order=st.none() | st.integers(0, 5000),
            seed=st.integers(0, 2 ** 32 - 1))
+    @example(m=4, fejer_order=0, seed=16149)
     def test_series_multiplier_bit_for_bit(self, m, fejer_order, seed):
         # the transform against the explicit multiplier on the rfft bins
-        # n = 0..m/2, byte for byte
+        # n = 0..m/2, byte for byte.  At fejer_order 0 every bin n > 0 is
+        # weighted 0, and the signs of the zeros follow the multiply: scaling
+        # by the real mu and then by i gave [0, -0, 0, 0] here, the one
+        # complex multiply by i mu [0, 0, 0, -0]
         f = np.random.default_rng(seed).standard_normal(m)
         n = np.arange(m // 2 + 1)
         multiplier = 1j * np.pi * np.sign(n)
@@ -218,7 +223,8 @@ class TestPeriodicHilbert:
             mu[::m // 2] = 0.0
             if fejer_order is not None:
                 mu *= np.maximum(0.0, 1.0 - np.arange(m // 2 + 1) / (fejer_order + 1.0))
-        expected = _half_length_hilbert(f, mu, float(parity))
+        expected = HalfPeriod(_half_length_hilbert(f[:m // 2], mu, float(parity)),
+                              -float(parity), m).full()
         assert periodic_hilbert(f, method, fejer_order).tobytes() == expected.tobytes()
 
     @pytest.mark.parametrize("m", [8, 4096, 262144])
@@ -258,6 +264,77 @@ class TestPeriodicHilbert:
         # -1 would divide by zero, -2 weight harmonics above 1 and nan give nan
         with pytest.raises(ValueError, match="fejer_order must be >= 0"):
             periodic_hilbert(np.ones(256), fejer_order=fejer_order)
+
+
+class TestHalfPeriod:
+    @staticmethod
+    def head(rng, m, pi_period):
+        return rng.standard_normal(m // 4 if pi_period else m // 2)
+
+    @pytest.mark.parametrize("m, pi_period", [(4, False), (8, True), (8, False),
+                                              (12, False), (4100, False), (4096, True)])
+    @pytest.mark.parametrize("parity", [1.0, -1.0])
+    def test_layout_and_reads(self, m, pi_period, parity, rng):
+        # full() is [head, parity head reversed], repeated; indexing and read()
+        # return the same samples from the head
+        head = self.head(rng, m, pi_period)
+        wave = HalfPeriod(head, parity, m)
+        period = np.concatenate((head, parity * head[::-1]))
+        full = wave.full()
+        assert len(wave) == m
+        assert full.tobytes() == np.tile(period, m // len(period)).tobytes()
+        j = np.arange(-m, m)
+        assert wave[j].tobytes() == full[j].tobytes()
+        assert float(wave[-1]) == parity * head[0]
+        for start, stop in [(0, m), (1, m - 1), (len(head) - 1, len(head) + 2), (m - 3, m)]:
+            out = np.empty(stop - start)
+            wave.read(start, out)
+            assert out.tobytes() == full[start:stop].tobytes()
+
+    @pytest.mark.parametrize("m", [8, 12, 4096, 4100])
+    @pytest.mark.parametrize("parity", [1.0, -1.0])
+    def test_from_quarter_takes_the_period_when_m_over_4_is_odd(self, m, parity, rng):
+        q = rng.standard_normal(m // 4)
+        wave = HalfPeriod.from_quarter(q, parity, m)
+        assert len(wave.head) == (m // 4 if m % 8 == 0 else m // 2)
+        assert wave.full().tobytes() == np.tile(
+            np.concatenate((q, parity * q[::-1])), 2).tobytes()
+
+    @pytest.mark.parametrize("head, parity, m", [
+        (np.zeros(3), 1.0, 12),    # m/4 points with m/4 odd
+        (np.zeros(4), 1.0, 12),    # neither m/2 nor m/4 points
+        (np.zeros(4), 0.0, 8),     # no parity
+        (np.zeros(3), 1.0, 6)])    # m not a multiple of 4
+    def test_rejects_what_is_no_half_period(self, head, parity, m):
+        with pytest.raises(ValueError):
+            HalfPeriod(head, parity, m)
+
+    @pytest.mark.parametrize("m, pi_period", [(8, True), (12, False), (144, True),
+                                              (4100, False), (65536, True)])
+    @pytest.mark.parametrize("method, fejer_order", [
+        ("series", None), ("series", 3), ("series", "m/2"), ("quadrature", None)])
+    @pytest.mark.parametrize("parity", [1.0, -1.0])
+    def test_transform_is_the_array_route(self, m, pi_period, method, fejer_order,
+                                          parity, rng):
+        # one core: the held transform, laid out, is the array's, byte for byte
+        fejer_order = m // 2 if fejer_order == "m/2" else fejer_order
+        wave = HalfPeriod(self.head(rng, m, pi_period), parity, m)
+        out = periodic_hilbert(wave, method, fejer_order)
+        assert isinstance(out, HalfPeriod) and out.parity == -parity and out.m == m
+        expected = periodic_hilbert(wave.full(), method, fejer_order)
+        assert out.full().tobytes() == expected.tobytes()
+        for held, array in [(phase_from_modulus(wave, method, fejer_order),
+                             phase_from_modulus(wave.full(), method, fejer_order)),
+                            (modulus_from_phase(wave, method, fejer_order),
+                             modulus_from_phase(wave.full(), method, fejer_order))]:
+            assert held.full().tobytes() == array.tobytes()
+
+    def test_rejects_an_odd_trend_and_non_finite_heads(self):
+        # f[-1] - f[0] = -2 head[0] for an odd curve
+        with pytest.raises(ValueError, match="endpoint mismatch"):
+            modulus_from_phase(HalfPeriod(np.array([2.0, 0.0]), -1.0, 8))
+        with pytest.raises(ValueError, match="non-finite"):
+            periodic_hilbert(HalfPeriod(np.array([np.nan, 0.0]), 1.0, 8))
 
 
 class TestReciprocalPair:

@@ -108,6 +108,22 @@ class TestEvaluateModel:
     def test_refuses_a_non_cyclic_drive(self):
         with pytest.raises(ValueError, match="cyclic"):
             model.evaluate_model(model.derive_params(np.sqrt(1100.0)), 4096)
+        with pytest.raises(ValueError, match="cyclic"):
+            model.half_period_signals(model.derive_params(np.sqrt(1100.0)), 4096)
+
+    @pytest.mark.parametrize("k, m", [(1, 16), (3, 4100), (17, 144), (17, 4096)])
+    def test_is_the_half_period_signals_laid_out(self, k, m):
+        # the heads are the first m/4 points (m/2 when m/4 is odd) of the
+        # curves, and evaluate_model their layout, byte for byte
+        p = model.params_from_k(k)
+        held, full = model.half_period_signals(p, m), model.evaluate_model(p, m)
+        assert held.grid.tobytes() == full.grid.tobytes()
+        assert held.helicity.c.tobytes() == full.helicity.c.tobytes()
+        for wave, curve, parity in [(held.log_modulus, full.log_modulus, 1.0),
+                                    (held.phase_chi, full.phase_chi, -1.0)]:
+            assert wave.parity == parity and len(wave) == m
+            assert len(wave.head) == (m // 4 if m % 8 == 0 else m // 2)
+            assert wave.full().tobytes() == curve.tobytes()
 
     def test_grid_too_small(self):
         p = model.derive_params(np.sqrt(1155.0))
@@ -253,6 +269,16 @@ class TestHelicitySeries:
         monkeypatch.setattr(trigpoly, "spectrum", refuse)
         c = model.helicity_series(model.params_from_k(17)).c
         assert len(c) == 71 and np.count_nonzero(c) == 4
+
+    def test_refuses_harmonics_above_the_ceiling_before_allocating(self):
+        # 2N + 1 = 4e10 coefficients would be 298 GiB: refused, not allocated
+        with pytest.raises(ValueError, match="ceiling"):
+            model.helicity_series(model.params_from_k(1e10))
+        with pytest.raises(ValueError, match="ceiling"):
+            model.helicity_series(model.params_from_k(model.MAX_HARMONIC // 2 + 1))
+        top = model.params_from_k(model.MAX_HARMONIC // 2)
+        assert top.n_harmonic == model.MAX_HARMONIC
+        assert len(model.helicity_series(top).c) == 2 * model.MAX_HARMONIC + 1
 
     @pytest.mark.parametrize("k", [1, 8, 17, 100, 17.0000000005])
     def test_matches_the_40_digit_dft(self, k):

@@ -73,7 +73,10 @@ import numpy as np
 #: 42,120,284 steps), the 1e6 steps on 36 points named above, the RK4
 #: cross-check on either side of the step count up to which verify compares
 #: every state (4096 and 4097 steps at k = 17), and at the 1e12-step ceiling
-#: (fig2)
+#: (fig2); last, the runs that write no dataset on a grid with m/4 odd
+#: (k = 3 on 4100 points), whose half-period heads are m/2 points: the
+#: reciprocity report with each method and with Fejer weights, a sweep with
+#: a cyclic k on each side of the adiabatic threshold, and the Berry phase
 COMMANDS = (
     ("reciprocity", "--preset", "fig1", "--out", "{out}/fig1"),
     ("reciprocity", "--preset", "fig2", "--format", "json", "--out", "{out}/fig2"),
@@ -144,6 +147,10 @@ COMMANDS = (
     ("verify", "--k", "17", "--rk4-steps", "4096"),
     ("verify", "--k", "17", "--rk4-steps", "4097"),
     ("verify", "--preset", "fig2", "--rk4-steps", "1000000000000"),
+    *(("reciprocity", "--k", "3", "--grid-size", "4100", *options)
+      for options in (("--method", "series"), ("--method", "quadrature"), ("--fejer",))),
+    ("sweep", "--k-values", "3,17", "--grid-size", "4100"),
+    ("berry", "--k", "3", "--grid-size", "4100"),
 )
 
 
