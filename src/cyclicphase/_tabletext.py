@@ -39,7 +39,8 @@ directly.  The row of any other cell is overwritten with its text from one
 ``translate`` deletes too: nan, ±inf, subnormals, |x| <= 1e-6 and
 |x| >= 1e16, and for JSON also cells of 14 or fewer shortest digits, cells
 that ``repr`` prints as integers (``123456789012345.0``) and exact ties of the
-16- or 15-digit rounding.
+16- or 15-digit rounding.  A block with no fast cell builds no rows: its
+text is one ``%`` call over a template of the format and its separators.
 
 JSON's ``indent=2`` layout comes from one-byte separators: ``,`` between the
 cells of a row and ``;`` after each row, replaced in each block's bytes.
@@ -219,20 +220,35 @@ def _fallback(values, shortest):
     return np.frombuffer(text.encode("ascii"), np.uint8).reshape(-1, _SEP)
 
 
+def _percent_text(cells, separators, shortest):
+    """A block of cells as one % call, each cell's text followed by its separator.
+
+    The format is the block's own template (``%.17g`` or ``%r``, then the
+    separator byte), so no row is built; a separator 0 is deleted.
+    """
+    spec = b"%r" if shortest else b"%.17g"
+    template = np.empty((len(cells), len(spec) + 1), np.uint8)
+    template[:, :-1] = np.frombuffer(spec, np.uint8)
+    template[:, -1] = separators
+    text = template.tobytes() % tuple(cells.tolist())
+    if shortest:   # json's names of the non-finite values
+        text = text.replace(b"nan", b"NaN").replace(b"inf", b"Infinity")
+    return text.translate(None, b"\0")
+
+
 def _block_text(cells, separators, shortest):
     """One block of cells (row-major) as %.17g text, or as repr text if shortest."""
     a = np.abs(cells)
     fast = (a > 1e-6) & (a < 1e16)
-    if fast.any():
-        # every cell gets a row; the other cells' rows are then overwritten
-        a = np.where(fast, a, 1.0)
-        d, x, r = _digits_and_exponents(a)
-        if shortest:
-            d, kept = _shortest(a, d, x, r)
-            fast &= kept
-        text = _rows(cells, d, x).view(np.uint8)
-    else:
-        text = np.zeros((len(cells), _WIDTH), np.uint8)
+    if not fast.any():
+        return _percent_text(cells, separators, shortest)
+    # every cell gets a row; the other cells' rows are then overwritten
+    a = np.where(fast, a, 1.0)
+    d, x, r = _digits_and_exponents(a)
+    if shortest:
+        d, kept = _shortest(a, d, x, r)
+        fast &= kept
+    text = _rows(cells, d, x).view(np.uint8)
     if not fast.all():
         zero = cells == 0.0
         text[zero, :_SEP] = _ZEROS[shortest].take(np.signbit(cells[zero]), axis=0)

@@ -18,6 +18,7 @@ from __future__ import annotations
 import errno
 import json
 import os
+import stat
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -485,12 +486,28 @@ def check_writable(path) -> Path:
 
 
 def _write(path, chunks) -> Path:
-    """Write the byte chunks to path, creating missing parent directories."""
+    """Write the byte chunks to path, creating missing parent directories.
+
+    An existing file is overwritten in place, not truncated on open: on some
+    file systems freeing a dataset's blocks costs more than writing it again.
+    A regular file is then cut after the bytes written, also when a write or
+    the chunk source raises, so nothing of the old file follows them.  A
+    device or a FIFO is never cut (truncating /dev/null fails).
+    """
     path = check_writable(path)
     try:
-        with open(path, "wb") as f:
-            for chunk in chunks:
-                f.write(chunk)
+        # the mode of a new file is the one open(path, "wb") gives
+        fd = os.open(path, os.O_WRONLY | os.O_CREAT | getattr(os, "O_BINARY", 0), 0o666)
+        with open(fd, "wb") as f:
+            try:
+                for chunk in chunks:
+                    f.write(chunk)
+                f.flush()
+            finally:
+                # cut after the bytes already in the file; bytes still buffered
+                # after a failure are written at the new end when f closes
+                if stat.S_ISREG(os.fstat(fd).st_mode):
+                    os.ftruncate(fd, f.raw.tell())
     except OSError as exc:
         raise OSError(f"failed writing {path}: {exc}") from exc
     return path

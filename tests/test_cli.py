@@ -427,14 +427,18 @@ class TestOtherCommands:
                 f"the last included\n") in out
 
     @pytest.mark.parametrize("k, m", [(17, 4096), (50, 4096), (100, 4096),
-                                      (200.3, 4096), (1000, 4096), (17, 64)])
+                                      (200.3, 4096), (1000, None), (17, 64)])
     def test_sampled_rk4_error_is_the_trajectory_maximum(self, capsys, k, m):
         # away from round-off the error and the drift over every state read
-        # as over the states verify compares, to the 4 digits it prints; the
-        # states are formed 2^18 at a time (k = 1000 takes 2,657,610 steps)
-        code, out, _ = run_cli(capsys, "verify", "--k", str(k), "--grid-size", str(m))
+        # as over the states verify compares, to the 4 digits it prints (so
+        # within 1e-3 relative); the states are formed 2^18 at a time (k = 1000
+        # takes 2,657,610 steps).  m None is the command as typed: verify
+        # --k 1000 runs on 16384 points and integrates over its first 4096
+        grid = () if m is None else ("--grid-size", str(m))
+        code, out, _ = run_cli(capsys, "verify", "--k", str(k), *grid)
+        config = json.loads(out.splitlines()[0].split(": ", 1)[1])
         params = model.params_from_k(k)
-        s = trigpoly.offset_grid(m)
+        s = trigpoly.offset_grid(min(config["grid_size"], 4096))
         psi0, steps = model.analytic_state_pair(params, s[0]), cli.default_rk4_steps(params.g)
         err = drift = 0.0
         for i in range(0, steps + 1, 1 << 18):
@@ -537,6 +541,14 @@ class TestOtherCommands:
         assert code == 0, err
         assert out.endswith(f"wrote {out_csv}\n")
         assert out_csv.read_text().startswith("k,g,cyclic")
+
+    @pytest.mark.skipif(not Path("/dev/null").exists(), reason="no /dev/null")
+    def test_non_regular_out_is_written_but_not_cut(self, capsys):
+        # truncating a character device fails with EINVAL
+        code, out, err = run_cli(capsys, "sweep", "--k-values", "2",
+                                 "--grid-size", "256", "--out", "/dev/null")
+        assert code == 0 and err == ""
+        assert out.endswith("wrote /dev/null\n")
 
     @pytest.mark.parametrize("command", [("sweep", "--k-values", "2"),
                                          ("reciprocity", "--k", "1")])

@@ -1,7 +1,9 @@
 """Pipelines, Berry measurement, peak matching, file emission."""
 
+import errno
 import itertools
 import json
+import os
 from types import SimpleNamespace
 
 import numpy as np
@@ -431,6 +433,57 @@ class TestEmitOutputs:
             Table((), {})
 
 
+class TestRewrite:
+    """An existing file is overwritten in place and cut to the bytes written."""
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("longer", [True, False])
+    def test_gives_the_bytes_of_a_fresh_write(self, tmp_path, fmt, longer):
+        # a writer that overwrote without cutting leaves the longer file's tail
+        report, dataset = run_coefficient_case(fig_params("fig1"), 50, 4096)
+        fresh = emit_outputs(report, dataset, tmp_path / "fresh" / "t", fmt)
+        old = experiments.output_paths(tmp_path / "old" / "t", fmt)
+        old[0].parent.mkdir()
+        for path, new in zip(old, fresh):
+            size = new.stat().st_size
+            path.write_bytes(b"#" * (size + 1000 if longer else size // 2))
+        assert emit_outputs(report, dataset, tmp_path / "old" / "t", fmt) == old
+        for path, new in zip(old, fresh):
+            assert path.read_bytes() == new.read_bytes()
+
+    @pytest.mark.parametrize("first", [b"new", b"n" * 100_000], ids=["buffered", "written"])
+    def test_failed_source_leaves_the_bytes_written(self, tmp_path, first):
+        path = tmp_path / "t.csv"
+        path.write_bytes(b"old " * 100_000)
+
+        def chunks():
+            yield first
+            raise OSError(errno.EIO, "source failed")
+
+        with pytest.raises(OSError) as info:
+            experiments._write(path, chunks())
+        assert str(info.value) == f"failed writing {path}: [Errno 5] source failed"
+        assert path.read_bytes() == first
+
+    def test_failed_write_leaves_the_bytes_written(self, tmp_path):
+        path = tmp_path / "t.csv"
+        path.write_bytes(b"old " * 1000)
+        with pytest.raises(TypeError):
+            experiments._write(path, [b"new", "not bytes"])
+        assert path.read_bytes() == b"new"
+
+    @pytest.mark.parametrize("umask", [0o022, 0o077, 0o002])
+    def test_new_file_has_the_mode_of_open_wb(self, tmp_path, umask):
+        previous = os.umask(umask)
+        try:
+            with open(tmp_path / "reference", "wb"):
+                pass
+            experiments._write(tmp_path / "new", [b"x"])
+        finally:
+            os.umask(previous)
+        assert (tmp_path / "new").stat().st_mode == (tmp_path / "reference").stat().st_mode
+
+
 def emitted(table, directory, fmt):
     """Dataset bytes that emit_outputs writes for the table (empty report)."""
     emit_outputs(SimpleNamespace(), table, directory / "t", fmt)
@@ -480,6 +533,15 @@ class TestEmissionBytes:
     @pytest.mark.parametrize("name", sorted(EDGE_TABLES))
     def test_edge_tables(self, tmp_path, name, fmt):
         table = EDGE_TABLES[name]
+        assert emitted(table, tmp_path, fmt) == oracle_bytes(table, fmt)
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("values", [[1e20], [np.nan],
+                                        [-1e20, np.inf, -np.inf, -0.0, 5e-324, 1e-7]],
+                             ids=["1e20", "nan", "mixed"])
+    def test_blocks_without_a_fast_cell(self, tmp_path, fmt, values):
+        # several whole blocks, each written by one % call; the last ends the table
+        table = value_table(values * (20_000 // len(values)))
         assert emitted(table, tmp_path, fmt) == oracle_bytes(table, fmt)
 
     def test_write_csv(self, tmp_path):

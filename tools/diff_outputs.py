@@ -6,8 +6,14 @@ PARENT_SRC and CHANGE_SRC are the ``src`` directories of two checkouts.  Each
 command runs as ``python -m cyclicphase.cli ...`` in its own subprocess, with
 ``PYTHONPATH`` set to one tree and ``--out`` files going to a fresh temporary
 directory.  The exit code, stdout, stderr (the temporary directory replaced by
-``$OUT``) and every written file are compared.  Prints one line per command
-and exits 1 if anything differs, 0 if every command matched.
+``$OUT``) and every written file are compared.
+
+A command that wrote files then rewrites them: a decoy tail is appended to
+each file of its first run, and it runs a second time into the same
+directory.  That run's exit code and files are compared with the first run's
+of the same tree, which a tail left behind or a failed rewrite breaks, and
+with the parent's second run.  Prints one line per command and exits 1 if
+anything differs, 0 if every command matched.
 
 A difference is sized as well as shown.  For a dataset file (CSV, or JSON
 with ``columns`` and ``rows``) the line gives the largest |change| of each
@@ -154,17 +160,37 @@ COMMANDS = (
 )
 
 
-def run(src: Path, argv: tuple) -> dict:
-    """Exit code, normalised stdout/stderr and written files of one command."""
-    with tempfile.TemporaryDirectory() as out:
-        env = dict(os.environ, PYTHONPATH=str(src))
-        proc = subprocess.run(
-            [sys.executable, "-m", "cyclicphase.cli", *(a.format(out=out) for a in argv)],
-            capture_output=True, text=True, env=env, check=False)
-        files = {str(p.relative_to(out)): p.read_bytes()
-                 for p in sorted(Path(out).rglob("*")) if p.is_file()}
+#: appended to every file of a first run before the rewrite: a rewrite that
+#: leaves any of it behind differs from the first run
+DECOY = b"\nDECOY TAIL: a rewrite that keeps this line did not cut the file\n" * 64
+
+
+def run_in(src: Path, argv: tuple, out: str) -> dict:
+    """Exit code, normalised stdout/stderr and the files in ``out`` after one command."""
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run(
+        [sys.executable, "-m", "cyclicphase.cli", *(a.format(out=out) for a in argv)],
+        capture_output=True, text=True, env=env, check=False)
+    files = {str(p.relative_to(out)): p.read_bytes()
+             for p in sorted(Path(out).rglob("*")) if p.is_file()}
     return {"exit code": proc.returncode, "stdout": proc.stdout.replace(out, "$OUT"),
             "stderr": proc.stderr.replace(out, "$OUT"), "files": files}
+
+
+def run(src: Path, argv: tuple) -> dict:
+    """One command's run in a fresh directory and, if it wrote files, its rewrite.
+
+    The rewrite (exit code and files) is kept under ``"rewrite"``.
+    """
+    with tempfile.TemporaryDirectory() as out:
+        result = run_in(src, argv, out)
+        if result["files"]:
+            for name in result["files"]:
+                with open(Path(out, name), "ab") as f:
+                    f.write(DECOY)
+            again = run_in(src, argv, out)
+            result["rewrite"] = {"exit code": again["exit code"], "files": again["files"]}
+    return result
 
 
 def json_documents(text: str) -> tuple[list, str]:
@@ -248,22 +274,40 @@ def column_sizes(parent: dict, change: dict) -> str:
     return "max |change| " + ", ".join(sizes)
 
 
-def file_sizes(name: str, parent: bytes | None, change: bytes | None) -> str:
+def file_sizes(name: str, parent: bytes | None, change: bytes | None,
+               sides=("parent", "change")) -> str:
     if parent is None or change is None:
-        return "only in " + ("change" if parent is None else "parent")
-    columns = dataset_columns(name, parent), dataset_columns(name, change)
-    if None not in columns:
-        return column_sizes(*columns)
-    if name.endswith(".json"):
-        return field_sizes(json.loads(parent), json.loads(change))
+        return "only in " + (sides[1] if parent is None else sides[0])
+    try:
+        columns = dataset_columns(name, parent), dataset_columns(name, change)
+        if None not in columns:
+            return column_sizes(*columns)
+        if name.endswith(".json"):
+            return field_sizes(json.loads(parent), json.loads(change))
+    except ValueError:   # a file that a decoy tail or a cut write left unreadable
+        return f"differs, and does not parse ({len(parent)} -> {len(change)} bytes)"
     return "differs"
 
 
-def differences(parent: dict, change: dict) -> list[str]:
-    """Readable lines for every field in which the two runs differ."""
+def outcome_differences(a: dict, b: dict, label: str = "",
+                        sides=("parent", "change")) -> list[str]:
+    """Readable lines for the exit code and the files in which runs a and b differ."""
     lines = []
-    if parent["exit code"] != change["exit code"]:
-        lines.append(f"  exit code {parent['exit code']} -> {change['exit code']}")
+    if a["exit code"] != b["exit code"]:
+        lines.append(f"  {label}exit code {a['exit code']} -> {b['exit code']}")
+    for name in sorted(a["files"].keys() | b["files"].keys()):
+        x, y = a["files"].get(name), b["files"].get(name)
+        if x != y:
+            lines.append(f"  {label}file {name}: {file_sizes(name, x, y, sides)}")
+    return lines
+
+
+def differences(parent: dict, change: dict) -> list[str]:
+    """Readable lines for every field in which the two runs differ.
+
+    Covers each tree's rewrite against its own first run, and the two rewrites.
+    """
+    lines = outcome_differences(parent, change)
     for stream in ("stdout", "stderr"):
         if parent[stream] == change[stream]:
             continue
@@ -277,10 +321,12 @@ def differences(parent: dict, change: dict) -> list[str]:
         else:
             lines.extend(f"    JSON document {i + 1}: {field_sizes(a, b)}"
                          for i, (a, b) in enumerate(zip(parent_docs, change_docs)) if a != b)
-    for name in sorted(parent["files"].keys() | change["files"].keys()):
-        a, b = parent["files"].get(name), change["files"].get(name)
-        if a != b:
-            lines.append(f"  file {name}: {file_sizes(name, a, b)}")
+    for side, result in (("parent", parent), ("change", change)):
+        if "rewrite" in result:
+            lines += outcome_differences(result, result["rewrite"], f"{side} rewrite: ",
+                                         ("first run", "rewrite"))
+    if "rewrite" in parent and "rewrite" in change:   # else the first runs' files differ
+        lines += outcome_differences(parent["rewrite"], change["rewrite"], "rewrite: ")
     return lines
 
 
