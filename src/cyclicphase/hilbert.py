@@ -518,7 +518,8 @@ def log_coefficients(chi, n_max: int, grid_size: int) -> ConjugateCoefficients:
     so their A_n = B_n check runs on the contour's own m, whatever the
     dataset grid; ``coeffs`` passes its ``--grid-size``.  Raw-sample inputs
     are analyzed directly on their own grid, the unit circle, and should be
-    zero-free.
+    zero-free.  A value of chi/c_0 that is exactly 0, on the contour or
+    among the samples, is refused (ValueError): its log is undefined.
     """
     if n_max < 0:
         raise ValueError(f"n_max must be >= 0, got {n_max}")
@@ -543,6 +544,10 @@ def log_coefficients(chi, n_max: int, grid_size: int) -> ConjugateCoefficients:
             raise ValueError("c_0 (sample mean) vanishes; log expansion undefined")
         w = samples / c0
         growth = 1.0
+    zeros = len(w) - np.count_nonzero(w)
+    if zeros:
+        raise ValueError(f"chi/c_0 is exactly 0 at {zeros} of the {len(w)} analysis points: "
+                         f"its log is undefined there")
 
     phase = _anchor_unwrapped(unwrap(np.angle(w)).phase)
     a, b = cos_sin_coefficients(np.log(np.abs(w)) + 1j * phase, n_max)

@@ -129,18 +129,22 @@ def helicity_series(params: ModelParams) -> trigpoly.HelicitySeries:
 
     chi = e^{iNs} phi1 has four terms, c_0 + c_2 z^2 + z^{4k} (c_{4k} + c_{4k+2} z^2)
     with z = e^{is}: 8k c_0 = 2k - 1 + g, 8k c_2 = 2k + 1 + g,
-    8k c_{4k} = 2k + 1 - g and 8k c_{4k+2} = 2k - 1 - g.  The values take
-    params.k and params.g, the degrees round(k), as the grid samples do
-    (``_grid_phi1``); every other coefficient is exactly zero.  Every command
-    takes its series here, whatever grid it samples its datasets on.
-    N above MAX_HARMONIC is refused (ValueError) before the series is formed.
+    8k c_{4k} = 2k + 1 - g and 8k c_{4k+2} = 2k - 1 - g.  k is round(params.k),
+    the integer that sets the degrees, N and the grid angles (``_grid_factors``),
+    and g is params.g; every other coefficient is exactly zero.  With an
+    integer k, P(i) = 0 and P'(i) = 0 hold for every g, so the series of a k
+    within CYCLIC_TOL of an integer keeps the exact double zeros at z = +-i
+    and its roots come from the four-term solver (``trigpoly._model_roots``).
+    Every command takes its series here, whatever grid it samples its
+    datasets on.  N above MAX_HARMONIC is refused (ValueError) before the
+    series is formed.
     """
     if not params.cyclic:
         raise ValueError("the helicity series requires a cyclic drive (integer K/omega)")
     if params.n_harmonic > MAX_HARMONIC:
         raise ValueError(f"k = {params.k:.10g} needs N = {params.n_harmonic} harmonics, above "
                          f"the ceiling N = {MAX_HARMONIC} (k = {MAX_HARMONIC // 2})")
-    k, g = params.k, params.g
+    k, g = round(params.k), params.g
     c = np.zeros(2 * params.n_harmonic + 1)
     terms = np.array([2 * k - 1 + g, 2 * k + 1 + g, 2 * k + 1 - g, 2 * k - 1 - g])
     c[[0, 2, -3, -1]] = terms / (8 * k)

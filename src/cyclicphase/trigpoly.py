@@ -31,14 +31,9 @@ REALITY_TOL = 1e-10
 #: |z| >= 1 - ROOT_TOL is the zero-location gate (boundary case Im t = 0 passes)
 ROOT_TOL = 1e-9
 
-#: cap on the sweeps of every iteration in polynomial_roots: the branch Newton,
-#: each plain Newton pass and the gated polish
+#: cap on the sweeps of both iterations in polynomial_roots: the branch Newton
+#: of a model series and the gated polish of the companion eigenvalues
 MAX_SWEEPS = 100
-
-#: roots closer than this (balanced coordinates), or joined by a chain of such
-#: roots, are one multiple root; see _refine_root_clusters for the wider
-#: reach of ill-conditioned ones
-_CLUSTER_TOL = 1e-5
 
 
 def _check_grid_size(m_samples: int) -> None:
@@ -249,85 +244,6 @@ def _converged(p: np.ndarray, bound: np.ndarray, d: int) -> np.ndarray:
     return np.abs(p) <= 2.0 * d * np.finfo(float).eps * bound
 
 
-def _newton(weights: tuple[np.ndarray, np.ndarray], x: np.ndarray) -> np.ndarray:
-    """Newton from every start in x at once (:func:`_weights` of the polynomial).
-
-    Each start stops on its own once its step falls to round-off, or would
-    land on x = 0, within MAX_SWEEPS steps.  Next to a multiple root p and
-    x p' are both round-off, and where they are equal the step is x itself;
-    at x = 0 x p' vanishes, and neither Newton nor the polish leaves it.
-    """
-    x = x.copy()
-    active = np.arange(len(x))
-    for _ in range(MAX_SWEEPS):
-        xa = x[active]
-        p, g, _ = _scaled_values(weights, xa)
-        step = np.divide(xa * p, g, out=np.zeros_like(xa), where=g != 0)
-        step[step == xa] = 0.0
-        x[active] = xa = xa - step
-        active = active[np.abs(step) > 1e-15 * (1.0 + np.abs(xa))]
-        if len(active) == 0:
-            break
-    return x
-
-
-def _refine_root_clusters(c: np.ndarray, roots: np.ndarray, newton: np.ndarray,
-                          tol: float) -> np.ndarray:
-    """Polish the multiple and the real roots of sum_m c[m] z^m.
-
-    Roots i and j are close when |roots[i] - roots[j]| < reach[i] + reach[j]
-    (every pair at once, in one d x d matrix), and a cluster is a connected
-    component of that graph.  Each root reaches tol / 2, or four Newton
-    steps (newton, :func:`_eig_roots`) where that is more, up to 50 tol: the
-    approximations of an m-fold root lie about m Newton steps from it, at
-    most 2 m apart, and this joins them for m <= 4 however far
-    ill-conditioning leaves them.  A cluster of m roots is one root of
-    multiplicity m, refined by Newton iteration on the (m-1)-th derivative,
-    where it is simple: the backward-error gate of the iteration leaves a
-    double root with O(sqrt(eps)) errors, too coarse for the unit-circle
-    gate.  A cluster with a member within its reach of the real axis is one
-    real root, refined from its real part.  No other edge crosses the axis,
-    and conjugation maps the graph onto itself, so of the other clusters
-    only those above the axis are refined, and each root below takes the
-    conjugate of its mirror image's result: an input closed under
-    conjugation stays closed.  Other simple roots are kept as they are.
-    Roots of one multiplicity are polished together; where Newton does not
-    lower the backward error, or moves further than 100 tol, the start is
-    kept.
-    """
-    d = len(roots)
-    reach = np.fmin(np.fmax(4.0 * newton, tol / 2), 50.0 * tol)
-    near = np.abs(roots[:, None] - roots) < reach[:, None] + reach
-    label = np.arange(d)
-    while True:  # each root takes the least label of its neighbours, until none changes
-        merged = np.min(np.where(near, label, d), axis=1)
-        if np.array_equal(merged, label):
-            break
-        label = merged
-    real = np.isin(label, label[np.abs(roots.imag) < reach])
-    multiple = np.bincount(label, minlength=d)[label] > 1
-    lower = ~real & multiple & (roots.imag < 0)
-    heads = np.unique(label[real | (multiple & (roots.imag > 0))])  # a label is its least member
-    clusters = [np.flatnonzero(label == i) for i in heads]
-    mult = np.array([len(members) for members in clusters])
-    x0 = np.array([roots[members].mean() for members in clusters])
-    x0 = np.where(real[heads], x0.real, x0)
-    poly = np.polynomial.polynomial  # loaded on first use, not at import
-    refined = roots.copy()
-    for mu in set(mult.tolist()):
-        sel = np.flatnonzero(mult == mu)
-        weights, start = _weights(poly.polyder(c, mu - 1)), x0[sel]
-        polished = _newton(weights, start)
-        p, _, bound = _scaled_values(weights, np.concatenate((polished, start)))
-        p, n = np.abs(p), len(sel)  # polished first, then start
-        worse = (p[:n] * bound[n:] > p[n:] * bound[:n]) | (np.abs(polished - start) > 100 * tol)
-        for i, x in zip(sel.tolist(), np.where(worse, start, polished)):
-            refined[clusters[i]] = x
-    mirror = np.argmin(np.abs(roots[lower, None] - roots.conj()), axis=1)
-    refined[lower] = refined[mirror].conj()
-    return refined
-
-
 def _branch_roots(c0: float, c2: float, c_lo: float, c_hi: float, k: int) -> np.ndarray | None:
     """One root u_j on each branch j = 0..k-1 of c0 + c2 u + u^2k (c_lo + c_hi u) = 0.
 
@@ -366,9 +282,9 @@ def _polish(c: np.ndarray, x: np.ndarray) -> np.ndarray | None:
     """Newton on sum_m c[m] z^m from every start in x, each stopping once it meets the gate.
 
     A start that meets :func:`_converged` stays where it is; the others take
-    a Newton step and are evaluated again, all in one block, as in
-    :func:`_newton`.  Returns the polished roots, or None if one still
-    misses the gate after MAX_SWEEPS sweeps.
+    a Newton step and are evaluated again, all in one block.  Returns the
+    polished roots, or None if one still misses the gate after MAX_SWEEPS
+    sweeps.
     """
     weights, d = _weights(c), len(c) - 1
     x, active = x.copy(), np.arange(len(x))
@@ -423,20 +339,16 @@ def _model_roots(c: np.ndarray) -> np.ndarray | None:
     return np.concatenate((z, complex_pairs.conj(), [1j, 1j, -1j, -1j]))
 
 
-def _eig_roots(q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _eig_roots(q: np.ndarray) -> np.ndarray:
     """All roots of sum_j q[j] w^j (q[0], q[-1] nonzero), each meeting :func:`_converged`.
 
     The eigenvalues of the companion matrix are backward stable for a
-    balanced q (Edelman & Murakami, Math. Comp. 64, 1995).  Newton takes
-    them to round-off (:func:`_newton`), which separates simple roots too
-    close to cluster but too ill-conditioned for the gate alone, and
-    :func:`_polish` then holds each to the gate.  The eigensolve of a real
-    matrix returns the roots off the real axis in exact conjugate pairs, and
-    each Newton step does the same arithmetic on a root and on its
-    conjugate, so the pairs stay exact (:func:`_refine_root_clusters`
-    mirrors on them).  Returns the roots and |p / p'| at each, the length of
-    a Newton step there: about the root's distance to the exact root, or a
-    1/m part of it next to a root of multiplicity m.
+    balanced q (Edelman & Murakami, Math. Comp. 64, 1995), and :func:`_polish`
+    holds each to the gate.  The eigensolve of a real matrix returns the
+    roots off the real axis in exact conjugate pairs, and each Newton step
+    does the same arithmetic on a root and on its conjugate, so the pairs
+    stay exact.  A root of multiplicity m comes back as the gate leaves it,
+    about eps^(1/m) from the exact root, its copies not joined.
 
     Raises
     ------
@@ -446,14 +358,12 @@ def _eig_roots(q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     d = len(q) - 1
     companion = np.eye(d, k=-1)
     companion[:, -1] = -q[:-1] / q[-1]
-    weights = _weights(q)
     with np.errstate(all="ignore"):  # a step from a double root is non-finite; the gate judges it
-        w = _polish(q, _newton(weights, np.linalg.eigvals(companion).astype(complex)))
-        if w is None:
-            raise ValueError(f"root finder did not converge for the degree-{d} polynomial "
-                             f"in {MAX_SWEEPS} sweeps")
-        p, g, _ = _scaled_values(weights, w)
-        return w, np.abs(w * p / g)
+        w = _polish(q, np.linalg.eigvals(companion).astype(complex))
+    if w is None:
+        raise ValueError(f"root finder did not converge for the degree-{d} polynomial "
+                         f"in {MAX_SWEEPS} sweeps")
+    return w
 
 
 def polynomial_roots(c: np.ndarray) -> np.ndarray:
@@ -467,14 +377,11 @@ def polynomial_roots(c: np.ndarray) -> np.ndarray:
     root at z = +-i) is solved branch by branch in O(k) (:func:`_model_roots`).
     Any other series, or one whose branches fail, goes to the eigenvalues
     of the companion matrix of P(rho w) with rho = |c_0 / c_d|^(1/d), the
-    geometric mean of the root moduli, which balances the coefficients;
-    Newton then takes each root to round-off and on to the backward-error
-    gate (:func:`_eig_roots`), in exact conjugate pairs.  Multiple and real
-    roots are then polished on the coefficients c themselves
-    (:func:`_refine_root_clusters`): the balancing perturbs them by
-    O(|log(c_m / c_0)| eps), which can move a double root by ~1e-12.  A
-    multiple root off the axis is refined above it and mirrored below, so
-    the set returned is closed under conjugation.
+    geometric mean of the root moduli, which balances the coefficients, and
+    each is polished to the backward-error gate (:func:`_eig_roots`), in
+    exact conjugate pairs.  Every command's series is a model series; the
+    one limit of the general path is that a root of multiplicity m comes
+    back about eps^(1/m) from the exact root, its copies not joined.
 
     Raises
     ------
@@ -498,9 +405,7 @@ def polynomial_roots(c: np.ndarray) -> np.ndarray:
         log_c = np.log(np.abs(c), out=np.full(d + 1, -np.inf), where=c != 0)
         log_rho = (log_c[0] - log_c[-1]) / d
         q = np.sign(c) * np.exp(log_c - log_c[0] + log_rho * np.arange(d + 1))
-        rho = np.exp(log_rho)
-        w, newton = _eig_roots(q)
-        roots = _refine_root_clusters(scaled, rho * w, rho * newton, rho * _CLUSTER_TOL)
+        roots = np.exp(log_rho) * _eig_roots(q)
     return np.concatenate((at_zero, roots))
 
 

@@ -470,10 +470,17 @@ class TestOtherCommands:
 
     def test_no_command_reaches_the_general_root_path(self, capsys, monkeypatch):
         # every series a command builds has the four-term structure, so the
-        # companion eigensolve, seconds at degree ~1600, serves no command
+        # companion eigensolve, seconds at degree ~1600, serves no command;
+        # a cyclic k within CYCLIC_TOL of an integer keeps it too.  verify at
+        # k = 17.0000000005 exits 1 either way: phi1(+-pi/2) on the libm path
+        # takes k as it is and reads 4.6e-11
         argvs = [("sweep", "--k-values", "1,2,3,16.59,17"), ("coeffs", "--k", "50"),
                  ("berry", "--k", "7"), ("verify", "--preset", "fig2"),
-                 ("reciprocity", "--k", "17", "--grid-size", "4096")]
+                 ("reciprocity", "--k", "17", "--grid-size", "4096"),
+                 ("coeffs", "--k", "1.0000000001", "--n-max", "5"),
+                 ("reciprocity", "--k", "17.0000000005", "--grid-size", "4096"),
+                 ("verify", "--k", "17.0000000005"),
+                 ("sweep", "--k-values", "1.0000000001,17.0000000005")]
 
         def general_path(q):
             raise AssertionError(f"the general root path ran at degree {len(q) - 1}")
@@ -482,7 +489,8 @@ class TestOtherCommands:
             patch.setattr(trigpoly, "_eig_roots", general_path)
             patched = [run_cli(capsys, *argv)[:2] for argv in argvs]
         for argv, result in zip(argvs, patched):
-            assert result == (0, run_cli(capsys, *argv)[1]), argv
+            assert result == run_cli(capsys, *argv)[:2], argv
+        assert [code for code, _ in patched] == [0] * 7 + [1, 0]
 
     def test_coeffs_stdout_bytes(self, capsys):
         # the table lines as formatted cell by numpy cell, after the report

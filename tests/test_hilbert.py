@@ -1,6 +1,7 @@
 """Hilbert transform, reciprocal reconstructions, log-series coefficients."""
 
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -570,14 +571,33 @@ class TestLogCoefficients:
         # log chi would be analytic and A_n = B_n (to 1.3e-11); the contour
         # is raised to |z| = 0.995 around them, and arg w winds (175)
         poly = np.polynomial.polynomial
-        roots = [0.99 * np.exp(1j), 0.99 * np.exp(-1j), 1j, 1j, -1j, -1j,
-                 1.5, -2.0, 1.3 + 0.4j, 1.3 - 0.4j]
+        roots = [0.99 * np.exp(1j), 0.99 * np.exp(-1j), 1.5, -2.0, 1.3 + 0.4j, 1.3 - 0.4j]
         c = poly.polyfromroots(roots).real
         helicity = HelicitySeries(c * np.sign(c[0]))
         assert not root_check(helicity).passed
         coeffs = log_coefficients(helicity, 50, 204)
         assert coeffs.grid_size == 8192  # 36 / ln(1 / 0.995) = 7181 points, rounded up
         assert coefficient_equality_check(coeffs).max_relative > 1e-2
+        # with double zeros at +-i as well, the general root path leaves a copy
+        # of each about 1e-8 inside the circle, past UNIT_ROOT_TOL: the contour
+        # enclosing it would need 2^32 points, and is refused
+        c = poly.polyfromroots(roots + [1j, 1j, -1j, -1j]).real
+        with pytest.raises(ValueError, match=r"^analysis grid of \d+ points \(n_max 50, r = "
+                                             r"[0-9.]+\) is above the ceiling \d+$"):
+            log_coefficients(HelicitySeries(c * np.sign(c[0])), 50, 204)
+
+    @pytest.mark.parametrize("mu", [8, 10])
+    def test_exact_zero_on_the_contour_is_refused(self, mu):
+        # (z^2 + 1)^mu (z - 1.5)(z + 1.7): its copies of +-i land up to 0.026
+        # inside the circle, the contour passes next to them, and the values
+        # there round to exactly 0; one line, no nan and no RuntimeWarning
+        c = np.polynomial.polynomial.polyfromroots([1j] * mu + [-1j] * mu + [1.5, -1.7]).real
+        helicity = HelicitySeries(c * np.sign(c[0]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(ValueError, match=r"^chi/c_0 is exactly 0 at \d+ of the \d+ "
+                                                 r"analysis points: its log is undefined there$"):
+                log_coefficients(helicity, 50, 4096)
 
     def test_largest_n_max_fits_the_ceiling(self):
         # n_max = 2^18 - 1 would need 36 n_max points at alpha = 1; alpha is

@@ -82,7 +82,9 @@ import numpy as np
 #: (fig2); last, the runs that write no dataset on a grid with m/4 odd
 #: (k = 3 on 4100 points), whose half-period heads are m/2 points: the
 #: reciprocity report with each method and with Fejer weights, a sweep with
-#: a cyclic k on each side of the adiabatic threshold, and the Berry phase
+#: a cyclic k on each side of the adiabatic threshold, and the Berry phase;
+#: last, a cyclic k within CYCLIC_TOL of 1 that is not 1, whose series and
+#: roots take round(k) (coeffs, and verify with its root note)
 COMMANDS = (
     ("reciprocity", "--preset", "fig1", "--out", "{out}/fig1"),
     ("reciprocity", "--preset", "fig2", "--format", "json", "--out", "{out}/fig2"),
@@ -157,6 +159,8 @@ COMMANDS = (
       for options in (("--method", "series"), ("--method", "quadrature"), ("--fejer",))),
     ("sweep", "--k-values", "3,17", "--grid-size", "4100"),
     ("berry", "--k", "3", "--grid-size", "4100"),
+    ("coeffs", "--k", "1.0000000001", "--n-max", "5"),
+    ("verify", "--k", "1.0000000001"),
 )
 
 

@@ -17,11 +17,12 @@ polynomials in all, are drawn from fixed seeds:
 - large: 40 of degree 181-400, random coefficients and prescribed pairs near
   the unit circle times (z^2 + 1)^2.
 
-Per family and tree it prints the root arrays that differ between the trees
-(bit for bit, or a raise on one side only), the root sets not exactly closed
-under conjugation, the worst backward error |P(z)| / sum |c_m| |z|^m in long
-double in units of d eps, and the raises and RuntimeWarnings.  It takes under
-a minute per tree.  Exits 1 if the change returns a set not closed under
+Per family it prints the root arrays that differ between the trees (bit for
+bit, or a raise on one side only) and the ``root_check`` verdicts (min |z| >=
+1 - ROOT_TOL) that differ; per family and tree, the root sets not exactly
+closed under conjugation, the worst backward error |P(z)| / sum |c_m| |z|^m
+in long double in units of d eps, and the raises and RuntimeWarnings.  It
+takes under a minute per tree.  Exits 1 if the change returns a set not closed under
 conjugation, raises, or leaves a root above the 4 d eps gate; 0 otherwise.
 """
 
@@ -39,6 +40,7 @@ import numpy as np
 
 P = np.polynomial.polynomial
 GATE = 4.0  # the backward-error gate of polynomial_roots, in units of d eps
+ROOT_TOL = 1e-9  # root_check passes when every |z| >= 1 - ROOT_TOL
 
 
 def _pairs(rng, n, low, high):
@@ -126,9 +128,17 @@ def _run_tree(src: str, workdir: str, tag: str) -> dict:
 
 
 def _same(a, b) -> bool:
+    """Bit-equal roots, or the same message raised on both sides."""
     if isinstance(a, str) or isinstance(b, str):
-        return a == b
+        return isinstance(a, str) and isinstance(b, str) and a == b
     return np.array_equal(a, b)
+
+
+def _verdict(roots) -> bool | None:
+    """root_check's verdict on the roots, None for a raise."""
+    if isinstance(roots, str):
+        return None
+    return bool(len(roots) == 0 or np.min(np.abs(roots)) >= 1.0 - ROOT_TOL)
 
 
 def _summary(polys, rows) -> tuple[int, float, int, int]:
@@ -156,13 +166,16 @@ def main(argv=None) -> int:
         parent = _run_tree(args.parent_src, workdir, "parent")
         change = _run_tree(args.change_src, workdir, "change")
     failed = False
-    print(f"{'family':<10}{'count':>6}{'changed':>9}   {'tree':<7}"
+    print(f"{'family':<10}{'count':>6}{'changed':>9}{'verdicts':>10}   {'tree':<7}"
           f"{'unpaired':>9}{'worst/deps':>12}{'raises':>8}{'warnings':>10}")
     for name, polys in families().items():
-        changed = sum(not _same(a[0], b[0]) for a, b in zip(parent[name], change[name]))
+        pairs = list(zip(parent[name], change[name]))
+        changed = sum(not _same(a[0], b[0]) for a, b in pairs)
+        verdicts = sum(_verdict(a[0]) != _verdict(b[0]) for a, b in pairs)
         for tag, rows in (("parent", parent[name]), ("change", change[name])):
             unpaired, worst, raises, warns = _summary(polys, rows)
-            head = f"{name:<10}{len(polys):>6}{changed:>9}" if tag == "parent" else " " * 25
+            head = (f"{name:<10}{len(polys):>6}{changed:>9}{verdicts:>10}" if tag == "parent"
+                    else " " * 35)
             print(f"{head}   {tag:<7}{unpaired:>9}{worst:>12.3f}{raises:>8}{warns:>10}")
             if tag == "change":
                 failed |= bool(unpaired or raises or worst > GATE)
