@@ -8,8 +8,8 @@ zeros to 17.  Both are exact arithmetic that numpy can do on whole arrays:
 * for |x| in (1e-6, 1e16) the decimal exponent X lies in [-6, 15], so 10^P
   with P = 16 - X is an exact double (P <= 22) and Dekker's two-product
   gives v = |x|·10^P exactly as p + e (Dekker, Numer. Math. 18, 1971).  X
-  starts from ``floor(log10|x|)`` and moves by one where p + e falls outside
-  [10^16, 10^17);
+  starts from ``floor(log10|x|)`` (at least -6) and moves by one where p + e
+  falls outside [10^16, 10^17);
 * p >= 10^16 > 2^53 is an even integer, so D17 = p + rint(e) rounds half to
   even and v = D17 + r exactly, with r = e - rint(e) in [-1/2, 1/2].  D17
   never rounds up to 10^17: that needs |x| within 5e-18 (relative) below a
@@ -27,20 +27,27 @@ zeros to 17.  Both are exact arithmetic that numpy can do on whole arrays:
   Adams, PLDI 2018), and the nearest candidate is the one ``repr`` prints.
 
 This is the fixed-precision digit method of Ryū printf (Adams, OOPSLA 2019)
-for CSV's one precision and a three-test shortest search for JSON.  Each
-cell then becomes a fixed-width byte row holding every character it could
-need: sign, ``0.000`` prefix, the 17 digits with a slot for the point after
-each, ``e-0X`` and the separator.  The digits are one lead digit and four
-4-digit groups, each group one ``uint64`` from a 10,000-entry table.  A
-keep-table indexed by (X, digit count, sign) blanks the unused slots to NUL
-and ``bytes.translate`` deletes them.  Zeros are written into their rows
-directly.  The row of any other cell is overwritten with its text from one
-``%`` call per block, ``%.17g`` or ``%r``, padded with spaces that
-``translate`` deletes too: nan, ±inf, subnormals, |x| <= 1e-6 and
-|x| >= 1e16, and for JSON also cells of 14 or fewer shortest digits, cells
-that ``repr`` prints as integers (``123456789012345.0``) and exact ties of the
-16- or 15-digit rounding.  A block with no fast cell builds no rows: its
-text is one ``%`` call over a template of the format and its separators.
+for CSV's one precision and a three-test shortest search for JSON, which runs
+as one pass over a (3, n) array, a row per length.  Each cell then becomes a
+fixed-width byte row holding every character it could need: sign, ``0.000``
+prefix, the 17 digits with a slot for the point after each, ``e-0X`` and the
+separator.  The digits are one lead digit and four 4-digit groups, split off
+D17 by int64 floor division and a multiply-subtract (numpy's int64 ``%`` and
+``divmod`` cost four times a ``//``); each group is one ``uint64`` word from
+a 10,000-entry table.  A keep-table indexed by (X, trailing zeros of D17,
+sign) places the prefix, point and exponent and blanks the unused slots to
+NUL; its rows are taken straight into one row buffer that all blocks of a
+table share, and the digit words are ANDed into it.  The trailing zeros come
+from the last group alone, and from the groups before it only for the cells
+(about 1 in 10^4) whose last group is 0000.  ``bytes.translate`` deletes the
+NULs, one call per block.  Zeros are written into their rows directly.  The
+row of any other cell is overwritten with its text from one ``%`` call per
+block, ``%.17g`` or ``%r``, padded with spaces that ``translate`` deletes
+too: nan, ±inf, subnormals, |x| <= 1e-6 and |x| >= 1e16, and for JSON also
+cells of 14 or fewer shortest digits, cells that ``repr`` prints as integers
+(``123456789012345.0``) and exact ties of the 16- or 15-digit rounding.  A
+block with no fast cell builds no rows: its text is one ``%`` call over a
+template of the format and its separators.
 
 JSON's ``indent=2`` layout comes from one-byte separators: ``,`` between the
 cells of a row and ``;`` after each row, replaced in each block's bytes.
@@ -52,7 +59,7 @@ import json
 
 import numpy as np
 
-#: cells per block: a block's row arrays (48 bytes a cell) stay near 0.4 MB, so
+#: cells per block: the row buffer (48 bytes a cell) stays near 0.4 MB, so
 #: writing a dataset adds nothing to a run's peak memory
 BLOCK_CELLS = 1 << 13
 
@@ -105,14 +112,17 @@ def _tables():
                     chars[:, None, :]).astype(np.uint8)
     keep[in_digits & (slot % 2 == 1) & (digit == point[..., None])
          & (point < nz - 1)[..., None]] = ord(".")
-    keep = np.stack([keep, keep], axis=2)        # (X, digit count, sign, slot)
+    keep = keep[:, ::-1]                         # by trailing zeros, 17 - digits
+    keep = np.stack([keep, keep], axis=2)        # (X, trailing zeros, sign, slot)
     keep[:, :, 1, _SIGN] = ord("-")
     return (leads.view(np.uint64)[:, 0], groups.reshape(-1, 8).view(np.uint64)[:, 0],
             trailing, keep.reshape(-1, _WIDTH).view(np.uint64))
 
 
 _LEADS, _GROUPS, _TRAILING, _KEEP = _tables()
-_ALL_ONES = np.uint64(2 ** 64 - 1)
+#: a group's part of the keep-table row: 2 × its trailing zeros, plus the
+#: offset of X = _X_MIN; a row is 34 X + 2 zeros + sign past that offset
+_KEY_ZEROS = 2 * _TRAILING.astype(np.int64) - 34 * _X_MIN
 _EXPONENT = np.uint64(0x7FF << 52)
 
 
@@ -125,6 +135,8 @@ def _split(a):
 
 _POW10 = np.array([10.0 ** p for p in range(23)])
 _POW10_HI, _POW10_LO = _split(_POW10)
+#: the rounding steps of D17 to 16, 15 and 14 digits, one row each
+_STEPS = np.array([[10.0], [100.0], [1000.0]])
 
 
 def _scaled(a, x):
@@ -142,14 +154,17 @@ def _digits_and_exponents(a):
 
     For 1e-6 < a < 1e16; D17 is a rounded to 17 digits, half to even.
     """
-    x = np.clip(np.floor(np.log10(a)), -6, 15).astype(np.int64)
+    x = np.maximum(np.floor(np.log10(a)), -6).astype(np.int64)
     p, e = _scaled(a, x)
-    low = (p < 1e16) | ((p == 1e16) & (e < 0))
-    high = (p > 1e17) | ((p == 1e17) & (e >= 0))
-    moved = low | high
-    if moved.any():
-        moved = np.flatnonzero(moved)
-        x[moved] += high[moved].astype(np.int64) - low[moved]
+    # p + e can leave [10^16, 10^17) only where p is on or past an end
+    edge = np.flatnonzero((p <= 1e16) | (p >= 1e17))
+    if len(edge):
+        pe, ee = p[edge], e[edge]
+        low = (pe < 1e16) | ((pe == 1e16) & (ee < 0))
+        high = (pe > 1e17) | ((pe == 1e17) & (ee >= 0))
+        outside = low | high
+        moved = edge[outside]
+        x[moved] += high[outside].astype(np.int64) - low[outside]
         p[moved], e[moved] = _scaled(a[moved], x[moved])
     rounded = np.rint(e)
     return p.astype(np.int64) + rounded.astype(np.int64), x, e - rounded
@@ -168,38 +183,53 @@ def _shortest(a, d, x, r):
     # ulp(a)/2·10^P: a power of two times 10^P, exact
     half_ulp = ((a.view(np.uint64) & _EXPONENT).view(np.float64) * 2.0 ** -53
                 * _POW10.take(16 - x))
-    last3 = (d % 1000).astype(np.float64)
-    delta = np.zeros(len(a))       # the shortest candidate minus D17
-    count = np.full(len(a), 17)
-    kept = np.ones(len(a), bool)
-    for step in (10.0, 100.0, 1000.0):   # 16, 15 and 14 digits
-        rest = last3 - step * np.floor(last3 / step)   # exact: small integers
-        tie = rest == step / 2
-        candidate = ((rest > step / 2) | (tie & (r > 0))) * step - rest
-        inside = np.abs(candidate - r) <= half_ulp
-        kept &= ~(inside & tie & (r == 0))
-        delta += inside * (candidate - delta)
-        count -= inside
-    kept &= (count >= 15) & (count > x + 1)
+    last3 = (d - d // 1000 * 1000).astype(np.float64)
+    # one row per length, 16, 15 and 14 digits: rest and the candidate are exact
+    rest = last3 / _STEPS
+    np.floor(rest, out=rest)
+    rest *= -_STEPS
+    rest += last3
+    tie = rest == _STEPS / 2
+    candidate = ((rest > _STEPS / 2) | (tie & (r > 0))) * _STEPS
+    candidate -= rest
+    np.subtract(candidate, r, out=rest)
+    inside = np.abs(rest, out=rest) <= half_ulp
+    # a shorter candidate is a candidate of each longer length too, so the
+    # rows that read back are a prefix, and the shortest is the last of them
+    count = 17 - inside.sum(axis=0)
+    candidate[2] -= candidate[1]
+    candidate[1] -= candidate[0]
+    candidate *= inside
+    delta = candidate.sum(axis=0)
+    kept = ~(inside & tie & (r == 0)).any(axis=0) & (count >= 15) & (count > x + 1)
     return d + (delta * kept).astype(np.int64), kept
 
 
-def _rows(cells, d, x):
-    """The rows of cells with digits d·10^(x-16), as (n, 6) uint64."""
-    lead, rest = np.divmod(d, 10 ** 16)
-    high, low = np.divmod(rest, 10 ** 8)
-    groups = np.divmod(high, 10 ** 4) + np.divmod(low, 10 ** 4)
-    t1, t2, t3, t4 = (_TRAILING.take(g) for g in groups)
-    g1, g2, g3, g4 = groups
-    zeros = t4 + (g4 == 0) * (t3 + (g3 == 0) * (t2 + (g2 == 0) * t1))
-    key = ((x - _X_MIN) * 17 + 16 - zeros) * 2 + np.signbit(cells)
+def _rows(cells, d, x, out):
+    """The rows of cells with digits d·10^(x-16), written into out, an (n, 6) uint64 array."""
+    high = d // 10 ** 8             # the lead digit and the first two groups
+    low = d - high * 10 ** 8        # the last two groups
+    lead = high // 10 ** 8
+    high -= lead * 10 ** 8
+    g1, g3 = high // 10 ** 4, low // 10 ** 4
+    groups = g1, high - g1 * 10 ** 4, g3, low - g3 * 10 ** 4
+    # the keep-table row: the trailing zeros of the last group, and of the
+    # groups before it where the last is 0000, then X and the sign
+    key = _KEY_ZEROS.take(groups[3])
+    full = np.flatnonzero(groups[3] == 0)
+    if len(full):
+        f1, f2, f3 = (g[full] for g in groups[:3])
+        t1, t2, t3 = (_TRAILING.take(f) for f in (f1, f2, f3))
+        key[full] += 2 * (t3 + (f3 == 0) * (t2 + (f2 == 0) * t1))
+    key += x * 34
+    key += np.signbit(cells)
 
-    words = np.empty((len(cells), _WIDTH // 8), np.uint64)
-    words[:, 0] = _LEADS.take(lead)
+    # mode="clip" writes into out directly (every key is in range); the
+    # default mode would fill a copy first
+    words = _KEEP.take(key, axis=0, out=out, mode="clip")
+    words[:, 0] &= _LEADS.take(lead)
     for j, group in enumerate(groups):
-        words[:, 1 + j] = _GROUPS.take(group)
-    words[:, 5] = _ALL_ONES
-    words &= _KEEP.take(key, axis=0)
+        words[:, 1 + j] &= _GROUPS.take(group)
     return words
 
 
@@ -236,19 +266,23 @@ def _percent_text(cells, separators, shortest):
     return text.translate(None, b"\0")
 
 
-def _block_text(cells, separators, shortest):
-    """One block of cells (row-major) as %.17g text, or as repr text if shortest."""
+def _block_text(cells, separators, shortest, rows):
+    """One block of cells (row-major) as %.17g text, or as repr text if shortest.
+
+    rows is the (n, 6) uint64 buffer its rows are built in, n >= len(cells).
+    """
     a = np.abs(cells)
     fast = (a > 1e-6) & (a < 1e16)
     if not fast.any():
         return _percent_text(cells, separators, shortest)
     # every cell gets a row; the other cells' rows are then overwritten
-    a = np.where(fast, a, 1.0)
+    if not fast.all():
+        a[~fast] = 1.0
     d, x, r = _digits_and_exponents(a)
     if shortest:
         d, kept = _shortest(a, d, x, r)
         fast &= kept
-    text = _rows(cells, d, x).view(np.uint8)
+    text = _rows(cells, d, x, rows[:len(cells)]).view(np.uint8)
     if not fast.all():
         zero = cells == 0.0
         text[zero, :_SEP] = _ZEROS[shortest].take(np.signbit(cells[zero]), axis=0)
@@ -268,13 +302,16 @@ def _blocks(columns, row_end, table_end, shortest):
     block = max(1, BLOCK_CELLS // n_cols)
     separators = np.full((block, n_cols), ord(","), np.uint8)
     separators[:, -1] = row_end
+    # one row buffer for every block: a fresh one per block would be
+    # returned to the system and faulted in again
+    rows = np.empty((min(block, n_rows) * n_cols, _WIDTH // 8), np.uint64)
     for r0 in range(0, n_rows, block):
         cells = np.column_stack([c[r0:r0 + block] for c in columns]).reshape(-1)
         ends = separators.reshape(-1)[:len(cells)]
         if r0 + block >= n_rows:
             ends = ends.copy()
             ends[-1] = table_end
-        yield _block_text(cells, ends, shortest)
+        yield _block_text(cells, ends, shortest, rows)
 
 
 def csv_text(names, columns):

@@ -251,9 +251,11 @@ def run_reciprocity_case(params: model.ModelParams, grid_size: int,
     and the dataset ``reciprocity_dataset`` lays out from its curves.  A
     caller that writes no dataset calls ``reciprocity_report`` alone.
     """
-    report, curves = reciprocity_report(params, grid_size, method, fejer, n_max,
-                                        exclusion_halfwidth)
-    return report, reciprocity_dataset(params, curves)
+    report, *curves = reciprocity_report(params, grid_size, method, fejer, n_max,
+                                         exclusion_halfwidth)
+    # pop hands over the only reference to the curves, so that the dataset
+    # step releases each half-period head once its column is laid out
+    return report, reciprocity_dataset(params, curves.pop())
 
 
 def reciprocity_report(params: model.ModelParams, grid_size: int,
@@ -363,14 +365,19 @@ def reciprocity_dataset(params: model.ModelParams, curves: ReciprocityCurves) ->
     phase_direct, phase_reconstructed).  A cyclic run's curves are laid out
     here, one at a time (``hilbert.HalfPeriod.full``), and the (g - N) s
     ramp, formed RK4_CHUNK points at a time, turns both phase curves into
-    physical phases (dynamic phase removed) in place.  A non-cyclic run's
-    columns are its curves as they are.  No two columns share memory.
+    physical phases (dynamic phase removed) in place.  Each half-period head
+    is released once its column is laid out, where the caller hands over its
+    only reference to the curves (``run_reciprocity_case`` does).  A
+    non-cyclic run's columns are its curves as they are.  No two columns
+    share memory.
     """
-    s = curves.s
-    lm_direct, lm_rec, ph_direct, ph_rec = (
-        c.full() if isinstance(c, hilbert.HalfPeriod) else c
-        for c in (curves.log_modulus_direct, curves.log_modulus_reconstructed,
-                  curves.phase_direct, curves.phase_reconstructed))
+    s, *curves = (curves.s, curves.log_modulus_direct, curves.log_modulus_reconstructed,
+                  curves.phase_direct, curves.phase_reconstructed)
+    for i, curve in enumerate(curves):
+        if isinstance(curve, hilbert.HalfPeriod):
+            curves[i] = curve.full()
+    del curve
+    lm_direct, lm_rec, ph_direct, ph_rec = curves
     if params.cyclic:
         for i in range(0, len(s), model.RK4_CHUNK):
             block = slice(i, i + model.RK4_CHUNK)

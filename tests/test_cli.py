@@ -312,6 +312,16 @@ class TestOtherCommands:
         assert "PASS  solution residual" in out
         assert "FAIL" not in out
 
+    @pytest.mark.parametrize("k", ["1.0000000001", "17.0000000005"])
+    def test_verify_near_integer_k_passes(self, capsys, k):
+        # a k within CYCLIC_TOL of an integer is cyclic, and every check is
+        # taken at round(k): phi1(+-pi/2) at k itself read 1.6e-10 and 4.6e-11
+        code, out, err = run_cli(capsys, "verify", "--k", k)
+        checks = [line for line in out.splitlines()
+                  if line.startswith(("PASS", "FAIL"))]
+        assert code == 0 and err == ""
+        assert len(checks) == 5 and all(line.startswith("PASS  ") for line in checks)
+
     def test_verify_notes_the_nearest_root_off_the_circle(self, capsys):
         # min |z| reads 1 for every integer k (the double roots +-i are exact);
         # the note after the PASS/FAIL lines gives rho, 2 cos(pi/12) at k = 1.
@@ -471,9 +481,8 @@ class TestOtherCommands:
     def test_no_command_reaches_the_general_root_path(self, capsys, monkeypatch):
         # every series a command builds has the four-term structure, so the
         # companion eigensolve, seconds at degree ~1600, serves no command;
-        # a cyclic k within CYCLIC_TOL of an integer keeps it too.  verify at
-        # k = 17.0000000005 exits 1 either way: phi1(+-pi/2) on the libm path
-        # takes k as it is and reads 4.6e-11
+        # a cyclic k within CYCLIC_TOL of an integer keeps it too, and every
+        # command exits 0 either way
         argvs = [("sweep", "--k-values", "1,2,3,16.59,17"), ("coeffs", "--k", "50"),
                  ("berry", "--k", "7"), ("verify", "--preset", "fig2"),
                  ("reciprocity", "--k", "17", "--grid-size", "4096"),
@@ -490,7 +499,7 @@ class TestOtherCommands:
             patched = [run_cli(capsys, *argv)[:2] for argv in argvs]
         for argv, result in zip(argvs, patched):
             assert result == run_cli(capsys, *argv)[:2], argv
-        assert [code for code, _ in patched] == [0] * 7 + [1, 0]
+        assert [code for code, _ in patched] == [0] * 9
 
     def test_coeffs_stdout_bytes(self, capsys):
         # the table lines as formatted cell by numpy cell, after the report

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from conftest import csv_oracle, json_oracle
 from cyclicphase import experiments, hilbert, model, trigpoly
+from cyclicphase._tabletext import BLOCK_CELLS
 from cyclicphase.experiments import (
     EXCLUSION_HALFWIDTH,
     PRESETS,
@@ -585,6 +586,13 @@ def neighbours(x, steps=2):
     return out
 
 
+def trailing_zeros_and_exponent(x):
+    """The zeros that end the 17 significant digits of x, and its decimal exponent."""
+    mantissa, exponent = f"{abs(x):.16e}".split("e")
+    digits = mantissa.replace(".", "")
+    return len(digits) - len(digits.rstrip("0")), int(exponent)
+
+
 class TestCsvAtVolume:
     """write_csv on thousands of cells per table, against f"{x:.17g}" cell by cell.
 
@@ -628,6 +636,40 @@ class TestCsvAtVolume:
         text = (tmp_path / "t.csv").read_text()
         assert text.splitlines()[1] == "1000000000000000.2,-1000000000000000.8,0.5"
         assert text == oracle_bytes(table, "csv").decode()
+
+    def test_every_trailing_zero_count(self, tmp_path):
+        # cells whose 17 digits end in exactly 0..16 zeros at every decimal
+        # exponent of the fast cells, of both signs: the writer counts the
+        # zeros of the last 4-digit group and, only where that group is 0000,
+        # of the groups before it.  They sit among full-length cells in the
+        # first block and again across the boundary of the first two
+        rng = np.random.default_rng(15)
+        special, found = [], set()
+        for x in range(-6, 16):
+            for z in range(17):
+                length = 17 - z
+                if length == 1:
+                    mantissas = range(1, 10)
+                else:   # a last digit other than 0
+                    draws = rng.integers(10 ** (length - 2), 10 ** (length - 1), 60)
+                    mantissas = draws * 10 + rng.integers(1, 10, 60)
+                cells = [v for v in (float(f"{d}e{x - length + 1}") for d in mantissas)
+                         if trailing_zeros_and_exponent(v) == (z, x)][:2]
+                special += [c for v in cells for c in (v, -v)]
+                found |= {(x, z)} if cells else set()
+        # no double rounds to one significant digit at 1e-6 and 1e-5
+        # (2e-6 reads 2.0000000000000001e-06): every other pair is there
+        assert found == {(x, z) for x in range(-6, 16) for z in range(17)} - {(-6, 16),
+                                                                             (-5, 16)}
+        fast = 10.0 ** rng.uniform(-5.9, 15.9, 10_000) * rng.choice([-1.0, 1.0], 10_000)
+        full = [v for v in fast if trailing_zeros_and_exponent(v)[0] == 0]
+        n, boundary = len(special), BLOCK_CELLS // 3 * 3   # a block of a 3-column table
+        head = [v for pair in zip(special, full) for v in pair]
+        filler = full[n:boundary - 2 * n]
+        across = [v for pair in zip(special, full[-n:]) for v in pair]   # n cells a side
+        values = head + filler + across
+        assert len(head + filler) == boundary - n and len(full) >= boundary - n
+        assert csv_matches_oracle(value_table(values), tmp_path)
 
     def test_zeros_subnormals_and_non_finite(self, tmp_path):
         special = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308,
