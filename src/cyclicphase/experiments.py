@@ -217,28 +217,19 @@ def _physical_ramp(params: model.ModelParams, s: np.ndarray) -> np.ndarray:
     return (params.g - params.n_harmonic) * s
 
 
-def _detrended_phase(raw_angle: np.ndarray, s: np.ndarray) -> tuple[np.ndarray, float]:
-    phase = hilbert.unwrap(raw_angle).phase
-    slope = (phase[-1] - phase[0]) / (s[-1] - s[0])
-    phase -= slope * s
-    phase -= phase.mean()
-    return phase, float(slope)
-
-
 @dataclass(frozen=True)
 class ReciprocityCurves:
     """The grid and the four curves of a reciprocity run, as its report step leaves them.
 
-    A cyclic run's curves are ``hilbert.HalfPeriod`` values, its phases
-    phase_chi and its reconstruction, without the (g - N) s ramp; a
-    non-cyclic run's are arrays of m samples, as the dataset holds them.
+    Every curve is a ``hilbert.HalfPeriod``; a cyclic run's phases are
+    phase_chi and its reconstruction, without the (g - N) s ramp.
     """
 
     s: np.ndarray
-    log_modulus_direct: np.ndarray | hilbert.HalfPeriod
-    log_modulus_reconstructed: np.ndarray | hilbert.HalfPeriod
-    phase_direct: np.ndarray | hilbert.HalfPeriod
-    phase_reconstructed: np.ndarray | hilbert.HalfPeriod
+    log_modulus_direct: hilbert.HalfPeriod
+    log_modulus_reconstructed: hilbert.HalfPeriod
+    phase_direct: hilbert.HalfPeriod
+    phase_reconstructed: hilbert.HalfPeriod
 
 
 def run_reciprocity_case(params: model.ModelParams, grid_size: int,
@@ -264,21 +255,20 @@ def reciprocity_report(params: model.ModelParams, grid_size: int,
                        exclusion_halfwidth: float = EXCLUSION_HALFWIDTH):
     """The report of a reciprocity run, and the curves its dataset is laid out from.
 
-    Returns (ReciprocityReport, ReciprocityCurves).  A non-cyclic
-    log-modulus is log|phi1| minus its mean, the same A_0 = 0 normalisation
-    the error statistics use, and a non-cyclic phase is the detrended window
-    phase.
+    Returns (ReciprocityReport, ReciprocityCurves).  Every run is held on
+    the first half-period of its curves, as ``hilbert.HalfPeriod`` values
+    that both transforms take and return, and the error statistics are
+    taken over the index runs of the samples at least exclusion_halfwidth
+    from the amplitude zeros (``kept_runs``), with no full-size mask.  A
+    cyclic run's curves are those of ``model.half_period_signals``, and the
+    Berry phase reads its four samples from the head.
 
-    A cyclic run is held on the first half-period of its curves
-    (``model.half_period_signals``): both transforms take and return
-    ``hilbert.HalfPeriod`` values, the Berry phase reads its four samples
-    from the head, and no curve is laid out at full size: the grid and the
-    kept-sample buffer of the error statistics are its only arrays of about
-    m samples.  A non-cyclic run forms each curve once and updates it in
-    place; phi1 is dropped as soon as the curves are read from it.  The
-    error statistics are taken over the index runs of the samples at least
-    exclusion_halfwidth from the amplitude zeros (``kept_runs``), with no
-    full-size mask.
+    A non-cyclic run samples phi1 on the first half of the grid, s < 0:
+    phi1(-s) = conj phi1(s), so log|phi1| less its mean (the A_0 = 0
+    normalisation) is even and the demodulated phase odd.  The phase is
+    unwrapped on the half, put on the branch of arg phi1(0) = 0 at its last
+    sample, next to s = 0, and detrended by ph[0] / s[0], the endpoint
+    slope of an odd curve.  The peak fields read both phases laid out.
     """
     if params.cyclic:
         signals = model.half_period_signals(params, grid_size)
@@ -286,17 +276,25 @@ def reciprocity_report(params: model.ModelParams, grid_size: int,
         helicity, berry_measured = signals.helicity, measure_berry_phase(signals)
     else:
         s = trigpoly.offset_grid(grid_size)
-        phi1 = model.phi1_values(params, s)
+        half = s[:grid_size // 2]
+        # odd to an ulp of pi as rounded; the laid-out curves hold -s_j at s_{m-1-j}
+        np.negative(half[::-1], out=s[grid_size // 2:])
+        phi1 = model.phi1_values(params, half)
         n_eff = 2 * int(round(params.k)) + 1
-        lm_direct = np.abs(phi1)
-        np.log(lm_direct, out=lm_direct)
-        lm_direct -= lm_direct.mean()
+        lm = np.abs(phi1)
+        np.log(lm, out=lm)
+        lm -= lm.mean()
         # the n_eff s ramp demodulates arg phi1 (~2k h per sample) so unwrap cannot alias
         raw = np.angle(phi1)
         del phi1
-        raw += n_eff * s
-        ph_direct, slope = _detrended_phase(raw, s)
+        raw += n_eff * half
+        ph = hilbert.unwrap(raw).phase
         del raw
+        ph -= 2.0 * np.pi * np.round(ph[-1] / (2.0 * np.pi))
+        slope = float(ph[0] / half[0])
+        ph -= slope * half
+        lm_direct = hilbert.HalfPeriod(lm, 1.0, grid_size)
+        ph_direct = hilbert.HalfPeriod(ph, -1.0, grid_size)
     runs = kept_runs(s, model.DRIVE_ZEROS, exclusion_halfwidth)
     if not runs:
         raise ValueError(f"exclusion half-width {exclusion_halfwidth} around the "
@@ -327,8 +325,8 @@ def reciprocity_report(params: model.ModelParams, grid_size: int,
             f"theorem assumptions violated (non-cyclic drive, k = {params.k:.6f}): "
             f"forced harmonic shift N_eff = {n_eff}, phase trend "
             f"{slope:.6f} rad/rad removed before the log-modulus reconstruction")
-        pk_direct = peak_positions(s, ph_direct)
-        pk_rec = peak_positions(s, ph_rec)
+        pk_direct = peak_positions(s, ph_direct.full())
+        pk_rec = peak_positions(s, ph_rec.full())
         pairs, _, extra = match_peaks(pk_direct, pk_rec, max_distance=60 * h)
         offsets = np.array([b - a for a, b in pairs])
         span = max((abs(a) for a, _ in pairs), default=0.0)
@@ -362,20 +360,18 @@ def reciprocity_dataset(params: model.ModelParams, curves: ReciprocityCurves) ->
     """The dataset of a reciprocity run, laid out from the curves of its report step.
 
     The columns are (s, t, log_modulus_direct, log_modulus_reconstructed,
-    phase_direct, phase_reconstructed).  A cyclic run's curves are laid out
-    here, one at a time (``hilbert.HalfPeriod.full``), and the (g - N) s
-    ramp, formed RK4_CHUNK points at a time, turns both phase curves into
-    physical phases (dynamic phase removed) in place.  Each half-period head
-    is released once its column is laid out, where the caller hands over its
-    only reference to the curves (``run_reciprocity_case`` does).  A
-    non-cyclic run's columns are its curves as they are.  No two columns
-    share memory.
+    phase_direct, phase_reconstructed).  The curves are laid out here, one
+    at a time (``hilbert.HalfPeriod.full``), and for a cyclic run the
+    (g - N) s ramp, formed RK4_CHUNK points at a time, turns both phase
+    curves into physical phases (dynamic phase removed) in place.  Each
+    half-period head is released once its column is laid out, where the
+    caller hands over its only reference to the curves
+    (``run_reciprocity_case`` does).  No two columns share memory.
     """
     s, *curves = (curves.s, curves.log_modulus_direct, curves.log_modulus_reconstructed,
                   curves.phase_direct, curves.phase_reconstructed)
     for i, curve in enumerate(curves):
-        if isinstance(curve, hilbert.HalfPeriod):
-            curves[i] = curve.full()
+        curves[i] = curve.full()
     del curve
     lm_direct, lm_rec, ph_direct, ph_rec = curves
     if params.cyclic:

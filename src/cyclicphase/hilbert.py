@@ -13,14 +13,14 @@ form with kernel (1/2) cot((s' - s)/2), which the quadrature method evaluates
 on the interleaved half grid so the singular point is never a node.
 
 H is diagonal in frequency and maps an even f to an odd H[f] and the
-reverse.  The curves of a cyclic run have that parity exactly on the offset
+reverse.  Every reciprocity curve has that parity exactly on the offset
 grid (s_{m-1-j} = -s_j), and such an input is transformed from its first
-half at half the FFT length.  They also repeat after pi (chi is a
-polynomial in z^2), and such an input holds only the even harmonics: one
+half at half the FFT length.  A cyclic run's also repeat after pi (chi is
+a polynomial in z^2), and such an input holds only the even harmonics: one
 period of m/2 samples is transformed, at a quarter of the FFT length, and
 written twice.  Such a curve can be held as a ``HalfPeriod``, the first
 half of its period, and is then transformed into one with no full-size
-array formed.  Any other input is transformed at full length.
+array formed.  Any other input is split into its even and odd parts.
 
 For a function chi(s) = sum_{m>=0} c_m e^{ims} with c_0 > 0 whose polynomial
 has no zeros inside the unit disk, log(chi/c_0) = sum_{n>0} C_n e^{ins} with
@@ -83,7 +83,7 @@ def _quadrature_kernel_fft(m: int) -> np.ndarray:
     rest.  The angles are exact, so no rounding of d h / 2 next to pi is
     amplified by cot, and the kernel is antisymmetric bit for bit.
     The kernel is real, so its m/2 + 1 bins n = 0..m/2 carry its whole
-    spectrum, and they are all that the rfft in periodic_hilbert multiplies.
+    spectrum, and they are all that ``_half_length_hilbert`` reads.
     It is odd, so that spectrum is imaginary, -i mu_n, and its conjugate is
     the multiplier i mu_n; the real part is the FFT's round-off and is
     dropped.  Each cache entry is m/2 + 1 float64 bins.
@@ -254,32 +254,28 @@ def _half_length_hilbert(head: np.ndarray, mu: np.ndarray, parity: float) -> np.
     return out
 
 
-#: rfft bins multiplied by i mu_n at a time on the full-length route
-_MULTIPLY_BLOCK = 4096
-
-
 def periodic_hilbert(samples, method: str = "series",
                      fejer_order: int | None = None):
     """H[f](s_j) for real samples f(s_j) on the offset grid.
 
     Both methods are one real multiplier i mu_n on the frequencies
-    n = 0..m/2 of the real input.  An input that is exactly even or odd
-    under s -> -s (f[j] == +-f[m-1-j], as the cyclic curves are) is
+    n = 0..m/2 of the real input, and every input is transformed by one
+    core, ``_half_length_hilbert``.  An input that is exactly even or odd
+    under s -> -s (f[j] == +-f[m-1-j], as every reciprocity curve is) is
     transformed from the first half of its period, with one rfft and one
-    irfft of length m/2 (``_half_length_hilbert``).  If it also repeats
-    after pi (f[:m/2] == f[m/2:], m a multiple of 8, as the cyclic curves
-    do), it holds only the even harmonics 2n: its first m/2 samples are the
-    offset grid of m/2 points in t = 2s + pi, and that period is transformed
-    with FFTs of length m/4, at the multiplier of harmonic 2n.  Such an
-    input may be passed as a :class:`HalfPeriod`, and then the result is the
-    HalfPeriod of H[f], opposite parity, with no full-size array formed; an
-    array input is wrapped as one (its head a view), transformed the same
-    way and the result laid out (``HalfPeriod.full``).  Any other input
-    takes an rfft of the m samples, the m/2 + 1 bins multiplied by i mu_n
-    (one complex multiplier formed _MULTIPLY_BLOCK bins at a time, so the
-    bits are those of the one complex multiply), and an irfft back to m real
-    points.  Every method and route forms the one real array mu of the
-    period's bins.  The routes differ by round-off only.
+    irfft of length m/2.  If it also repeats after pi (f[:m/2] == f[m/2:],
+    m a multiple of 8, as the cyclic curves do), it holds only the even
+    harmonics 2n: its first m/2 samples are the offset grid of m/2 points in
+    t = 2s + pi, and that period is transformed with FFTs of length m/4, at
+    the multiplier of harmonic 2n.  Such an input may be passed as a
+    :class:`HalfPeriod`, and then the result is the HalfPeriod of H[f],
+    opposite parity, with no full-size array formed; an array input is
+    wrapped as one (its head a view), transformed the same way and the
+    result laid out (``HalfPeriod.full``).  Any other array is split into
+    its even part (f + f~)/2 and its odd part (f - f~)/2, f~[j] = f[m-1-j];
+    each is transformed from its first half at its parity, and the two
+    laid-out results are added.  Every method forms the one real array mu
+    of the period's bins.
 
     Parameters
     ----------
@@ -342,12 +338,9 @@ def periodic_hilbert(samples, method: str = "series",
         result = HalfPeriod(_half_length_hilbert(wave.head, mu, wave.parity),
                             -wave.parity, m)
         return result if held else result.full()
-    spectrum = np.fft.rfft(f)
-    for i in range(0, len(mu), _MULTIPLY_BLOCK):
-        spectrum[i:i + _MULTIPLY_BLOCK] *= 1j * mu[i:i + _MULTIPLY_BLOCK]
-    # released before the irfft allocates its output, which bounds the peak
-    del mu
-    return np.fft.irfft(spectrum, m)
+    head, tail = f[:m // 2], f[:m // 2 - 1:-1]
+    return (HalfPeriod(_half_length_hilbert((head + tail) / 2.0, mu, 1.0), -1.0, m).full()
+            + HalfPeriod(_half_length_hilbert((head - tail) / 2.0, mu, -1.0), 1.0, m).full())
 
 
 def _values(curve) -> np.ndarray:
@@ -412,8 +405,9 @@ def unwrap(phase_raw) -> UnwrapResult:
     Adjacent differences are wrapped into [-pi, pi) and accumulated (Itoh,
     Appl. Opt. 21, 1982), and every wrapped difference larger than pi/2 in
     magnitude is recorded as a jump, in index order.  Genuine jumps at known
-    zeros are not steered here: ``model.evaluate_model`` unwraps a quarter of
-    the grid that holds no zero.  An empty input gives an empty phase.
+    zeros are not steered here: ``model.half_period_signals`` unwraps the
+    quarter of the grid that holds no zero, a non-cyclic report its first
+    half.  An empty input gives an empty phase.
 
     The result is the one array formed at the input's size: the wrapped
     differences are written into it after a leading 0 and summed there in

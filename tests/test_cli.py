@@ -244,15 +244,14 @@ class TestReciprocity:
                      id="non-cyclic-quadrature"),
         pytest.param(("--k", "17", "--out", "{out}"), 10.0, id="cyclic-out")])
     def test_peak_is_a_few_curves(self, capsys, tmp_path, argv, bound):
-        # every full-size curve is formed once and updated in place, the error
-        # statistics hold one buffer of the kept differences and phi1 is sampled
-        # in blocks: s, the two direct curves and the two reconstructions, plus
-        # the quadrature's cached kernel, are near all a non-cyclic run holds
-        # at its peak (in arrays of m float64, 8m bytes each).  A cyclic run
-        # without --out holds its curves as quarter-length heads: s and the
-        # kept buffer are its only full-size arrays (3.26 and 3.51 measured).
-        # With --out it lays out the six columns, and the CSV text peaks
-        # above them (9.75 measured, as when every curve was full-size)
+        # every curve is held as a half-period head, the error statistics hold
+        # one buffer of the kept differences and phi1 is sampled in blocks (in
+        # arrays of m float64, 8m bytes each).  A cyclic run without --out
+        # holds quarter-length heads: s and the kept buffer are its only
+        # full-size arrays (3.26 and 3.50 measured).  A non-cyclic run holds
+        # heads of m/2 points, and its quadrature the cached m-point kernel
+        # (4.55, 4.55 and 5.01 measured).  With --out a run lays out the six
+        # columns, and the CSV text peaks above them (9.32 measured)
         m = 65536
         argv = [a.format(out=tmp_path / "run") for a in argv]
         # a first run on a small grid takes the modules a run imports out of the count

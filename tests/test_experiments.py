@@ -316,6 +316,63 @@ class TestHalfPeriodRun:
         assert held == report
 
 
+def _full_grid_non_cyclic(params, m, method, fejer):
+    """The direct curves, phase trend and statistics of a non-cyclic run formed on
+    all m points: np.unwrap of the demodulated arg phi1, the endpoint slope and
+    the mean removed, and the transforms of the two arrays."""
+    s = offset_grid(m)
+    phi1 = model.phi1_values(params, s)
+    lm = np.log(np.abs(phi1))
+    lm -= lm.mean()
+    ph = np.unwrap(np.angle(phi1) + (2 * int(round(params.k)) + 1) * s)
+    slope = (ph[-1] - ph[0]) / (s[-1] - s[0])
+    ph -= slope * s
+    ph -= ph.mean()
+    fejer_order = m // 2 if fejer else None
+    ph_rec = hilbert.phase_from_modulus(lm, method, fejer_order)
+    lm_rec = hilbert.modulus_from_phase(ph, method, fejer_order)
+    runs = kept_runs(s, model.DRIVE_ZEROS, EXCLUSION_HALFWIDTH)
+    stats = (*_masked_error_stats(ph_rec, ph, runs), *_masked_error_stats(lm_rec, lm, runs))
+    return lm, ph, slope, stats
+
+
+class TestNonCyclicHalfPeriodRun:
+    """phi1(-s) = conj phi1(s) for every k: a non-cyclic run is held on the first
+    half of the grid, its log-modulus even and its phase odd."""
+
+    METHODS = pytest.mark.parametrize("method, fejer", [
+        ("series", False), ("quadrature", False), ("series", True)])
+
+    @METHODS
+    @pytest.mark.parametrize("m", [4096, 4100])
+    def test_curves_are_half_periods_of_exact_parity(self, m, method, fejer):
+        # heads of m/2 points, with m/4 even and odd; the grid's second half
+        # is -s_j, the points the laid-out curves hold
+        _, curves = experiments.reciprocity_report(fig_params("fig3"), m, method, fejer)
+        assert curves.s[::-1].tobytes() == np.negative(curves.s).tobytes()
+        for curve, parity in [(curves.log_modulus_direct, 1.0),
+                              (curves.log_modulus_reconstructed, 1.0),
+                              (curves.phase_direct, -1.0),
+                              (curves.phase_reconstructed, -1.0)]:
+            assert isinstance(curve, hilbert.HalfPeriod)
+            assert (len(curve.head), curve.parity, curve.m) == (m // 2, parity, m)
+            full = curve.full()
+            assert full[::-1].tobytes() == np.multiply(full, parity).tobytes()
+
+    @METHODS
+    @pytest.mark.parametrize("k, m", [(16.59, 4096), (16.59, 4100), (64.59, 4096)])
+    def test_report_is_the_full_grid_one(self, k, m, method, fejer):
+        params = model.params_from_k(k)
+        report, curves = experiments.reciprocity_report(params, m, method, fejer)
+        lm, ph, slope, stats = _full_grid_non_cyclic(params, m, method, fejer)
+        assert np.max(np.abs(curves.log_modulus_direct.full() - lm)) <= 1e-12
+        assert np.max(np.abs(curves.phase_direct.full() - ph)) <= 1e-12
+        np.testing.assert_allclose(
+            (report.rms_phase_error, report.max_phase_error, report.rms_logmod_error,
+             report.max_logmod_error), stats, rtol=1e-12, atol=0.0)
+        assert f"phase trend {slope:.6f} rad/rad" in report.notes
+
+
 class TestCoefficientCase:
     def test_k1_table(self):
         report, table = run_coefficient_case(fig_params("fig1"), 50, 16384)

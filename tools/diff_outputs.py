@@ -73,8 +73,8 @@ import numpy as np
 #: first quarter holds N + 1 = 36 points (Fejer-resummed series, and the
 #: quadrature as a JSON dataset), and the Berry phase at k = 1000 on 16384
 #: points, whose four samples are copies of the first quarter; last, the
-#: Fejer-resummed series on the full-length route (non-cyclic fig3), the
-#: only command that scales the m-point spectrum by Fejer weights; last, the
+#: Fejer-resummed series of non-cyclic fig3, weighted on the bins of a
+#: period of m points (heads of m/2 points); last, the
 #: RK4 cross-check past the old 1e6-step ceiling (k = 10000 at its default
 #: 42,120,284 steps), the 1e6 steps on 36 points named above, the RK4
 #: cross-check on either side of the step count up to which verify compares
@@ -84,7 +84,9 @@ import numpy as np
 #: reciprocity report with each method and with Fejer weights, a sweep with
 #: a cyclic k on each side of the adiabatic threshold, and the Berry phase;
 #: last, a cyclic k within CYCLIC_TOL of 1 that is not 1, whose series and
-#: roots take round(k) (coeffs, and verify with its root note)
+#: roots take round(k) (coeffs, and verify with its root note); last, two
+#: non-cyclic datasets, on a grid with m/4 odd (k = 16.59 on 4100 points)
+#: and on a large grid (k = 64.59 on 65536 points, Fejer-resummed, JSON)
 COMMANDS = (
     ("reciprocity", "--preset", "fig1", "--out", "{out}/fig1"),
     ("reciprocity", "--preset", "fig2", "--format", "json", "--out", "{out}/fig2"),
@@ -161,6 +163,9 @@ COMMANDS = (
     ("berry", "--k", "3", "--grid-size", "4100"),
     ("coeffs", "--k", "1.0000000001", "--n-max", "5"),
     ("verify", "--k", "1.0000000001"),
+    ("reciprocity", "--k", "16.59", "--grid-size", "4100", "--out", "{out}/k16-4100"),
+    ("reciprocity", "--k", "64.59", "--grid-size", "65536", "--fejer", "--format", "json",
+     "--out", "{out}/k64-65536-fejer"),
 )
 
 
