@@ -40,14 +40,13 @@ NUL; its rows are taken straight into one row buffer that all blocks of a
 table share, and the digit words are ANDed into it.  The trailing zeros come
 from the last group alone, and from the groups before it only for the cells
 (about 1 in 10^4) whose last group is 0000.  ``bytes.translate`` deletes the
-NULs, one call per block.  Zeros are written into their rows directly.  The
-row of any other cell is overwritten with its text from one ``%`` call per
-block, ``%.17g`` or ``%r``, padded with spaces that ``translate`` deletes
-too: nan, ±inf, subnormals, |x| <= 1e-6 and |x| >= 1e16, and for JSON also
-cells of 14 or fewer shortest digits, cells that ``repr`` prints as integers
+NULs, one call per block.  The row of every other cell is overwritten with
+its text from one ``%`` call per block, ``%.17g`` or ``%r``, padded with
+spaces that ``translate`` deletes too: zeros of both signs, nan, ±inf,
+subnormals, |x| <= 1e-6 and |x| >= 1e16, and for JSON also cells of 14 or
+fewer shortest digits, cells that ``repr`` prints as integers
 (``123456789012345.0``) and exact ties of the 16- or 15-digit rounding.  A
-block with no fast cell builds no rows: its text is one ``%`` call over a
-template of the format and its separators.
+block with no fast cell takes the same path: all its rows are overwritten.
 
 JSON's ``indent=2`` layout comes from one-byte separators: ``,`` between the
 cells of a row and ``;`` after each row, replaced in each block's bytes.
@@ -233,11 +232,6 @@ def _rows(cells, d, x, out):
     return words
 
 
-#: the rows of 0.0 and -0.0 in CSV (False) and JSON (True), padded with NUL
-_ZEROS = {shortest: np.array(texts, dtype=f"S{_SEP}").view(np.uint8).reshape(2, _SEP)
-          for shortest, texts in ((False, ["0", "-0"]), (True, ["0.0", "-0.0"]))}
-
-
 def _fallback(values, shortest):
     """The rows of the floats values as %.17g or, if shortest, json's repr.
 
@@ -250,22 +244,6 @@ def _fallback(values, shortest):
     return np.frombuffer(text.encode("ascii"), np.uint8).reshape(-1, _SEP)
 
 
-def _percent_text(cells, separators, shortest):
-    """A block of cells as one % call, each cell's text followed by its separator.
-
-    The format is the block's own template (``%.17g`` or ``%r``, then the
-    separator byte), so no row is built; a separator 0 is deleted.
-    """
-    spec = b"%r" if shortest else b"%.17g"
-    template = np.empty((len(cells), len(spec) + 1), np.uint8)
-    template[:, :-1] = np.frombuffer(spec, np.uint8)
-    template[:, -1] = separators
-    text = template.tobytes() % tuple(cells.tolist())
-    if shortest:   # json's names of the non-finite values
-        text = text.replace(b"nan", b"NaN").replace(b"inf", b"Infinity")
-    return text.translate(None, b"\0")
-
-
 def _block_text(cells, separators, shortest, rows):
     """One block of cells (row-major) as %.17g text, or as repr text if shortest.
 
@@ -273,8 +251,6 @@ def _block_text(cells, separators, shortest, rows):
     """
     a = np.abs(cells)
     fast = (a > 1e-6) & (a < 1e16)
-    if not fast.any():
-        return _percent_text(cells, separators, shortest)
     # every cell gets a row; the other cells' rows are then overwritten
     if not fast.all():
         a[~fast] = 1.0
@@ -284,10 +260,8 @@ def _block_text(cells, separators, shortest, rows):
         fast &= kept
     text = _rows(cells, d, x, rows[:len(cells)]).view(np.uint8)
     if not fast.all():
-        zero = cells == 0.0
-        text[zero, :_SEP] = _ZEROS[shortest].take(np.signbit(cells[zero]), axis=0)
-        other = ~(fast | zero)
-        text[other, :_SEP] = _fallback(cells[other].tolist(), shortest)
+        slow = ~fast
+        text[slow, :_SEP] = _fallback(cells[slow].tolist(), shortest)
     text[:, _SEP] = separators
     return text.tobytes().translate(None, b"\0 ")
 

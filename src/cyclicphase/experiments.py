@@ -119,28 +119,21 @@ def kept_runs(s: np.ndarray, zeros, halfwidth: float) -> list[tuple[int, int]]:
     return list(zip(bounds[edges[0::2]].tolist(), bounds[edges[1::2]].tolist()))
 
 
-def _masked_error_stats(reconstructed, direct,
+def _masked_error_stats(reconstructed: hilbert.HalfPeriod, direct: hilbert.HalfPeriod,
                         runs: list[tuple[int, int]]) -> tuple[float, float]:
     """RMS and max |d| of d = reconstructed - direct on the kept runs, less its mean.
 
-    The differences of the runs are written, in order, into one buffer of the
-    kept length, and every step after it works in place on that buffer.  Two
-    ``hilbert.HalfPeriod`` curves of one parity are subtracted on their heads
-    and the buffer is read from that difference: (+-a) - (+-b) = +-(a - b)
-    exactly, so the buffer holds the differences of the laid-out curves.
+    The two curves have one parity and are subtracted on their heads:
+    (+-a) - (+-b) = +-(a - b) exactly, so the difference's kept runs, read in
+    order into one buffer of the kept length, are those of the laid-out
+    curves.  Every step after it works in place on that buffer.
     """
     d = np.empty(sum(j - i for i, j in runs))
+    difference = hilbert.HalfPeriod(reconstructed.head - direct.head, direct.parity, direct.m)
     at = 0
-    if isinstance(direct, hilbert.HalfPeriod):
-        difference = hilbert.HalfPeriod(reconstructed.head - direct.head, direct.parity,
-                                        direct.m)
-        for i, j in runs:
-            difference.read(i, d[at:at + j - i])
-            at += j - i
-    else:
-        for i, j in runs:
-            np.subtract(reconstructed[i:j], direct[i:j], out=d[at:at + j - i])
-            at += j - i
+    for i, j in runs:
+        difference.read(i, d[at:at + j - i])
+        at += j - i
     d -= d.mean()  # curves are each defined up to the A_0 = 0 normalisation
     np.abs(d, out=d)
     largest = float(np.max(d))

@@ -81,10 +81,16 @@ def derive_params(g: float, omega: float = 1.0) -> ModelParams:
 
 
 def params_from_k(k: float, omega: float = 1.0) -> ModelParams:
-    """Build ModelParams from k = K/omega (requires k > 1/2 so that g > 0)."""
+    """Build ModelParams from k = K/omega (requires k > 1/2 so that g > 0).
+
+    A k whose g^2 = 4k^2 - 1 overflows is refused here (ValueError), naming k.
+    """
     if not (k > 0.5):
         raise ValueError(f"k must exceed 1/2, got {k}")
-    return derive_params(float(np.sqrt(4.0 * k * k - 1.0)), omega)
+    g = float(np.sqrt(4.0 * k * k - 1.0))
+    if not np.isfinite(g * g):
+        raise ValueError(f"k = {k} is too large: g^2 = 4k^2 - 1 is not finite")
+    return derive_params(g, omega)
 
 
 def phi1_values(params: ModelParams, s) -> np.ndarray:
@@ -160,9 +166,10 @@ def evaluate_model(params: ModelParams, m_samples: int) -> ModelSignals:
     c_0 > 0, so both come from phi1 alone: arg chi = arg phi1 + Ns (up to 2pi,
     which the unwrapping absorbs) and |chi/c_0| = |phi1|/c_0; chi itself is
     never formed.  The helicity series, and with it c_0, is the closed-form
-    ``helicity_series``; the grid must still hold 4N + 4 points, the fewest
-    that resolve phi1 (ValueError otherwise).  A non-cyclic drive has no
-    series and is refused (ValueError); sample it with ``phi1_values``.
+    ``helicity_series``.  It refuses (ValueError) a non-cyclic drive, which
+    has no series (sample it with ``phi1_values``), and N above MAX_HARMONIC,
+    both before the grid is checked.  The grid must then hold 4N + 4 points,
+    the fewest that resolve phi1 (ValueError otherwise).
 
     The curves are those of ``half_period_signals``, laid out on the m
     points (``hilbert.HalfPeriod.full``): [q, -+q~, q, -+q~], q the first
@@ -198,12 +205,10 @@ def half_period_signals(params: ModelParams, m_samples: int) -> ModelSignals:
     points when m/4 is odd), and the grid is the full offset grid.  No other
     array of m samples is formed.  ValueError as for ``evaluate_model``.
     """
-    if not params.cyclic:
-        raise ValueError("evaluate_model requires a cyclic drive (integer K/omega)")
+    hel = helicity_series(params)
     grid = trigpoly.offset_grid(m_samples)
     n = params.n_harmonic
     trigpoly.check_resolves(m_samples, n)
-    hel = helicity_series(params)
     phi1 = _grid_phi1(params, m_samples)
     log_modulus = np.abs(phi1)
     log_modulus /= hel.c[0]

@@ -196,6 +196,18 @@ class TestInputContract:
         assert "Traceback" not in err
         assert "rms_phase" not in out  # the sweep rejects every k before any row
 
+    @pytest.mark.parametrize("argv, k", [
+        (("reciprocity", "--k", "1e308"), "1e+308"),
+        (("berry", "--k", "inf"), "inf"),
+        (("sweep", "--k-values", "2,1e200"), "1e+200"),
+    ])
+    def test_overflowing_k_is_named(self, capsys, argv, k):
+        # g = sqrt(4k^2 - 1) overflows: the line names the k typed, not g = inf
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, err) == (2, f"configuration error: k = {k} is too large: "
+                                  f"g^2 = 4k^2 - 1 is not finite\n")
+        assert "rms_phase" not in out
+
 
 class TestReciprocity:
     def test_preset_writes_files(self, capsys, tmp_path):
@@ -295,11 +307,15 @@ class TestReciprocity:
 
 
 class TestOtherCommands:
-    @pytest.mark.parametrize("command", ["verify", "coeffs"])
-    def test_k_above_the_harmonic_ceiling_exits_1(self, capsys, command):
+    @pytest.mark.parametrize("argv", [
+        *((command, "--k", "1e10") for command in ("verify", "coeffs", "reciprocity", "berry")),
+        ("sweep", "--k-values", "1e10"),
+    ], ids=["verify", "coeffs", "reciprocity", "berry", "sweep"])
+    def test_k_above_the_harmonic_ceiling_exits_1(self, capsys, argv):
         # 2N + 1 = 4e10 helicity coefficients (298 GiB) are refused before
-        # they are allocated, in one line
-        code, _, err = run_cli(capsys, command, "--k", "1e10")
+        # they are allocated, in one line, and before the grid is checked:
+        # no grid holds the 4N + 4 points
+        code, _, err = run_cli(capsys, *argv)
         assert code == 1
         assert err.startswith("error: k = 1e+10 needs N = 20000000001 harmonics")
         assert err.count("\n") == 1 and "Traceback" not in err

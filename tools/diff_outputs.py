@@ -86,7 +86,10 @@ import numpy as np
 #: last, a cyclic k within CYCLIC_TOL of 1 that is not 1, whose series and
 #: roots take round(k) (coeffs, and verify with its root note); last, two
 #: non-cyclic datasets, on a grid with m/4 odd (k = 16.59 on 4100 points)
-#: and on a large grid (k = 64.59 on 65536 points, Fejer-resummed, JSON)
+#: and on a large grid (k = 64.59 on 65536 points, Fejer-resummed, JSON);
+#: last, the refusals of a k above the harmonic ceiling by the commands that
+#: sample the series on their grid (reciprocity, berry, sweep), and of a k
+#: whose g = sqrt(4k^2 - 1) overflows (reciprocity, and sweep after a valid k)
 COMMANDS = (
     ("reciprocity", "--preset", "fig1", "--out", "{out}/fig1"),
     ("reciprocity", "--preset", "fig2", "--format", "json", "--out", "{out}/fig2"),
@@ -166,6 +169,11 @@ COMMANDS = (
     ("reciprocity", "--k", "16.59", "--grid-size", "4100", "--out", "{out}/k16-4100"),
     ("reciprocity", "--k", "64.59", "--grid-size", "65536", "--fejer", "--format", "json",
      "--out", "{out}/k64-65536-fejer"),
+    ("reciprocity", "--k", "1e10"),
+    ("berry", "--k", "1e10"),
+    ("sweep", "--k-values", "1e10"),
+    ("reciprocity", "--k", "1e308"),
+    ("sweep", "--k-values", "2,1e200"),
 )
 
 
