@@ -249,6 +249,10 @@ def cmd_sweep(args) -> int:
          "omega": args.omega, "out": args.out}))
     if args.out:  # before the first k is computed
         experiments.check_writable(args.out)
+    for params in params_list:  # each cyclic k's series and grid, before the first k runs
+        if params.cyclic:
+            model.check_harmonic_ceiling(params)
+            trigpoly.check_resolves(grid, params.n_harmonic)
     reports = []
     for params in params_list:
         report, _ = experiments.reciprocity_report(params, grid)

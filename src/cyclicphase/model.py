@@ -130,6 +130,13 @@ class ModelSignals:
     helicity: trigpoly.HelicitySeries
 
 
+def check_harmonic_ceiling(params: ModelParams) -> None:
+    """Raise ValueError if the cyclic drive params has N above MAX_HARMONIC."""
+    if params.n_harmonic > MAX_HARMONIC:
+        raise ValueError(f"k = {params.k:.10g} needs N = {params.n_harmonic:.12g} harmonics, "
+                         f"above the ceiling N = {MAX_HARMONIC} (k = {MAX_HARMONIC // 2})")
+
+
 def helicity_series(params: ModelParams) -> trigpoly.HelicitySeries:
     """The degree-2N helicity series of a cyclic drive, in closed form.
 
@@ -147,9 +154,7 @@ def helicity_series(params: ModelParams) -> trigpoly.HelicitySeries:
     """
     if not params.cyclic:
         raise ValueError("the helicity series requires a cyclic drive (integer K/omega)")
-    if params.n_harmonic > MAX_HARMONIC:
-        raise ValueError(f"k = {params.k:.10g} needs N = {params.n_harmonic} harmonics, above "
-                         f"the ceiling N = {MAX_HARMONIC} (k = {MAX_HARMONIC // 2})")
+    check_harmonic_ceiling(params)
     k, g = round(params.k), params.g
     c = np.zeros(2 * params.n_harmonic + 1)
     terms = np.array([2 * k - 1 + g, 2 * k + 1 + g, 2 * k + 1 - g, 2 * k - 1 - g])

@@ -320,6 +320,24 @@ class TestOtherCommands:
         assert err.startswith("error: k = 1e+10 needs N = 20000000001 harmonics")
         assert err.count("\n") == 1 and "Traceback" not in err
 
+    def test_ceiling_line_prints_n_in_12_digits(self, capsys):
+        # N = 2 round(k) + 1 has 154 digits; the line gives 12 significant ones
+        code, _, err = run_cli(capsys, "reciprocity", "--k", "6.7e153")
+        assert (code, err) == (1, "error: k = 6.7e+153 needs N = 1.34e+154 harmonics, above "
+                                  "the ceiling N = 4000001 (k = 2000000)\n")
+
+    @pytest.mark.parametrize("argv, err", [
+        (("--k-values", "2,1e10", "--grid-size", "64"),
+         "error: k = 1e+10 needs N = 20000000001 harmonics"),
+        (("--k-values", "2,3000"),
+         "error: m_samples = 16384 too small for n_max = 6001: need at least 24008"),
+    ], ids=["ceiling", "grid"])
+    def test_sweep_refuses_every_k_before_the_first_runs(self, capsys, tmp_path, argv, err):
+        out_file = tmp_path / "sweep.csv"
+        code, out, stderr = run_cli(capsys, "sweep", *argv, "--out", str(out_file))
+        assert code == 1 and stderr.startswith(err) and stderr.count("\n") == 1
+        assert "k=" not in out and not out_file.exists()
+
     def test_verify_k1(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "--k", "1",
                                "--grid-size", "4096", "--rk4-steps", "10000")

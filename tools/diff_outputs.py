@@ -89,7 +89,9 @@ import numpy as np
 #: and on a large grid (k = 64.59 on 65536 points, Fejer-resummed, JSON);
 #: last, the refusals of a k above the harmonic ceiling by the commands that
 #: sample the series on their grid (reciprocity, berry, sweep), and of a k
-#: whose g = sqrt(4k^2 - 1) overflows (reciprocity, and sweep after a valid k)
+#: whose g = sqrt(4k^2 - 1) overflows (reciprocity, and sweep after a valid k);
+#: last, sweep's refusals of a later k above the ceiling and of a later k whose
+#: 4N + 4 points exceed the grid, and the ceiling line of a 154-digit N
 COMMANDS = (
     ("reciprocity", "--preset", "fig1", "--out", "{out}/fig1"),
     ("reciprocity", "--preset", "fig2", "--format", "json", "--out", "{out}/fig2"),
@@ -174,6 +176,9 @@ COMMANDS = (
     ("sweep", "--k-values", "1e10"),
     ("reciprocity", "--k", "1e308"),
     ("sweep", "--k-values", "2,1e200"),
+    ("sweep", "--k-values", "2,1e10", "--grid-size", "64", "--out", "{out}/sweep-ceiling.csv"),
+    ("sweep", "--k-values", "2,3000"),
+    ("reciprocity", "--k", "6.7e153"),
 )
 
 
